@@ -8,7 +8,6 @@ position -> bit function with a JSON-able spec.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -109,9 +108,6 @@ class BitSource:
     def prefix(self, n: int) -> Bits:
         return "".join(str(self.bit(i)) for i in range(n))
 
-    def spec_json(self) -> str:
-        return json.dumps({"kind": self.kind, **self.spec}, sort_keys=True)
-
     @classmethod
     def literal(cls, word: Bits) -> "BitSource":
         check_bits(word)
@@ -196,26 +192,22 @@ def hat_value(value: Fraction, bits: int = 128) -> Fraction:
     while rem not in seen and i < bits:
         seen[rem] = i
         bits_list.append(src.bit(i))
-        rem = (rem * 2) % q if p != q else p
+        rem = (rem * 2) % q
         i += 1
     hat_bits = []
     for b in bits_list:
         hat_bits.extend((b, 1 - b))
-    if rem in seen and p != q:
-        start = seen[rem]
-        head, cycle = hat_bits[: 2 * start], hat_bits[2 * start :]
-        val = Fraction(0)
-        for j, b in enumerate(head):
-            val += Fraction(b, 1 << (j + 1))
-        if cycle:
-            cyc_val = 0
-            for b in cycle:
-                cyc_val = 2 * cyc_val + b
-            val += Fraction(cyc_val, (1 << len(cycle)) - 1) / (1 << len(head))
-        return val
+    # no cycle within the precision: the truncated image is all head
+    start = seen.get(rem, len(bits_list))
+    head, cycle = hat_bits[: 2 * start], hat_bits[2 * start :]
     val = Fraction(0)
-    for j, b in enumerate(hat_bits):
+    for j, b in enumerate(head):
         val += Fraction(b, 1 << (j + 1))
+    if cycle:
+        cyc_val = 0
+        for b in cycle:
+            cyc_val = 2 * cyc_val + b
+        val += Fraction(cyc_val, (1 << len(cycle)) - 1) / (1 << len(head))
     return val
 
 
@@ -267,8 +259,3 @@ class ClosedClass:
                 check_bits(w)
                 first.setdefault(w, s)
         return cls(name=name, forbid_time=lambda w: first.get(w))
-
-
-def class_alive(cls: ClosedClass, word: Bits, stage: int) -> bool:
-    """True iff no prefix of the word is forbidden by the given stage."""
-    return cls.alive(word, stage)

@@ -7,9 +7,8 @@ as an explicit tail bound instead of a float tolerance.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -117,18 +116,27 @@ class Interval:
     def disjoint(self, other: "Interval") -> bool:
         return self.intersect(other) is None
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def as_json(self) -> list:
-        return [str(self.lo), str(self.hi), self.lo_open, self.hi_open]
+class MeasureView:
+    """What a ball checks membership against: stage-bounded value knowledge.
+
+    ``param_interval`` reports a Bernoulli parameter interval when the viewed
+    measure is known to be a product measure, enabling per-level checks.
+    """
+
+    def knowledge(self, word: Bits, stage: int) -> Interval:
+        raise NotImplementedError
+
+    def param_interval(self, stage: int) -> Optional[Interval]:
+        return None
 
 
-class Measure:
+class Measure(MeasureView):
     """A measure on Cantor space: exact evaluator or stage-indexed enumeration.
 
     Exact measures expose ``mass``; enumerated ones only reveal interval
-    knowledge per stage.  Both answer ``knowledge(word, stage)``.
+    knowledge per stage.  Both answer ``knowledge(word, stage)``, and a
+    measure is its own view for ball membership (``ball.contains(mu, stage)``).
     """
 
     def __init__(
@@ -148,10 +156,6 @@ class Measure:
     def is_exact(self) -> bool:
         return self._mass_fn is not None
 
-    @property
-    def kind(self) -> str:
-        return "exact" if self.is_exact else "enumerated"
-
     def mass(self, word: Bits) -> Fraction:
         if not self.is_exact:
             raise MalformedMeasureError("enumerated measure has no exact evaluator")
@@ -168,6 +172,8 @@ class Measure:
         return [iv for (w, iv, s) in self._tuples if w == word and s <= stage]
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
+        """Stage-bounded knowledge interval for mu(word)."""
+        check_bits(word)
         if self.is_exact:
             return Interval.exact(self.mass(word))
         out = Interval.unit()
@@ -185,8 +191,9 @@ class Measure:
             return _frac(Fraction(self.spec["q"]))
         return None
 
-    def spec_json(self) -> str:
-        return json.dumps(self.spec, sort_keys=True)
+    def param_interval(self, stage: int) -> Optional[Interval]:
+        q = self.bernoulli_param()
+        return Interval.exact(q) if q is not None else None
 
 
 def uniform() -> Measure:
@@ -266,12 +273,6 @@ def _words(n: int) -> Iterator[Bits]:
         yield format(k, f"0{n}b") if n else ""
 
 
-def measure_eval(mu: Measure, word: Bits, stage: int) -> Interval:
-    """Stage-bounded knowledge interval for mu(word)."""
-    check_bits(word)
-    return mu.knowledge(word, stage)
-
-
 def conditional(mu: Measure, word: Bits, b: int) -> Fraction:
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
@@ -318,7 +319,8 @@ class MeasureBall:
     """A basic open set of the measure space: constraints (word, interval).
 
     Concrete subclasses may generate their finite constraint set lazily and
-    provide structure-aware implementations of the three queries below.
+    provide structure-aware implementations of the queries below.  Yes/no
+    verdicts of ``contains`` are stable as the stage grows.
     """
 
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
@@ -335,34 +337,8 @@ class MeasureBall:
         """Upper bound on sup{d(mu,nu)} accurate to the 2^-depth tail."""
         raise NotImplementedError
 
-    def contains(self, view: "MeasureView", stage: int) -> Verdict:
+    def contains(self, view: MeasureView, stage: int) -> Verdict:
         raise NotImplementedError
-
-
-class MeasureView:
-    """What a ball checks membership against: stage-bounded value knowledge.
-
-    ``param_interval`` reports a Bernoulli parameter interval when the viewed
-    measure is known to be a product measure, enabling per-level checks.
-    """
-
-    def knowledge(self, word: Bits, stage: int) -> Interval:
-        raise NotImplementedError
-
-    def param_interval(self, stage: int) -> Optional[Interval]:
-        return None
-
-
-class ExactMeasureView(MeasureView):
-    def __init__(self, mu: Measure):
-        self.mu = mu
-
-    def knowledge(self, word: Bits, stage: int) -> Interval:
-        return self.mu.knowledge(word, stage)
-
-    def param_interval(self, stage: int) -> Optional[Interval]:
-        q = self.mu.bernoulli_param()
-        return Interval.exact(q) if q is not None else None
 
 
 @dataclass(frozen=True)
@@ -604,17 +580,6 @@ class InterleaveCylinderBall(MeasureBall):
         return verdict
 
 
-def ball_size(c: MeasureBall, depth: int) -> Fraction:
-    """Upper bound on the ball's size, accurate to the 2^-depth tail."""
-    return c.size_upper(depth)
-
-
-def ball_contains(c: MeasureBall, mu, stage: int) -> Verdict:
-    """Three-valued membership; yes/no verdicts are stable as the stage grows."""
-    view = mu if isinstance(mu, MeasureView) else ExactMeasureView(mu)
-    return c.contains(view, stage)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -673,6 +638,8 @@ def measure_from_spec(spec: dict) -> Measure:
         return bernoulli(Fraction(spec["q"]))
     if kind == "interleave":
         return interleave_measure(bit_source_from_spec(spec["z"]))
+    if kind == "dirac":
+        return dirac(bit_source_from_spec(spec["z"]))
     if kind == "enumerated":
         tups = [
             (w, Interval.closed(Fraction(lo), Fraction(hi)), int(s))

@@ -13,24 +13,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .cantor import BitSource, Bits, ClosedClass, check_bits
 from .measures import (
+    ONE,
+    ZERO,
+    BernoulliCylinderBall,
     Interval,
     Measure,
     MeasureBall,
     MeasureView,
     Verdict,
+    _words,
     bernoulli_image,
     bit_source_from_spec,
     measure_from_spec,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # alias indices live above every registry index; see ProgramTable.pad
 PAD_BASE = 1_000_000
@@ -53,10 +56,6 @@ class Entry:
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
 
-    def value_tuples(self, table: "ProgramTable", word: Bits, stage: int) -> list[Interval]:
-        """The canonical enumeration's intervals for this string by this stage."""
-        raise WrongKindError(f"{type(self).__name__} is not a measure entry")
-
     def param_interval(self, table: "ProgramTable", stage: int) -> Optional[Interval]:
         """Bernoulli parameter knowledge when the entry is product-structured."""
         return None
@@ -76,7 +75,6 @@ class ExactMeasureEntry(Entry):
 
     measure: Measure
     delay: int = 0
-    kind = "measure"
     total: Optional[bool] = True
 
     def spec(self) -> dict:
@@ -87,14 +85,8 @@ class ExactMeasureEntry(Entry):
             return Interval.exact(self.measure.mass(word))
         return Interval.unit()
 
-    def value_tuples(self, table, word, stage):
-        if len(word) <= stage - self.delay:
-            return [Interval.exact(self.measure.mass(word))]
-        return []
-
     def param_interval(self, table, stage):
-        q = self.measure.bernoulli_param()
-        return Interval.exact(q) if q is not None else None
+        return self.measure.param_interval(stage)
 
     def defined_length(self, table, stage):
         return max(0, min(stage, stage - self.delay))
@@ -106,7 +98,6 @@ class EnumeratedMeasureEntry(Entry):
 
     measure: Measure  # enumerated-kind Measure
     declared_total: Optional[bool] = None
-    kind = "measure"
 
     def __post_init__(self):
         self.total = self.declared_total
@@ -117,18 +108,14 @@ class EnumeratedMeasureEntry(Entry):
     def knowledge(self, table, word, stage):
         return self.measure.knowledge(word, stage)
 
-    def value_tuples(self, table, word, stage):
-        return self.measure.tuples_at(word, stage)
-
     def defined_length(self, table, stage):
         m = 0
         while m + 1 <= stage:
             lvl = m + 1
             ok = all(
-                self.measure.knowledge(format(k, f"0{n}b") if n else "", stage).width
-                <= Fraction(1, 1 << lvl)
+                self.measure.knowledge(w, stage).width <= Fraction(1, 1 << lvl)
                 for n in range(lvl + 1)
-                for k in range(1 << n)
+                for w in _words(n)
             )
             if not ok or (1 << lvl) > 4096:
                 break
@@ -154,18 +141,10 @@ class StubEntry(Entry):
             raise WrongKindError("real stub has no measure knowledge")
         return Interval.unit()
 
-    def value_tuples(self, table, word, stage):
-        if self.stub_kind != "measure":
-            raise WrongKindError("real stub has no measure knowledge")
-        return []
-
     def real_bit(self, table, j, stage):
         if self.stub_kind != "real":
             raise WrongKindError("measure stub has no bits")
         return None
-
-    def defined_length(self, table, stage):
-        return 0
 
 
 @dataclass
@@ -206,7 +185,6 @@ class BernoulliLiftEntry(Entry):
 
     real_index: int
     param_bits: int = 96
-    kind = "measure"
 
     def __post_init__(self):
         self._param_memo: dict[int, Interval] = {}
@@ -240,21 +218,8 @@ class BernoulliLiftEntry(Entry):
         a = word.count("0")
         return bernoulli_image(p, a, len(word) - a)
 
-    def value_tuples(self, table, word, stage):
-        if len(word) > stage:
-            return []
-        return [self.knowledge(table, word, stage)]
-
     def defined_length(self, table, stage):
-        p = self._param(table, stage)
-        m = 0
-        while m + 1 <= stage:
-            lvl = m + 1
-            wmax = max(bernoulli_image(p, a, lvl - a).width for a in range(lvl + 1))
-            if wmax > Fraction(1, 1 << lvl):
-                break
-            m += 1
-        return m
+        return _param_defined_length(self._param(table, stage), stage)
 
     def resolved_total(self, table: "ProgramTable") -> bool:
         return bool(table.entry(self.real_index).total)
@@ -267,7 +232,6 @@ class ParamLiftEntry(Entry):
 
     param_map: "ParamMapLike"
     real_index: int
-    kind = "measure"
 
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
@@ -288,35 +252,29 @@ class ParamLiftEntry(Entry):
         if len(word) > stage:
             return Interval.unit()
         ball = self._ball(table, stage)
-        out = Interval.unit()
-        sup = ball.sup_mass(word)
-        inf = getattr(ball, "inf_mass", None)
-        lo = inf(word) if inf is not None else ZERO
-        return Interval(lo, min(ONE, sup))
-
-    def value_tuples(self, table, word, stage):
-        if len(word) > stage:
-            return []
-        return [self.knowledge(table, word, stage)]
+        lo = ball.inf_mass(word) if isinstance(ball, BernoulliCylinderBall) else ZERO
+        return Interval(lo, min(ONE, ball.sup_mass(word)))
 
     def param_interval(self, table, stage):
         ball = self._ball(table, stage)
-        if isinstance(ball, MeasureBall) and hasattr(ball, "param"):
-            return ball.param
-        return None
+        return ball.param if isinstance(ball, BernoulliCylinderBall) else None
 
     def defined_length(self, table, stage):
         p = self.param_interval(table, stage)
-        if p is None:
-            return 0
-        m = 0
-        while m + 1 <= stage:
-            lvl = m + 1
-            wmax = max(bernoulli_image(p, a, lvl - a).width for a in range(lvl + 1))
-            if wmax > Fraction(1, 1 << lvl):
-                break
-            m += 1
-        return m
+        return 0 if p is None else _param_defined_length(p, stage)
+
+
+def _param_defined_length(p: Interval, stage: int) -> int:
+    """Largest m <= stage such that on every level lvl <= m the Bernoulli
+    images over the parameter interval p are at most 2^-lvl wide."""
+    m = 0
+    while m + 1 <= stage:
+        lvl = m + 1
+        wmax = max(bernoulli_image(p, a, lvl - a).width for a in range(lvl + 1))
+        if wmax > Fraction(1, 1 << lvl):
+            break
+        m += 1
+    return m
 
 
 class ParamMapLike:
@@ -326,9 +284,6 @@ class ParamMapLike:
     domain: ClosedClass
 
     def star(self, word: Bits) -> MeasureBall:
-        raise NotImplementedError
-
-    def score_ball(self, word: Bits, depth: int) -> MeasureBall:
         raise NotImplementedError
 
 
@@ -389,13 +344,7 @@ class InverseLiftEntry(Entry):
             if overflow or not nxt:
                 break
             frontier = nxt
-            common = frontier[0]
-            for w in frontier[1:]:
-                k = 0
-                while k < len(common) and common[k] == w[k]:
-                    k += 1
-                common = common[:k]
-            lcp = common
+            lcp = os.path.commonprefix(frontier)  # character-wise, so exact on words
         self._lcp_memo[stage] = lcp
         return lcp
 
@@ -409,7 +358,6 @@ class AliasEntry(Entry):
     """Explicit registry alias of another entry (padding also exists arithmetically)."""
 
     base: int
-    kind = "measure"  # adjusted on resolve; evaluation always delegates
 
     def spec(self) -> dict:
         return {"entry": "alias", "base": self.base}
@@ -455,13 +403,9 @@ class ProgramTable:
             seen.add(e)
             if e >= PAD_BASE:
                 z = e - PAD_BASE
-                w = int(((8 * z + 1) ** 0.5 - 1) // 2)
-                while (w + 1) * (w + 2) // 2 <= z:
-                    w += 1
-                while w * (w + 1) // 2 > z:
-                    w -= 1
-                i = z - w * (w + 1) // 2
-                e = i
+                # largest w with w(w+1)/2 <= z, exactly: (2w+1)^2 <= 8z+1
+                w = (math.isqrt(8 * z + 1) - 1) // 2
+                e = z - w * (w + 1) // 2
                 continue
             entry = self.entry_raw(e)
             if isinstance(entry, AliasEntry):
@@ -485,9 +429,6 @@ class ProgramTable:
     def eval_measure(self, e: int, word: Bits, stage: int) -> Interval:
         check_bits(word)
         return self.entry(e).knowledge(self, word, stage)
-
-    def value_tuples(self, e: int, word: Bits, stage: int) -> list[Interval]:
-        return self.entry(e).value_tuples(self, word, stage)
 
     def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
         entry = self.entry(e)
@@ -559,8 +500,7 @@ class ProgramTable:
         tol_mid = Fraction(1, 1 << (depth + 1))
         all_tight = True
         for n in range(depth + 1):
-            for k in range(1 << n):
-                w = format(k, f"0{n}b") if n else ""
+            for w in _words(n):
                 i1 = self.eval_measure(e1, w, stage)
                 i2 = self.eval_measure(e2, w, stage)
                 if i1.disjoint(i2):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import zlib
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cantor import Bits, check_bits
 from .measures import MeasureBall
@@ -24,17 +25,19 @@ CODEC_HEADER = 8
 ZLIB_BLOCK_BITS = 256
 
 
+def _ceil_log2_ratio(num: int, den: int) -> int:
+    """Smallest k >= 0 with num * 2^k >= den, for positive integers."""
+    k = max(0, den.bit_length() - num.bit_length() - 1)
+    while (num << k) < den:
+        k += 1
+    return k
+
+
 def ceil_neg_log2(u: Fraction) -> int:
     """Exact ceil(-log2 u) for rational u in (0, 1]; 0 for u >= 1."""
     if u <= 0:
         raise ValueError("u must be positive")
-    if u >= 1:
-        return 0
-    p, q = u.numerator, u.denominator
-    k = max(0, q.bit_length() - p.bit_length() - 1)
-    while (p << k) < q:
-        k += 1
-    return k
+    return _ceil_log2_ratio(u.numerator, u.denominator)
 
 
 def elias_gamma_bits(n: int) -> int:
@@ -50,70 +53,67 @@ def pack_bits(word: Bits) -> bytes:
 
 
 class Codec:
+    """An incremental coder: ``push`` bits one at a time and read ``cost()``
+    at any point; ``cost(word)`` codes a word from a fresh start instead."""
+
     name = "codec"
 
-    def cost(self, word: Bits) -> int:
-        t = self.tracker()
-        for ch in word:
-            t.push(ch)
-        return t.cost()
+    def tracker(self) -> "Codec":
+        """A fresh codec of the same kind, with nothing pushed yet."""
+        return type(self)()
 
-    def tracker(self) -> "CodecTracker":
-        raise NotImplementedError
-
-
-class CodecTracker:
     def push(self, ch: str) -> None:
         raise NotImplementedError
 
-    def cost(self) -> int:
+    def cost(self, word: Optional[Bits] = None) -> int:
+        if word is None:
+            return self._length()
+        fresh = self.tracker()
+        for ch in word:
+            fresh.push(ch)
+        return fresh._length()
+
+    def _length(self) -> int:
+        """Code length of the bits pushed so far."""
         raise NotImplementedError
 
 
 class LiteralCodec(Codec):
     name = "literal"
 
-    class _T(CodecTracker):
-        def __init__(self):
-            self.n = 0
+    def __init__(self):
+        self.n = 0
 
-        def push(self, ch):
-            self.n += 1
+    def push(self, ch):
+        self.n += 1
 
-        def cost(self):
-            return self.n + LITERAL_HEADER
-
-    def tracker(self):
-        return self._T()
+    def _length(self):
+        return self.n + LITERAL_HEADER
 
 
 class RunLengthCodec(Codec):
     name = "run-length"
 
-    class _T(CodecTracker):
-        def __init__(self):
-            self.n = 0
-            self.last = None
-            self.run = 0
-            self.done = 0  # gamma bits of completed runs
+    def __init__(self):
+        self.n = 0
+        self.last = None
+        self.run = 0
+        self.done = 0  # gamma bits of completed runs
 
-        def push(self, ch):
-            self.n += 1
-            if ch == self.last:
-                self.run += 1
-            else:
-                if self.last is not None:
-                    self.done += elias_gamma_bits(self.run)
-                self.last = ch
-                self.run = 1
+    def push(self, ch):
+        self.n += 1
+        if ch == self.last:
+            self.run += 1
+        else:
+            if self.last is not None:
+                self.done += elias_gamma_bits(self.run)
+            self.last = ch
+            self.run = 1
 
-        def cost(self):
-            if self.n == 0:
-                return CODEC_HEADER
-            return 1 + self.done + elias_gamma_bits(self.run) + CODEC_HEADER
-
-    def tracker(self):
-        return self._T()
+    def _length(self):
+        if self.n == 0:
+            return CODEC_HEADER
+        return 1 + self.done + elias_gamma_bits(self.run) + CODEC_HEADER
 
 
 class PatternCodec(Codec):
@@ -121,33 +121,29 @@ class PatternCodec(Codec):
 
     name = "pattern"
 
-    class _T(CodecTracker):
-        def __init__(self):
-            self.word: list[str] = []
-            self.border = [0]  # KMP failure function
+    def __init__(self):
+        self.word: list[str] = []
+        self.border = [0]  # KMP failure function
 
-        def push(self, ch):
-            w = self.word
-            k = self.border[len(w)] if w else 0
-            while k and w[k] != ch:
-                k = self.border[k]
-            if w and w[k] == ch:
-                k += 1
-            elif not w:
-                k = 0
-            w.append(ch)
-            self.border.append(k)
+    def push(self, ch):
+        w = self.word
+        k = self.border[len(w)] if w else 0
+        while k and w[k] != ch:
+            k = self.border[k]
+        if w and w[k] == ch:
+            k += 1
+        elif not w:
+            k = 0
+        w.append(ch)
+        self.border.append(k)
 
-        def cost(self):
-            n = len(self.word)
-            if n == 0:
-                return CODEC_HEADER
-            period = n - self.border[n]
-            reps = -(-n // period)
-            return elias_gamma_bits(period) + period + elias_gamma_bits(reps) + CODEC_HEADER
-
-    def tracker(self):
-        return self._T()
+    def _length(self):
+        n = len(self.word)
+        if n == 0:
+            return CODEC_HEADER
+        period = n - self.border[n]
+        reps = -(-n // period)
+        return elias_gamma_bits(period) + period + elias_gamma_bits(reps) + CODEC_HEADER
 
 
 class KTCodec(Codec):
@@ -155,32 +151,25 @@ class KTCodec(Codec):
 
     name = "kt"
 
-    class _T(CodecTracker):
-        def __init__(self):
-            self.t = 0
-            self.zeros = 0
-            # running probability as num/den; step factor (2c+1)/(2t+2)
-            self.num = 1
-            self.den = 1
+    def __init__(self):
+        self.t = 0
+        self.zeros = 0
+        # running probability as num/den; step factor (2c+1)/(2t+2)
+        self.num = 1
+        self.den = 1
 
-        def push(self, ch):
-            c = self.zeros if ch == "0" else self.t - self.zeros
-            self.num *= 2 * c + 1
-            self.den *= 2 * self.t + 2
-            self.t += 1
-            if ch == "0":
-                self.zeros += 1
+    def push(self, ch):
+        c = self.zeros if ch == "0" else self.t - self.zeros
+        self.num *= 2 * c + 1
+        self.den *= 2 * self.t + 2
+        self.t += 1
+        if ch == "0":
+            self.zeros += 1
 
-        def cost(self):
-            if self.t == 0:
-                return CODEC_HEADER
-            k = max(0, self.den.bit_length() - self.num.bit_length() - 1)
-            while (self.num << k) < self.den:
-                k += 1
-            return k + CODEC_HEADER
-
-    def tracker(self):
-        return self._T()
+    def _length(self):
+        if self.t == 0:
+            return CODEC_HEADER
+        return _ceil_log2_ratio(self.num, self.den) + CODEC_HEADER
 
 
 class ZlibBlockCodec(Codec):
@@ -188,26 +177,22 @@ class ZlibBlockCodec(Codec):
 
     name = "zlib-block"
 
-    class _T(CodecTracker):
-        def __init__(self):
-            self.bits: list[str] = []
-            self.block_cost = 0
-            self.blocks = 0
+    def __init__(self):
+        self.bits: list[str] = []
+        self.block_cost = 0
+        self.blocks = 0
 
-        def push(self, ch):
-            self.bits.append(ch)
-            n = len(self.bits)
-            if n % ZLIB_BLOCK_BITS == 0:
-                packed = pack_bits("".join(self.bits))
-                self.block_cost = 8 * len(zlib.compress(packed, 9))
-                self.blocks = n
+    def push(self, ch):
+        self.bits.append(ch)
+        n = len(self.bits)
+        if n % ZLIB_BLOCK_BITS == 0:
+            packed = pack_bits("".join(self.bits))
+            self.block_cost = 8 * len(zlib.compress(packed, 9))
+            self.blocks = n
 
-        def cost(self):
-            tail = len(self.bits) - self.blocks
-            return self.block_cost + tail + CODEC_HEADER
-
-    def tracker(self):
-        return self._T()
+    def _length(self):
+        tail = len(self.bits) - self.blocks
+        return self.block_cost + tail + CODEC_HEADER
 
 
 DEFAULT_CODECS: tuple[Codec, ...] = (
@@ -220,68 +205,69 @@ DEFAULT_CODECS: tuple[Codec, ...] = (
 
 
 class ComplexityEstimator:
-    """min over the stage-available codec prefix of (code length + id penalty)."""
+    """min over the stage-available codec prefix of (code length + id penalty 2i)."""
 
     def __init__(self, codecs: Sequence[Codec] = DEFAULT_CODECS):
         if not codecs or codecs[0].name != "literal":
             raise ValueError("codec family must lead with the literal codec")
         self.codecs = tuple(codecs)
 
-    def penalties(self) -> list[int]:
-        return [2 * i for i in range(len(self.codecs))]
-
     def upper(self, word: Bits, stage: int) -> int:
         if stage < 1:
             raise ValueError("stage must be >= 1")
         check_bits(word)
         avail = min(stage, len(self.codecs))
-        pen = self.penalties()
-        return min(self.codecs[i].cost(word) + pen[i] for i in range(avail))
+        return min(self.codecs[i].cost(word) + 2 * i for i in range(avail))
 
     def tracker(self) -> "EstimatorTracker":
         return EstimatorTracker(self)
-
-    def codec_ids(self) -> list[str]:
-        return [c.name for c in self.codecs]
 
 
 class EstimatorTracker:
     """Incremental estimate along a growing word."""
 
     def __init__(self, est: ComplexityEstimator):
-        self.est = est
         self.trackers = [c.tracker() for c in est.codecs]
-        self.n = 0
 
     def push(self, ch: str) -> None:
         for t in self.trackers:
             t.push(ch)
-        self.n += 1
 
     def upper(self, stage: int) -> int:
         avail = min(stage, len(self.trackers))
-        pen = self.est.penalties()
-        return min(self.trackers[i].cost() + pen[i] for i in range(avail))
+        return min(self.trackers[i].cost() + 2 * i for i in range(avail))
 
 
-def complexity_upper(est: ComplexityEstimator, word: Bits, stage: int) -> int:
-    return est.upper(word, stage)
+def _deficiency(u: Fraction, upper: Callable[[], int]):
+    """ceil(-log2 u) minus the estimate, which is read only when u > 0."""
+    if u == 0:
+        return INFINITE_DEFICIENCY
+    return ceil_neg_log2(u) - upper()
 
 
 def deficiency(table, est: ComplexityEstimator, e: int, word: Bits, stage: int):
     """ceil(-log2 of the stage-knowledge sup of the entry's mass) minus the estimate."""
     u = table.eval_measure(e, word, stage).hi
-    if u == 0:
-        return INFINITE_DEFICIENCY
-    return ceil_neg_log2(u) - est.upper(word, max(1, stage))
+    return _deficiency(u, partial(est.upper, word, max(1, stage)))
 
 
 def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, stage: int):
     """Deficiency against the sup of the mass over all measures in a ball."""
-    u = ball.sup_mass(word)
-    if u == 0:
-        return INFINITE_DEFICIENCY
-    return ceil_neg_log2(u) - est.upper(word, max(1, stage))
+    return _deficiency(ball.sup_mass(word), partial(est.upper, word, max(1, stage)))
+
+
+def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
+    """The deficiency of each prefix of x at stage |x|, empty prefix first.
+
+    One incremental estimator walks x, so the whole walk costs one push per bit.
+    """
+    stage = max(1, len(x))
+    tracker = est.tracker()
+    upper = partial(tracker.upper, stage)
+    yield _deficiency(table.eval_measure(e, "", stage).hi, upper)
+    for n, ch in enumerate(x, 1):
+        tracker.push(ch)
+        yield _deficiency(table.eval_measure(e, x[:n], stage).hi, upper)
 
 
 def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
@@ -289,32 +275,9 @@ def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     check_bits(x)
     if c == INFINITE_DEFICIENCY:
         return True
-    stage = max(1, len(x))
-    tracker = est.tracker()
-    if deficiency_at(table, tracker, e, "", stage) > c:
-        return False
-    for n in range(1, len(x) + 1):
-        tracker.push(x[n - 1])
-        if deficiency_at(table, tracker, e, x[:n], stage) > c:
-            return False
-    return True
-
-
-def deficiency_at(table, tracker: EstimatorTracker, e: int, word: Bits, stage: int):
-    u = table.eval_measure(e, word, stage).hi
-    if u == 0:
-        return INFINITE_DEFICIENCY
-    return ceil_neg_log2(u) - tracker.upper(stage)
+    return all(d <= c for d in prefix_deficiencies(table, est, e, x))
 
 
 def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
     """Largest prefix deficiency along x at stage |x| (reporting helper)."""
-    stage = max(1, len(x))
-    tracker = est.tracker()
-    best = deficiency_at(table, tracker, e, "", stage)
-    for n in range(1, len(x) + 1):
-        tracker.push(x[n - 1])
-        d = deficiency_at(table, tracker, e, x[:n], stage)
-        if d > best:
-            best = d
-    return best
+    return max(prefix_deficiencies(table, est, e, x))

@@ -10,7 +10,6 @@ from cantorlearn.cantor import (
     ClosedClass,
     EndOfWordError,
     HatDecodeError,
-    class_alive,
     deinterleave,
     hat_decode,
     hat_encode,
@@ -141,9 +140,11 @@ class TestHatValue:
         assert hat_value(Fraction(1, 3)) == Fraction(2, 5)
         assert hat_value(Fraction(2, 5)) == Fraction(7, 17)
         assert hat_value(Fraction(2, 3)) == Fraction(3, 5)
+        # 1 expands as 111..., whose hat image is 101010... = 2/3
+        assert hat_value(Fraction(1)) == Fraction(2, 3)
 
     def test_matches_source_prefix(self):
-        for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2)):
+        for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
             got = hat_value(v)
             src = BitSource.hat_rational(v)
             assert BitSource.rational(got).prefix(48) == src.prefix(48)
@@ -152,20 +153,20 @@ class TestHatValue:
 class TestClosedClass:
     def test_full_space(self):
         d = ClosedClass.full()
-        assert class_alive(d, "0101", 1000)
+        assert d.alive("0101", 1000)
 
     def test_hat_image(self):
         d = ClosedClass.hat_image()
-        assert class_alive(d, "0110", 0)
-        assert not class_alive(d, "11", 0)
-        assert class_alive(d, "011", 5)
-        assert not class_alive(d, "0100", 5)
+        assert d.alive("0110", 0)
+        assert not d.alive("11", 0)
+        assert d.alive("011", 5)
+        assert not d.alive("0100", 5)
 
     def test_stage_semantics(self):
         d = ClosedClass.from_stage_sets({3: {"0"}})
-        assert class_alive(d, "01", 2)
-        assert not class_alive(d, "01", 3)
-        assert not class_alive(d, "01", 7)
+        assert d.alive("01", 2)
+        assert not d.alive("01", 3)
+        assert not d.alive("01", 7)
 
     def test_liveness_prefix_monotone(self):
         d = ClosedClass.from_stage_sets({0: {"010"}, 2: {"11"}})
@@ -173,15 +174,15 @@ class TestClosedClass:
         for _ in range(200):
             w = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
             s = rng.randint(0, 4)
-            if class_alive(d, w, s):
+            if d.alive(w, s):
                 for k in range(len(w) + 1):
-                    assert class_alive(d, w[:k], s)
+                    assert d.alive(w[:k], s)
 
     def test_liveness_antitone_in_stage(self):
         d = ClosedClass.from_stage_sets({1: {"00"}, 4: {"1"}})
         for w in all_words(4):
             prev = True
             for s in range(6):
-                cur = class_alive(d, w, s)
+                cur = d.alive(w, s)
                 assert not (cur and not prev)
                 prev = cur

@@ -15,8 +15,6 @@ from cantorlearn.measures import (
     UndefinedConditionalError,
     Verdict,
     ball,
-    ball_contains,
-    ball_size,
     bernoulli,
     bernoulli_image,
     conditional,
@@ -24,7 +22,6 @@ from cantorlearn.measures import (
     interleave_measure,
     level_max_diff,
     measure_distance,
-    measure_eval,
     measure_from_spec,
     sample_stream,
     sampled_source,
@@ -104,7 +101,12 @@ class TestConstructors:
                     assert mu.mass(w) == mu.mass(w + "0") + mu.mass(w + "1")
 
     def test_from_spec_round_trip(self):
-        for mu in (uniform(), bernoulli(F(2, 5)), interleave_measure(BitSource.rational(F(1, 3)))):
+        for mu in (
+            uniform(),
+            bernoulli(F(2, 5)),
+            interleave_measure(BitSource.rational(F(1, 3))),
+            dirac(BitSource.rational(F(1, 3))),
+        ):
             rebuilt = measure_from_spec(mu.spec)
             for w in ("", "0", "0110", "10101"):
                 assert rebuilt.mass(w) == mu.mass(w)
@@ -112,7 +114,7 @@ class TestConstructors:
 
 class TestMeasureEval:
     def test_exact_degenerate(self):
-        iv = measure_eval(uniform(), "01", 5)
+        iv = uniform().knowledge("01", 5)
         assert iv.lo == iv.hi == F(1, 4)
 
     def test_enumerated_intersection(self):
@@ -122,18 +124,18 @@ class TestMeasureEval:
                 ("0", Interval.open(F(3, 8), F(5, 8)), 3),
             ]
         )
-        iv = measure_eval(mu, "0", 3)
+        iv = mu.knowledge("0", 3)
         assert (iv.lo, iv.hi) == (F(3, 8), F(1, 2))
 
     def test_enumerated_unseen_unit(self):
         mu = enumerated([("0", Interval.exact(F(1, 2)), 1)])
-        iv = measure_eval(mu, "111", 9)
+        iv = mu.knowledge("111", 9)
         assert (iv.lo, iv.hi) == (0, 1)
 
     def test_stage_gating(self):
         mu = enumerated([("0", Interval.closed(F(1, 4), F(1, 2)), 5)])
-        assert measure_eval(mu, "0", 4) == Interval.unit()
-        assert measure_eval(mu, "0", 5).hi == F(1, 2)
+        assert mu.knowledge("0", 4) == Interval.unit()
+        assert mu.knowledge("0", 5).hi == F(1, 2)
 
     def test_inconsistent_raises(self):
         mu = enumerated(
@@ -143,7 +145,7 @@ class TestMeasureEval:
             ]
         )
         with pytest.raises(MalformedMeasureError):
-            measure_eval(mu, "0", 1)
+            mu.knowledge("0", 1)
 
     def test_optional_validator(self):
         good = enumerated(
@@ -228,7 +230,7 @@ class TestDistance:
 
 class TestBalls:
     def test_empty_ball_size_one(self):
-        assert ball_size(ball([]), 8) == 1
+        assert ball([]).size_upper(8) == 1
 
     def test_constraint_never_increases_size(self):
         rng = random.Random(7)
@@ -237,11 +239,11 @@ class TestBalls:
             lo = F(rng.randint(0, 3), 8)
             hi = lo + F(rng.randint(1, 4), 8)
             c1 = ball([(w, Interval.closed(lo, min(F(1), hi)))])
-            assert ball_size(c1, 6) <= ball_size(ball([]), 6)
+            assert c1.size_upper(6) <= ball([]).size_upper(6)
 
     def test_pinned_root_child(self):
         c = ball([("0", Interval.exact(F(1, 2)))])
-        assert ball_size(c, 1) == F(1, 2)  # level-1 width 0, tail 1/2
+        assert c.size_upper(1) == F(1, 2)  # level-1 width 0, tail 1/2
 
     def test_inconsistent_ball(self):
         c = ball(
@@ -252,7 +254,7 @@ class TestBalls:
             ]
         )
         with pytest.raises(InconsistentBallError):
-            ball_size(c, 3)
+            c.size_upper(3)
 
     def test_sup_mass_propagates(self):
         c = ball([("0", Interval.closed(F(1, 4), F(1, 2)))])
@@ -262,11 +264,11 @@ class TestBalls:
 
     def test_contains_verdicts(self):
         lam = uniform()
-        assert ball_contains(ball([("0", Interval.open(F(1, 4), F(3, 4)))]), lam, 0) == Verdict.YES
-        assert ball_contains(ball([("0", Interval(F(3, 4), F(1), lo_open=True))]), lam, 0) == Verdict.NO
+        assert ball([("0", Interval.open(F(1, 4), F(3, 4)))]).contains(lam, 0) == Verdict.YES
+        assert ball([("0", Interval(F(3, 4), F(1), lo_open=True))]).contains(lam, 0) == Verdict.NO
         mu = enumerated([("0", Interval.open(F(0), F(1)), 0)])
         assert (
-            ball_contains(ball([("0", Interval.open(F(1, 4), F(3, 4)))]), mu, 0)
+            ball([("0", Interval.open(F(1, 4), F(3, 4)))]).contains(mu, 0)
             == Verdict.UNKNOWN
         )
 
@@ -282,7 +284,7 @@ class TestBalls:
         c = ball([("0", Interval.open(F(1, 4), F(3, 4)))])
         seen_yes = None
         for s in range(12):
-            v = ball_contains(c, mu, s)
+            v = c.contains(mu, s)
             if seen_yes is not None:
                 assert v == Verdict.YES
             if v == Verdict.YES:
@@ -294,9 +296,9 @@ class TestBalls:
         explicit = ball(list(lazy.constraints()))
         for w in ("0", "1", "00", "01", "11"):
             assert lazy.sup_mass(w) == bernoulli_image(param, w.count("0"), len(w) - w.count("0")).hi
-        assert ball_size(lazy, 6) >= ball_size(explicit, 6) - F(1, 64)
+        assert lazy.size_upper(6) >= explicit.size_upper(6) - F(1, 64)
         for q in (F(1, 4), F(5, 16), F(1, 2)):
-            assert ball_contains(lazy, bernoulli(q), 0) == ball_contains(explicit, bernoulli(q), 0)
+            assert lazy.contains(bernoulli(q), 0) == explicit.contains(bernoulli(q), 0)
 
     def test_bernoulli_image_critical_point(self):
         img = bernoulli_image(Interval.closed(F(1, 4), F(3, 4)), 1, 1)
@@ -311,9 +313,9 @@ class TestBalls:
         assert c.sup_mass("0011") == F(1, 4)  # position 2 forced to pattern bit 1
         assert c.sup_mass("0001") == 0
         mz = interleave_measure(BitSource.periodic("01"))
-        assert ball_contains(c, mz, 0) == Verdict.YES
+        assert c.contains(mz, 0) == Verdict.YES
         other = interleave_measure(BitSource.constant(0))
-        assert ball_contains(c, other, 0) == Verdict.NO
+        assert c.contains(other, 0) == Verdict.NO
 
 
 class TestSampling:

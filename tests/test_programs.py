@@ -37,10 +37,6 @@ class FbMap:
             Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3
         )
 
-    def score_ball(self, word, depth):
-        b = self.star(word)
-        return BernoulliCylinderBall(b.param, level=depth)
-
 
 def basic_table():
     t = ProgramTable()
@@ -127,6 +123,8 @@ class TestPadding:
         t = basic_table()
         p = t.pad(t.pad(2, 3), 1)
         assert t.resolve(p) == 2
+        # far beyond float range: the pairing inverse must stay exact
+        assert t.resolve(t.pad(t.pad(1, 10**200), 10**300)) == 1
 
 
 class TestLifts:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -16,10 +17,10 @@ from cantorlearn.randomness import (
     RunLengthCodec,
     ZlibBlockCodec,
     ceil_neg_log2,
-    complexity_upper,
     deficiency,
     deficiency_ball,
     max_prefix_deficiency,
+    prefix_deficiencies,
     random_verdict,
 )
 
@@ -67,13 +68,13 @@ class TestCodecs:
         for _ in range(50):
             w = "".join(rng.choice("01") for _ in range(rng.randint(0, 200)))
             for s in (1, 2, 5):
-                assert complexity_upper(EST, w, s) <= len(w) + LITERAL_HEADER
+                assert EST.upper(w, s) <= len(w) + LITERAL_HEADER
 
     def test_antitone_in_stage(self):
         w = "0" * 500
         prev = None
         for s in range(1, 8):
-            cur = complexity_upper(EST, w, s)
+            cur = EST.upper(w, s)
             if prev is not None:
                 assert cur <= prev
             prev = cur
@@ -82,7 +83,7 @@ class TestCodecs:
         # pinned: 1 + gamma(1000) + 8 + id penalty 2 = 30
         rl = RunLengthCodec()
         assert rl.cost("0" * 1000) == 28
-        assert complexity_upper(EST, "0" * 1000, 10) <= 40
+        assert EST.upper("0" * 1000, 10) <= 40
 
     def test_pattern_on_alternating(self):
         pc = PatternCodec()
@@ -128,7 +129,7 @@ class TestCodecs:
         for i, ch in enumerate(w, 1):
             tr.push(ch)
             if i % 51 == 0:
-                assert tr.upper(9) == complexity_upper(EST, w[:i], 9)
+                assert tr.upper(9) == EST.upper(w[:i], 9)
 
 
 class TestDeficiency:
@@ -136,7 +137,7 @@ class TestDeficiency:
         t = table_with(uniform())
         for w in ("0101", "0" * 40, "01101001"):
             d = deficiency(t, EST, 0, w, 100)
-            assert d == len(w) - complexity_upper(EST, w, 100)
+            assert d == len(w) - EST.upper(w, 100)
 
     def test_zero_mass_sentinel(self):
         t = table_with(bernoulli(F(1)))
@@ -146,7 +147,7 @@ class TestDeficiency:
         t = ProgramTable()
         t.add(StubEntry("measure"))
         d = deficiency(t, EST, 0, "0101", 50)
-        assert d == -complexity_upper(EST, "0101", 50)
+        assert d == -EST.upper("0101", 50)
 
     def test_monotone_in_stage_for_exact(self):
         t = table_with(bernoulli(F(1, 3)))
@@ -160,10 +161,10 @@ class TestDeficiency:
 
     def test_ball_deficiency(self):
         empty = BernoulliCylinderBall(Interval.unit(), 0)
-        assert deficiency_ball(empty, EST, "0101", 9) == -complexity_upper(EST, "0101", 9)
+        assert deficiency_ball(empty, EST, "0101", 9) == -EST.upper("0101", 9)
         pinned = BernoulliCylinderBall(Interval.exact(F(1, 2)), 6)
         d = deficiency_ball(pinned, EST, "010101", 9)
-        assert d == 6 - complexity_upper(EST, "010101", 9)
+        assert d == 6 - EST.upper("010101", 9)
 
     def test_tighter_ball_never_decreases(self):
         wide = BernoulliCylinderBall(Interval.closed(F(1, 4), F(3, 4)), 6)
@@ -197,3 +198,48 @@ class TestRandomVerdict:
             if max_prefix_deficiency(t, EST, 0, x) > 64:
                 hits += 1
         assert hits == 10
+
+
+# Outputs recorded from the earlier, separately written walks (one whole-word
+# deficiency per prefix) and the earlier two-layer codecs; they must not move.
+PINNED_WALK_SHA256 = {
+    # seed: (against bernoulli(1/3), against bernoulli(2/3))
+    0: (
+        "468f0612275d5ba8a325b9bb5592dbd5b4a8c5983f2df80d9893adb8866986bb",
+        "25f97ed34af7e72d2d74e6328f275eeeec52675968f165278b9da145dd936b7b",
+    ),
+    1: (
+        "308eda2567c50d6b041197b43e8417e0de58f92810c6c29285470aea21a78486",
+        "cb884c2f00dc5992fae0142cc0fd01246620b050382a86175c45c2cd38869855",
+    ),
+    2: (
+        "735e92441af12d96edfbbf93ce9e25a3aaf8fd1b4397c42c4b46e6e7af6e28be",
+        "40ba118e0eec7f69446f7edbdc91c84299a5bc61af1950f514108145fac3fbe0",
+    ),
+}
+
+PINNED_CODEC_COSTS = {
+    # word: (literal, run-length, pattern, kt, zlib-block)
+    "0" * 1000: (1032, 28, 29, 14, 336),
+    "011" * 333: (1031, 1341, 31, 931, 351),
+    "".join(str(bin(i).count("1") % 2) for i in range(1024)): (1056, 1374, 798, 1038, 272),
+    "".join(b * k for k in range(1, 40) for b in "01"): (1592, 639, 1590, 1574, 792),
+}
+
+
+class TestPinnedCorpus:
+    def test_prefix_deficiencies(self):
+        t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
+        for seed, want in PINNED_WALK_SHA256.items():
+            x = sample_stream(bernoulli(F(1, 3)), seed, 512)
+            for e in (0, 1):
+                seq = list(prefix_deficiencies(t, EST, e, x))
+                assert len(seq) == len(x) + 1
+                for n in (0, 1, 255, len(x)):
+                    assert seq[n] == deficiency(t, EST, e, x[:n], len(x))
+                got = hashlib.sha256(",".join(map(str, seq)).encode()).hexdigest()
+                assert got == want[e]
+
+    def test_codec_costs(self):
+        for word, want in PINNED_CODEC_COSTS.items():
+            assert tuple(c.cost(word) for c in DEFAULT_CODECS) == want
