@@ -236,17 +236,8 @@ class ParamLiftEntry(Entry):
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
 
-    def _prefix(self, table: "ProgramTable", stage: int) -> Bits:
-        bits = []
-        for j in range(stage):
-            b = table.eval_real(self.real_index, j, stage)
-            if b is None:
-                break
-            bits.append(str(b))
-        return "".join(bits)
-
     def _ball(self, table: "ProgramTable", stage: int) -> MeasureBall:
-        return self.param_map.star(self._prefix(table, stage))
+        return self.param_map.star(table.real_prefix(self.real_index, stage, stage))
 
     def knowledge(self, table, word, stage):
         if len(word) > stage:

@@ -5,6 +5,13 @@ The estimate is a min over a fixed codec family (literal first, so the
 |word| + header ceiling always holds) plus per-codec id penalties.  Learners
 consume deficiencies through comparisons and thresholds only; nothing here
 claims calibration against a universal machine.
+
+Every codec costs O(1) amortised per pushed bit, so a prefix walk is linear
+in the word.  The KT codec keeps only its two counts and reads its exact
+length from a closed form, through a float fast path that is used only when
+it is certified and an exact integer fallback otherwise.  The zlib codec
+feeds one shared compressor per tracker, block by block, and reads the
+length of a copy flushed at each block boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
-from .cantor import Bits, check_bits
+from .cantor import BadWordError, Bits, check_bits
 from .measures import MeasureBall
 
 INFINITE_DEFICIENCY = math.inf
@@ -23,6 +30,10 @@ INFINITE_DEFICIENCY = math.inf
 LITERAL_HEADER = 32
 CODEC_HEADER = 8
 ZLIB_BLOCK_BITS = 256
+# KT lengths come from floats only when more than this times (n + 1) bits
+# from an integer; see KTCodec
+KT_FLOAT_MARGIN = 1e-12
+_LN2 = math.log(2)
 
 
 def _ceil_log2_ratio(num: int, den: int) -> int:
@@ -147,52 +158,80 @@ class PatternCodec(Codec):
 
 
 class KTCodec(Codec):
-    """Order-0 adaptive coder with the Krichevsky-Trofimov estimator, exact."""
+    """Order-0 adaptive coder with the Krichevsky-Trofimov estimator, exact.
+
+    The KT probability of a word with a zeros and b ones, n = a + b, does not
+    depend on their order: P = (2a)! (2b)! / (4^n n! a! b!).  So the tracker
+    keeps only the counts, and the length is ceil(L) + header with
+    L = log2(1/P).
+
+    Fast path: L is computed in floats from five ``math.lgamma`` values.
+    Their arguments are at most 2n + 1, so each value is at most
+    M = (2n+1) ln(2n+1) nats.  Assuming each lgamma is within 2 ulps, and
+    with half an ulp for each of the four sums and the division by ln 2, the
+    error is below
+    10 * 2^-52 * M / ln 2, about 6.4e-15 (n+1) ln(2n+1) bits.  Measured
+    against a 60-digit value of L on 272 (a, b) pairs with n up to 131072,
+    the worst error was 7.2e-15 (n+1) bits.  ceil(L) is returned only when L
+    lies more than KT_FLOAT_MARGIN * (n + 1) = 1e-12 (n + 1) from every
+    integer: over 100 times the measured worst case, and above the bound
+    while ln(2n+1) < 150, that is for every n a word can have.  Otherwise
+    the length comes exactly from ``_ceil_log2_ratio`` on the factorial
+    products.
+    """
 
     name = "kt"
 
     def __init__(self):
         self.t = 0
         self.zeros = 0
-        # running probability as num/den; step factor (2c+1)/(2t+2)
-        self.num = 1
-        self.den = 1
 
     def push(self, ch):
-        c = self.zeros if ch == "0" else self.t - self.zeros
-        self.num *= 2 * c + 1
-        self.den *= 2 * self.t + 2
         self.t += 1
         if ch == "0":
             self.zeros += 1
 
     def _length(self):
-        if self.t == 0:
+        n, a = self.t, self.zeros
+        if n == 0:
             return CODEC_HEADER
-        return _ceil_log2_ratio(self.num, self.den) + CODEC_HEADER
+        b = n - a
+        lg = math.lgamma
+        bits = 2 * n + (lg(n + 1) + lg(a + 1) + lg(b + 1) - lg(2 * a + 1) - lg(2 * b + 1)) / _LN2
+        if abs(bits - round(bits)) > KT_FLOAT_MARGIN * (n + 1):
+            return math.ceil(bits) + CODEC_HEADER
+        f = math.factorial
+        den = (f(n) * f(a) * f(b)) << (2 * n)
+        return _ceil_log2_ratio(f(2 * a) * f(2 * b), den) + CODEC_HEADER
 
 
 class ZlibBlockCodec(Codec):
-    """zlib over complete bit blocks plus a literal tail, so pushes stay cheap."""
+    """zlib over complete bit blocks plus a literal tail, so pushes stay cheap.
+
+    Each tracker feeds one ``zlib.compressobj(9)`` (the level, window and
+    memory level of ``zlib.compress(..., 9)``) with every completed block as
+    packed bytes.  At a block boundary the block cost is 8 times the bytes
+    emitted so far plus those a flushed copy of the compressor emits, which
+    is the length of ``zlib.compress`` on the whole packed prefix.
+    """
 
     name = "zlib-block"
 
     def __init__(self):
-        self.bits: list[str] = []
+        self.block: list[str] = []
+        self.compressor = zlib.compressobj(9)
+        self.emitted = 0
         self.block_cost = 0
-        self.blocks = 0
 
     def push(self, ch):
-        self.bits.append(ch)
-        n = len(self.bits)
-        if n % ZLIB_BLOCK_BITS == 0:
-            packed = pack_bits("".join(self.bits))
-            self.block_cost = 8 * len(zlib.compress(packed, 9))
-            self.blocks = n
+        self.block.append(ch)
+        if len(self.block) == ZLIB_BLOCK_BITS:
+            self.emitted += len(self.compressor.compress(pack_bits("".join(self.block))))
+            self.block = []
+            self.block_cost = 8 * (self.emitted + len(self.compressor.copy().flush()))
 
     def _length(self):
-        tail = len(self.bits) - self.blocks
-        return self.block_cost + tail + CODEC_HEADER
+        return self.block_cost + len(self.block) + CODEC_HEADER
 
 
 DEFAULT_CODECS: tuple[Codec, ...] = (
@@ -230,10 +269,14 @@ class EstimatorTracker:
         self.trackers = [c.tracker() for c in est.codecs]
 
     def push(self, ch: str) -> None:
+        if ch != "0" and ch != "1":
+            raise BadWordError(f"not a bit: {ch!r}")
         for t in self.trackers:
             t.push(ch)
 
     def upper(self, stage: int) -> int:
+        if stage < 1:
+            raise ValueError("stage must be >= 1")
         avail = min(stage, len(self.trackers))
         return min(self.trackers[i].cost() + 2 * i for i in range(avail))
 

@@ -1,10 +1,12 @@
 import hashlib
+import math
 import random
+import zlib
 from fractions import Fraction as F
 
 import pytest
 
-from cantorlearn.cantor import BitSource
+from cantorlearn.cantor import BadWordError, BitSource
 from cantorlearn.measures import bernoulli, sample_stream, uniform, BernoulliCylinderBall, Interval
 from cantorlearn.programs import ExactMeasureEntry, ProgramTable, StubEntry
 from cantorlearn.randomness import (
@@ -20,6 +22,7 @@ from cantorlearn.randomness import (
     deficiency,
     deficiency_ball,
     max_prefix_deficiency,
+    pack_bits,
     prefix_deficiencies,
     random_verdict,
 )
@@ -122,6 +125,20 @@ class TestCodecs:
             if i % 123 == 0:
                 assert t.cost() == zc.cost(w[:i])
 
+    def test_tracker_rejects_non_bits(self):
+        tr = EST.tracker()
+        tr.push("0")
+        before = tr.upper(9)
+        for bad in ("x", "", "01", 0):
+            with pytest.raises(BadWordError):
+                tr.push(bad)
+        assert tr.upper(9) == before
+
+    @pytest.mark.parametrize("stage", [0, -1])
+    def test_tracker_upper_rejects_bad_stage(self, stage):
+        with pytest.raises(ValueError, match="stage must be >= 1"):
+            EST.tracker().upper(stage)
+
     def test_tracker_matches_batch_estimator(self):
         rng = random.Random(3)
         w = "".join(rng.choice("01") for _ in range(300))
@@ -130,6 +147,108 @@ class TestCodecs:
             tr.push(ch)
             if i % 51 == 0:
                 assert tr.upper(9) == EST.upper(w[:i], 9)
+
+
+def kt_products(top: int):
+    """Running products of the sequential KT estimator, for k = 0..top:
+    prod (2i+1) over i < k, one factor per earlier equal symbol, and
+    prod (2t+2) over t < k, one factor per position."""
+    odd, even = [1], [1]
+    for k in range(top):
+        odd.append(odd[-1] * (2 * k + 1))
+        even.append(even[-1] * (2 * k + 2))
+    return odd, even
+
+
+def kt_oracle_length(num: int, den: int) -> int:
+    """8 + the smallest k with 2^k >= den / num."""
+    return (-(-den // num) - 1).bit_length() + 8
+
+
+def structured_words(bits: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    cycle = "".join(rng.choice("01") for _ in range(1000))
+    runs, total, bit = [], 0, "0"
+    while total < bits:
+        runs.append(bit * (1 + int(rng.expovariate(1 / 64))))
+        total += len(runs[-1])
+        bit = "1" if bit == "0" else "0"
+    return {
+        "iid": "".join("0" if rng.random() < 1 / 3 else "1" for _ in range(bits)),
+        "cyclic": (cycle * (bits // 1000 + 1))[:bits],
+        "run-length": "".join(runs)[:bits],
+    }
+
+
+class TestKTFastPath:
+    def test_every_small_count_pair(self):
+        # the KT probability ignores order, so zeros-then-ones reaches every (a, b)
+        top = 300
+        odd, even = kt_products(top)
+        for a in range(top + 1):
+            t = KTCodec().tracker()
+            for _ in range(a):
+                t.push("0")
+            for b in range(top - a + 1):
+                if a + b:
+                    assert t.cost() == kt_oracle_length(odd[a] * odd[b], even[a + b]), (a, b)
+                t.push("1")
+
+    @pytest.mark.parametrize("kind", ["iid", "zeros", "alternating"])
+    def test_long_word_checkpoints(self, kind):
+        n = 8192
+        word = {
+            "iid": structured_words(n, 11)["iid"],
+            "zeros": "0" * n,
+            "alternating": "01" * (n // 2),
+        }[kind]
+        t = KTCodec().tracker()
+        num = den = 1
+        seen = [0, 0]
+        for i, ch in enumerate(word, 1):
+            t.push(ch)
+            num *= 2 * seen[int(ch)] + 1
+            den *= 2 * i
+            seen[int(ch)] += 1
+            if i % 256 == 0:
+                assert t.cost() == kt_oracle_length(num, den), i
+
+    @pytest.mark.parametrize("word,want", [("0", 9), ("1", 9), ("01", 11), ("10", 11)])
+    def test_integer_length_takes_exact_fallback(self, monkeypatch, word, want):
+        # P("0") = 1/2 and P("01") = 1/8: L sits on an integer, inside the margin
+        calls = []
+        real = math.factorial
+
+        def counting(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(math, "factorial", counting)
+        odd, even = kt_products(2)
+        a, b = word.count("0"), word.count("1")
+        assert KTCodec().cost(word) == want == kt_oracle_length(odd[a] * odd[b], even[a + b])
+        assert calls
+
+    def test_fractional_length_takes_fast_path(self, monkeypatch):
+        monkeypatch.setattr(math, "factorial", None)
+        # P = 3/128, L = log2(128/3) = 5.415...
+        odd, even = kt_products(4)
+        assert KTCodec().cost("0110") == 6 + 8 == kt_oracle_length(odd[2] * odd[2], even[4])
+
+
+class TestZlibAgainstZlib:
+    @pytest.mark.parametrize("kind", ["iid", "cyclic", "run-length"])
+    def test_block_boundaries_match_zlib_compress(self, kind):
+        word = structured_words(8192, 12)[kind]
+        t = ZlibBlockCodec().tracker()
+        prev = t.cost()
+        for i, ch in enumerate(word, 1):
+            t.push(ch)
+            if i % 256 == 0:
+                assert t.cost() == 8 * len(zlib.compress(pack_bits(word[:i]), 9)) + 8, i
+            else:
+                assert t.cost() == prev + 1, i
+            prev = t.cost()
 
 
 class TestDeficiency:
