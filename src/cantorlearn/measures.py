@@ -17,6 +17,7 @@ from .cantor import BitSource, Bits, check_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 PRNG_NAME = "python-random-mt19937-v1"
 
@@ -132,50 +133,54 @@ class MeasureView:
 
 
 class Measure(MeasureView):
-    """A measure on Cantor space: exact evaluator or stage-indexed enumeration.
+    """A measure on Cantor space: exact product rule or stage-indexed enumeration.
 
-    Exact measures expose ``mass``; enumerated ones only reveal interval
-    knowledge per stage.  Both answer ``knowledge(word, stage)``, and a
-    measure is its own view for ball membership (``ball.contains(mu, stage)``).
+    An exact measure is one rule, ``p0(j)``: the probability that bit j is 0
+    after any prefix of positive mass.  ``prefix_masses`` is its running
+    product along a word, one step per bit; ``mass`` is the last value.  An
+    enumerated measure (``p0`` None) only reveals interval knowledge per stage.
+    Both answer ``knowledge(word, stage)``, and a measure is its own view for
+    ball membership (``ball.contains(mu, stage)``).
     """
 
     def __init__(
         self,
         spec: dict,
-        mass_fn: Optional[Callable[[Bits], Fraction]] = None,
+        p0: Optional[Callable[[int], Fraction]] = None,
         tuples: Optional[Sequence[tuple[Bits, Interval, int]]] = None,
     ):
-        if (mass_fn is None) == (tuples is None):
-            raise ValueError("exactly one of mass_fn / tuples required")
+        if (p0 is None) == (tuples is None):
+            raise ValueError("exactly one of p0 / tuples required")
         self.spec = spec
-        self._mass_fn = mass_fn
-        self._cache: dict[Bits, Fraction] = {}
+        self.p0 = p0
         self._tuples = tuple(tuples) if tuples is not None else None
 
-    @property
-    def is_exact(self) -> bool:
-        return self._mass_fn is not None
+    def prefix_masses(self, word: Bits) -> Iterator[Fraction]:
+        """The mass of "" and of each prefix of word: one multiply per bit,
+        and no further reads of the rule once the mass is 0."""
+        if self.p0 is None:
+            raise MalformedMeasureError("enumerated measure has no exact evaluator")
+        m = ONE
+        yield m
+        for j, ch in enumerate(word):
+            if m:
+                m *= self.p0(j) if ch == "0" else ONE - self.p0(j)
+            yield m
 
     def mass(self, word: Bits) -> Fraction:
-        if not self.is_exact:
-            raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        v = self._cache.get(word)
-        if v is None:
-            v = _frac(self._mass_fn(word))
-            self._cache[word] = v
-        return v
+        for m in self.prefix_masses(word):
+            pass
+        return m
 
     def tuples_at(self, word: Bits, stage: int) -> list[Interval]:
         """The enumeration's intervals for this string revealed by the stage."""
-        if self.is_exact:
+        if self.p0 is not None:
             return [Interval.exact(self.mass(word))]
         return [iv for (w, iv, s) in self._tuples if w == word and s <= stage]
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
         """Stage-bounded knowledge interval for mu(word)."""
         check_bits(word)
-        if self.is_exact:
-            return Interval.exact(self.mass(word))
         out = Interval.unit()
         for iv in self.tuples_at(word, stage):
             nxt = out.intersect(iv)
@@ -197,47 +202,26 @@ class Measure(MeasureView):
 
 
 def uniform() -> Measure:
-    return Measure({"kind": "uniform"}, mass_fn=lambda w: Fraction(1, 1 << len(w)))
+    return Measure({"kind": "uniform"}, p0=lambda j: HALF)
 
 
 def bernoulli(q) -> Measure:
     q = _frac(q)
     if not ZERO <= q <= ONE:
         raise ValueError(f"parameter must be in [0,1], got {q}")
-
-    def mass(w: Bits) -> Fraction:
-        a = w.count("0")
-        return q**a * (ONE - q) ** (len(w) - a)
-
-    return Measure({"kind": "bernoulli", "q": f"{q.numerator}/{q.denominator}"}, mass_fn=mass)
+    return Measure({"kind": "bernoulli", "q": f"{q.numerator}/{q.denominator}"}, p0=lambda j: q)
 
 
 def interleave_measure(z: BitSource) -> Measure:
     """The measure that forces bit z(n) at even-length prefixes and splits at odd ones."""
 
-    def mass(w: Bits) -> Fraction:
-        v = ONE
-        for j, ch in enumerate(w):
-            if j % 2 == 0:
-                if int(ch) != z.bit(j // 2):
-                    return ZERO
-            else:
-                v /= 2
-        return v
-
-    return Measure({"kind": "interleave", "z": {"kind": z.kind, **z.spec}}, mass_fn=mass)
+    spec = {"kind": "interleave", "z": {"kind": z.kind, **z.spec}}
+    return Measure(spec, p0=lambda j: HALF if j % 2 else ONE - z.bit(j // 2))
 
 
 def dirac(z: BitSource) -> Measure:
     """Point mass on the single real produced by the source."""
-
-    def mass(w: Bits) -> Fraction:
-        for j, ch in enumerate(w):
-            if int(ch) != z.bit(j):
-                return ZERO
-        return ONE
-
-    return Measure({"kind": "dirac", "z": {"kind": z.kind, **z.spec}}, mass_fn=mass)
+    return Measure({"kind": "dirac", "z": {"kind": z.kind, **z.spec}}, p0=lambda j: ONE - z.bit(j))
 
 
 def enumerated(tuples: Iterable[tuple[Bits, Interval, int]], spec: Optional[dict] = None) -> Measure:
@@ -276,10 +260,10 @@ def _words(n: int) -> Iterator[Bits]:
 def conditional(mu: Measure, word: Bits, b: int) -> Fraction:
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    m = mu.mass(word)
-    if m == 0:
+    if mu.mass(word) == 0:
         raise UndefinedConditionalError(f"mass zero at {word!r}")
-    return mu.mass(word + str(b)) / m
+    p0 = mu.p0(len(word))
+    return p0 if b == 0 else ONE - p0
 
 
 def level_max_diff(mu: Measure, nu: Measure, n: int) -> Fraction:
@@ -291,12 +275,7 @@ def level_max_diff(mu: Measure, nu: Measure, n: int) -> Fraction:
             abs(qm**a * (ONE - qm) ** (n - a) - qn**a * (ONE - qn) ** (n - a))
             for a in range(n + 1)
         )
-    best = ZERO
-    for w in _words(n):
-        d = abs(mu.mass(w) - nu.mass(w))
-        if d > best:
-            best = d
-    return best
+    return max(abs(mu.mass(w) - nu.mass(w)) for w in _words(n))
 
 
 def measure_distance(mu: Measure, nu: Measure, depth: int) -> tuple[Fraction, Fraction]:
@@ -587,30 +566,23 @@ class InterleaveCylinderBall(MeasureBall):
 def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
     """Deterministic stream of n bits sampled from an exact measure.
 
-    Bit i is 0 with the exact conditional probability given the prefix so far;
-    forced branches (other side mass 0) consume no randomness, so streams from
-    interleaving measures carry the forced bits exactly.
+    Bit j is 0 with probability ``mu.p0(j)``, the exact conditional given the
+    prefix so far, so each bit costs one read of the rule.  Forced bits
+    (p0 of 0 or 1) consume no randomness, so streams from interleaving
+    measures carry the forced bits exactly.
     """
-    if not mu.is_exact:
+    if mu.p0 is None:
         raise MalformedMeasureError("sampling needs an exact measure")
+    if n < 0:
+        raise ValueError(f"stream length must be >= 0, got {n}")
     rng = random.Random(seed)
     out: list[str] = []
-    prefix = ""
-    m = mu.mass(prefix)
-    if m == 0:
-        raise UndefinedConditionalError("measure has zero mass at the start")
-    for _ in range(n):
-        m0 = mu.mass(prefix + "0")
-        p0 = m0 / m
-        if p0 == 1:
-            b = "0"
-        elif p0 == 0:
-            b = "1"
+    for j in range(n):
+        p0 = mu.p0(j)
+        if p0 == 1 or p0 == 0:
+            out.append("0" if p0 == 1 else "1")
         else:
-            b = "0" if Fraction(rng.random()) < p0 else "1"
-        prefix += b
-        out.append(b)
-        m = m0 if b == "0" else m - m0
+            out.append("0" if Fraction(rng.random()) < p0 else "1")
     return "".join(out)
 
 

@@ -17,7 +17,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional
 
 from .cantor import BitSource, Bits, ClosedClass, check_bits
 from .measures import (
@@ -56,6 +57,10 @@ class Entry:
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
 
+    def prefix_sups(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator[Fraction]:
+        """Sup of the stage knowledge on "" and on every prefix of x."""
+        return (self.knowledge(table, x[:n], stage).hi for n in range(len(x) + 1))
+
     def param_interval(self, table: "ProgramTable", stage: int) -> Optional[Interval]:
         """Bernoulli parameter knowledge when the entry is product-structured."""
         return None
@@ -77,6 +82,10 @@ class ExactMeasureEntry(Entry):
     delay: int = 0
     total: Optional[bool] = True
 
+    def __post_init__(self):
+        if self.delay < 0:
+            raise ValueError(f"delay must be >= 0, got {self.delay}")
+
     def spec(self) -> dict:
         return {"entry": "exact-measure", "measure": self.measure.spec, "delay": self.delay}
 
@@ -85,11 +94,17 @@ class ExactMeasureEntry(Entry):
             return Interval.exact(self.measure.mass(word))
         return Interval.unit()
 
+    def prefix_sups(self, table, x, stage):
+        known = stage - self.delay
+        if known >= 0:
+            yield from self.measure.prefix_masses(x[:known])
+        yield from repeat(ONE, len(x) - max(known, -1))
+
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
 
     def defined_length(self, table, stage):
-        return max(0, min(stage, stage - self.delay))
+        return max(0, stage - self.delay)
 
 
 @dataclass
@@ -157,6 +172,8 @@ class RealEntry(Entry):
     kind = "real"
 
     def __post_init__(self):
+        if self.delay < 0:
+            raise ValueError(f"delay must be >= 0, got {self.delay}")
         self.total = self.diverge_from is None
 
     def spec(self) -> dict:
@@ -420,6 +437,11 @@ class ProgramTable:
     def eval_measure(self, e: int, word: Bits, stage: int) -> Interval:
         check_bits(word)
         return self.entry(e).knowledge(self, word, stage)
+
+    def prefix_sups(self, e: int, x: Bits, stage: int) -> Iterator[Fraction]:
+        """Sup of entry e's stage knowledge on "" and each prefix of x (x checked once)."""
+        check_bits(x)
+        return self.entry(e).prefix_sups(self, x, stage)
 
     def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
         entry = self.entry(e)

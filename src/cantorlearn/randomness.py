@@ -6,12 +6,14 @@ The estimate is a min over a fixed codec family (literal first, so the
 consume deficiencies through comparisons and thresholds only; nothing here
 claims calibration against a universal machine.
 
-Every codec costs O(1) amortised per pushed bit, so a prefix walk is linear
-in the word.  The KT codec keeps only its two counts and reads its exact
-length from a closed form, through a float fast path that is used only when
-it is certified and an exact integer fallback otherwise.  The zlib codec
-feeds one shared compressor per tracker, block by block, and reads the
-length of a copy flushed at each block boundary.
+A prefix walk takes O(1) steps per bit.  Every codec costs O(1) amortised
+per pushed bit, and the masses of an exact measure come from
+``ProgramTable.prefix_sups`` as a running product, one ``Fraction`` multiply
+per bit.  The KT codec keeps only its two counts and reads its exact length
+from a closed form, through a float fast path that is used only when it is
+certified and an exact integer fallback otherwise.  The zlib codec feeds one
+shared compressor per tracker, block by block, and reads the length of a
+copy flushed at each block boundary.
 """
 
 from __future__ import annotations
@@ -302,15 +304,17 @@ def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, sta
 def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
     """The deficiency of each prefix of x at stage |x|, empty prefix first.
 
-    One incremental estimator walks x, so the whole walk costs one push per bit.
+    One incremental estimator and one ``table.prefix_sups`` walk x together,
+    so each bit costs one push and, on exact measures, one mass step.
     """
     stage = max(1, len(x))
     tracker = est.tracker()
     upper = partial(tracker.upper, stage)
-    yield _deficiency(table.eval_measure(e, "", stage).hi, upper)
-    for n, ch in enumerate(x, 1):
+    sups = table.prefix_sups(e, x, stage)
+    yield _deficiency(next(sups), upper)
+    for ch, u in zip(x, sups):
         tracker.push(ch)
-        yield _deficiency(table.eval_measure(e, x[:n], stage).hi, upper)
+        yield _deficiency(u, upper)
 
 
 def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:

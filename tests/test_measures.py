@@ -349,6 +349,10 @@ class TestSampling:
                 ok += 1
         assert ok >= 38
 
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError):
+            sample_stream(bernoulli(F(1, 3)), 0, -3)
+
     def test_sampled_source_matches(self):
         mu = bernoulli(F(2, 5))
         src = sampled_source(mu, 11)

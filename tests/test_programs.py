@@ -9,7 +9,9 @@ from cantorlearn.measures import (
     Interval,
     Verdict,
     bernoulli,
+    dirac,
     enumerated,
+    interleave_measure,
     uniform,
 )
 from cantorlearn.programs import (
@@ -86,6 +88,24 @@ class TestEvaluation:
                     defined_at = (s, b)
                 if defined_at is not None:
                     assert b == defined_at[1]
+
+    def test_exact_prefix_sups_match_knowledge(self):
+        # the running product against each prefix's knowledge, around the
+        # delay boundary and past the support (literal "01" ends at bit 2)
+        t = ProgramTable()
+        t.add(ExactMeasureEntry(interleave_measure(BitSource.rational(F(1, 3))), delay=3))
+        t.add(ExactMeasureEntry(dirac(BitSource.literal("01"))))
+        for e, x in ((0, "0111100110"), (1, "1000")):
+            for stage in range(16):
+                want = [t.eval_measure(e, x[:n], stage).hi for n in range(len(x) + 1)]
+                assert list(t.prefix_sups(e, x, stage)) == want
+
+    def test_negative_delays_raise(self):
+        # a negative delay would reveal exact masses beyond the stage
+        with pytest.raises(ValueError):
+            ExactMeasureEntry(bernoulli(F(1, 3)), delay=-2)
+        with pytest.raises(ValueError):
+            RealEntry(BitSource.rational(F(1, 3)), delay=-1)
 
     def test_diverging_real(self):
         t = basic_table()

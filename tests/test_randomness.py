@@ -6,9 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorlearn.cantor import BadWordError, BitSource
-from cantorlearn.measures import bernoulli, sample_stream, uniform, BernoulliCylinderBall, Interval
-from cantorlearn.programs import ExactMeasureEntry, ProgramTable, StubEntry
+from cantorlearn import cantor, measures, programs, randomness
+from cantorlearn.cantor import BadWordError, BitSource, check_bits
+from cantorlearn.measures import (
+    BernoulliCylinderBall,
+    Interval,
+    Measure,
+    bernoulli,
+    dirac,
+    interleave_measure,
+    sample_stream,
+    uniform,
+)
+from cantorlearn.programs import ExactMeasureEntry, ProgramTable, RealEntry, StubEntry
 from cantorlearn.randomness import (
     DEFAULT_CODECS,
     INFINITE_DEFICIENCY,
@@ -337,6 +347,30 @@ PINNED_WALK_SHA256 = {
     ),
 }
 
+# Recorded from the earlier per-prefix walk and whole-word masses; they must not move.
+PINNED_STREAM_SHA256 = {
+    # sha256 of sample_stream(measure, 0, 512)
+    "interleave": "aaede984a014daabf2899e8da5776a73f0d4b1ebd19f11e7bbdb1e2e42227357",
+    "uniform": "b7ece453fa1bf00b5eddc270729e2a81da1c6c9175129e301675d2875abd204f",
+    "dirac": "cc01e7ad6265f87d2091ad51cfefa2b2aed546815bfbb6ce68e543ff4f7eb2d1",
+}
+
+PINNED_ENTRY_WALK_SHA256 = {
+    # the interleave measure on its own stream, the other two on bernoulli(1/3)'s
+    "interleave": "98a08379df1c488f9ada2ec88684ce489d59f70b4fe72fb67a65750a9c25ddf0",
+    "bernoulli-delay-100": "f36e89c3ad75b69d9ddef1cd8f46759f2b9a8917e02ef56d532ee34a9781a4a1",
+    "bernoulli-lift": "468f0612275d5ba8a325b9bb5592dbd5b4a8c5983f2df80d9893adb8866986bb",
+}
+
+
+def pinned_measures():
+    return {
+        "interleave": interleave_measure(BitSource.hat_rational(F(2, 5))),
+        "uniform": uniform(),
+        "dirac": dirac(BitSource.periodic("011")),
+    }
+
+
 PINNED_CODEC_COSTS = {
     # word: (literal, run-length, pattern, kt, zlib-block)
     "0" * 1000: (1032, 28, 29, 14, 336),
@@ -362,3 +396,60 @@ class TestPinnedCorpus:
     def test_codec_costs(self):
         for word, want in PINNED_CODEC_COSTS.items():
             assert tuple(c.cost(word) for c in DEFAULT_CODECS) == want
+
+    def test_sampled_streams(self):
+        for name, mu in pinned_measures().items():
+            x = sample_stream(mu, 0, 512)
+            assert hashlib.sha256(x.encode()).hexdigest() == PINNED_STREAM_SHA256[name]
+
+    def test_entry_walks(self):
+        mu = pinned_measures()["interleave"]
+        t = ProgramTable()
+        t.add(ExactMeasureEntry(mu))
+        t.add(ExactMeasureEntry(bernoulli(F(1, 3)), delay=100))
+        lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(1, 3)))))
+        xi = sample_stream(mu, 0, 512)
+        xb = sample_stream(bernoulli(F(1, 3)), 0, 512)
+        walks = {
+            "interleave": (0, xi),  # exact rule walk
+            "bernoulli-delay-100": (1, xb),  # exact up to 412 bits, then sup 1
+            "bernoulli-lift": (lift, xb),  # per-prefix knowledge fallback
+        }
+        for name, (e, x) in walks.items():
+            seq = list(prefix_deficiencies(t, EST, e, x))
+            assert len(seq) == len(x) + 1
+            for n in (0, 1, 255, 412, 413, len(x)):
+                assert seq[n] == deficiency(t, EST, e, x[:n], len(x))
+            got = hashlib.sha256(",".join(map(str, seq)).encode()).hexdigest()
+            assert got == PINNED_ENTRY_WALK_SHA256[name]
+
+
+class TestOneStepPerBit:
+    """Exact measures sample and walk from their p0 rule alone: no whole-word
+    mass, and the bits are checked a fixed number of times whatever n is."""
+
+    def test_no_mass_and_constant_checks(self, monkeypatch):
+        def no_mass(self, word):
+            raise AssertionError("Measure.mass called")
+
+        calls = [0]
+
+        def counting_check_bits(word):
+            calls[0] += 1
+            return check_bits(word)
+
+        monkeypatch.setattr(Measure, "mass", no_mass)
+        for mod in (cantor, measures, programs, randomness):
+            monkeypatch.setattr(mod, "check_bits", counting_check_bits)
+        mus = (bernoulli(F(1, 3)), interleave_measure(BitSource.hat_rational(F(2, 5))))
+        checks = {}
+        for n in (256, 1024):
+            calls[0] = 0
+            for mu in mus:
+                t = table_with(mu)
+                x = sample_stream(mu, 0, n)
+                assert len(x) == n
+                assert random_verdict(t, EST, 0, x, 48)
+                assert max_prefix_deficiency(t, EST, 0, x) <= 48
+            checks[n] = calls[0]
+        assert checks[256] == checks[1024]
