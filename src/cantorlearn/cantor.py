@@ -3,7 +3,7 @@
 Words over {0,1} are plain Python strings of ``'0'``/``'1'`` characters, which
 serialize directly as the ASCII text interface used by the rest of the package.
 Infinite sequences ("reals") are wrapped in :class:`BitSource`, a deterministic
-position -> bit function with a JSON-able spec.
+position -> bit function with a JSON-able spec that carries its kind.
 """
 
 from __future__ import annotations
@@ -89,13 +89,16 @@ def is_hat_prefix(word: Bits) -> bool:
 class BitSource:
     """A deterministic infinite (or literal finite) binary sequence.
 
-    ``bit(i)`` is a pure function of the source spec and the position, so
-    sources can be shared, compared by spec, and replayed bit-for-bit.
+    ``bit(i)`` is a pure function of the spec (its kind and constructor keywords)
+    and the position, so sources can be shared, compared by spec, and replayed.
     """
 
-    kind: str
     spec: dict
     _bit: Callable[[int], int] = field(repr=False, compare=False)
+
+    @property
+    def kind(self) -> str:
+        return self.spec["kind"]
 
     def bit(self, i: int) -> int:
         if i < 0:
@@ -117,13 +120,13 @@ class BitSource:
                 raise EndOfWordError(f"literal source of length {len(_w)} read at {i}")
             return int(_w[i])
 
-        return cls(kind="literal", spec={"word": word}, _bit=bit)
+        return cls({"kind": "literal", "word": word}, bit)
 
     @classmethod
-    def constant(cls, b: int) -> "BitSource":
-        if b not in (0, 1):
-            raise BadWordError(f"constant bit must be 0 or 1, got {b!r}")
-        return cls(kind="constant", spec={"bit": b}, _bit=lambda i: b)
+    def constant(cls, bit: int) -> "BitSource":
+        if bit not in (0, 1):
+            raise BadWordError(f"constant bit must be 0 or 1, got {bit!r}")
+        return cls({"kind": "constant", "bit": bit}, lambda i: bit)
 
     @classmethod
     def periodic(cls, cycle: Bits, head: Bits = "") -> "BitSource":
@@ -138,7 +141,7 @@ class BitSource:
                 return int(head[i])
             return int(cycle[(i - len(head)) % len(cycle)])
 
-        return cls(kind="periodic", spec={"head": head, "cycle": cycle}, _bit=bit)
+        return cls({"kind": "periodic", "head": head, "cycle": cycle}, bit)
 
     @classmethod
     def rational(cls, value: Fraction) -> "BitSource":
@@ -157,7 +160,7 @@ class BitSource:
                 return 1
             return (p * (1 << (i + 1)) // q) % 2
 
-        return cls(kind="rational", spec={"value": f"{p}/{q}"}, _bit=bit)
+        return cls({"kind": "rational", "value": f"{p}/{q}"}, bit)
 
     @classmethod
     def hat_rational(cls, value: Fraction) -> "BitSource":
@@ -168,11 +171,7 @@ class BitSource:
             z = base.bit(i // 2)
             return z if i % 2 == 0 else 1 - z
 
-        return cls(kind="hat-rational", spec=dict(base.spec), _bit=bit)
-
-    @classmethod
-    def from_function(cls, kind: str, spec: dict, fn: Callable[[int], int]) -> "BitSource":
-        return cls(kind=kind, spec=spec, _bit=fn)
+        return cls({**base.spec, "kind": "hat-rational"}, bit)
 
 
 def hat_value(value: Fraction, bits: int = 128) -> Fraction:

@@ -30,6 +30,10 @@ class InconsistentBallError(ValueError):
     """No measure satisfies the ball's constraints."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation hit its resource limit before it could decide."""
+
+
 class UndefinedConditionalError(ZeroDivisionError):
     """Conditional probability requested at a mass-zero prefix."""
 
@@ -215,23 +219,32 @@ def bernoulli(q) -> Measure:
 def interleave_measure(z: BitSource) -> Measure:
     """The measure that forces bit z(n) at even-length prefixes and splits at odd ones."""
 
-    spec = {"kind": "interleave", "z": {"kind": z.kind, **z.spec}}
+    spec = {"kind": "interleave", "z": z.spec}
     return Measure(spec, p0=lambda j: HALF if j % 2 else ONE - z.bit(j // 2))
 
 
 def dirac(z: BitSource) -> Measure:
     """Point mass on the single real produced by the source."""
-    return Measure({"kind": "dirac", "z": {"kind": z.kind, **z.spec}}, p0=lambda j: ONE - z.bit(j))
+    return Measure({"kind": "dirac", "z": z.spec}, p0=lambda j: ONE - z.bit(j))
 
 
-def enumerated(tuples: Iterable[tuple[Bits, Interval, int]], spec: Optional[dict] = None) -> Measure:
+def enumerated(tuples: Iterable[tuple[Bits, Interval, int]]) -> Measure:
+    """A measure revealing interval knowledge (w, I) at stage s.
+
+    Its spec stores one row per tuple: ``[w, lo, hi, s]`` for a closed
+    interval, with ``lo_open, hi_open`` appended when an end is open.
+    """
     tups = [(check_bits(w), iv, int(s)) for (w, iv, s) in tuples]
-    if spec is None:
-        spec = {
-            "kind": "enumerated",
-            "tuples": [[w, str(iv.lo), str(iv.hi), s] for (w, iv, s) in tups],
-        }
-    return Measure(spec, tuples=tups)
+    rows = [
+        [w, str(iv.lo), str(iv.hi), s] + ([iv.lo_open, iv.hi_open] if iv.lo_open or iv.hi_open else [])
+        for (w, iv, s) in tups
+    ]
+    return Measure({"kind": "enumerated", "tuples": rows}, tuples=tups)
+
+
+def enumerated_from_rows(tuples: Iterable[list]) -> Measure:
+    """Inverse of the spec rows written by :func:`enumerated`."""
+    return enumerated((w, Interval(lo, hi, *flags), s) for (w, lo, hi, s, *flags) in tuples)
 
 
 def validate_enumeration(mu: Measure, depth: int, stage: int) -> bool:
@@ -320,11 +333,13 @@ class MeasureBall:
         raise NotImplementedError
 
 
+# most nodes ExplicitBall propagation may allocate
+NODE_BUDGET = 1 << 15
+
+
 @dataclass(frozen=True)
 class ExplicitBall(MeasureBall):
     constraint_list: tuple[tuple[Bits, Interval], ...]
-
-    node_budget: int = 1 << 15
 
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
         return iter(self.constraint_list)
@@ -334,8 +349,8 @@ class ExplicitBall(MeasureBall):
 
     def _propagate(self, depth: int) -> dict[Bits, Interval]:
         depth = max(depth, self.max_constraint_level())
-        if (1 << (depth + 1)) > self.node_budget:
-            raise InconsistentBallError(
+        if (1 << (depth + 1)) > NODE_BUDGET:
+            raise BudgetExceeded(
                 f"propagation to depth {depth} exceeds the node budget"
             )
         box: dict[Bits, Interval] = {"": Interval.exact(ONE)}
@@ -377,9 +392,7 @@ class ExplicitBall(MeasureBall):
 
     def sup_mass(self, word: Bits) -> Fraction:
         depth = self.max_constraint_level()
-        box = self._propagate(depth)
-        probe = word if len(word) <= depth else word[:depth]
-        return box[probe].hi
+        return self._propagate(depth)[word[:depth]].hi
 
     def size_upper(self, depth: int) -> Fraction:
         box = self._propagate(depth)
@@ -435,19 +448,16 @@ class BernoulliCylinderBall(MeasureBall):
     def max_constraint_level(self) -> int:
         return self.level
 
-    def _image(self, zeros: int, ones: int) -> Interval:
-        return bernoulli_image(self.param, zeros, ones)
-
     def sup_mass(self, word: Bits) -> Fraction:
-        probe = word[: self.level] if len(word) > self.level else word
+        probe = word[: self.level]
         a = probe.count("0")
-        return self._image(a, len(probe) - a).hi
+        return bernoulli_image(self.param, a, len(probe) - a).hi
 
     def inf_mass(self, word: Bits) -> Fraction:
         if len(word) > self.level:
             return ZERO
         a = word.count("0")
-        return self._image(a, len(word) - a).lo
+        return bernoulli_image(self.param, a, len(word) - a).lo
 
     def size_upper(self, depth: int) -> Fraction:
         total = ZERO
@@ -457,7 +467,7 @@ class BernoulliCylinderBall(MeasureBall):
                 w_max = ZERO
                 h_lvl = ZERO
                 for a in range(n + 1):
-                    img = self._image(a, n - a)
+                    img = bernoulli_image(self.param, a, n - a)
                     w_max = max(w_max, img.width)
                     h_lvl = max(h_lvl, img.hi)
                 if n == self.level:
@@ -484,7 +494,7 @@ class BernoulliCylinderBall(MeasureBall):
         verdict = Verdict.YES if screen == self.level else Verdict.UNKNOWN
         for n in range(1, screen + 1):
             for w in _words(n):
-                img = self._image(w.count("0"), n - w.count("0"))
+                img = bernoulli_image(self.param, w.count("0"), n - w.count("0"))
                 known = view.knowledge(w, stage)
                 if img.disjoint(known):
                     return Verdict.NO
@@ -596,43 +606,5 @@ def sampled_source(mu: Measure, seed: int) -> BitSource:
             cache[n] = sample_stream(mu, seed, n)
         return int(cache[n][i])
 
-    return BitSource.from_function(
-        "sampled", {"measure": mu.spec, "seed": seed, "prng": PRNG_NAME}, bit
-    )
+    return BitSource({"kind": "sampled", "measure": mu.spec, "seed": seed, "prng": PRNG_NAME}, bit)
 
-
-def measure_from_spec(spec: dict) -> Measure:
-    """Rebuild a measure from its JSON spec."""
-    kind = spec.get("kind")
-    if kind == "uniform":
-        return uniform()
-    if kind == "bernoulli":
-        return bernoulli(Fraction(spec["q"]))
-    if kind == "interleave":
-        return interleave_measure(bit_source_from_spec(spec["z"]))
-    if kind == "dirac":
-        return dirac(bit_source_from_spec(spec["z"]))
-    if kind == "enumerated":
-        tups = [
-            (w, Interval.closed(Fraction(lo), Fraction(hi)), int(s))
-            for (w, lo, hi, s) in spec["tuples"]
-        ]
-        return enumerated(tups, spec=spec)
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
-def bit_source_from_spec(spec: dict) -> BitSource:
-    kind = spec.get("kind")
-    if kind == "literal":
-        return BitSource.literal(spec["word"])
-    if kind == "constant":
-        return BitSource.constant(int(spec["bit"]))
-    if kind == "periodic":
-        return BitSource.periodic(spec["cycle"], spec.get("head", ""))
-    if kind == "rational":
-        return BitSource.rational(Fraction(spec["value"]))
-    if kind == "hat-rational":
-        return BitSource.hat_rational(Fraction(spec["value"]))
-    if kind == "sampled":
-        return sampled_source(measure_from_spec(spec["measure"]), int(spec["seed"]))
-    raise ValueError(f"unknown source kind {kind!r}")

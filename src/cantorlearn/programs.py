@@ -7,6 +7,9 @@ stage-bounded and monotone: knowledge intervals only shrink as the stage
 grows, defined real bits never change, and disjointness verdicts never
 retract.  Ground-truth totality flags and configurable flip schedules simulate
 the limit-computable totality oracle.
+Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
+so a manifest reloads to the same ``manifest_hash()``, except for param and
+inverse lifts: their specs name a map and a domain only by name.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .cantor import BitSource, Bits, ClosedClass, check_bits
 from .measures import (
     ONE,
+    PRNG_NAME,
     ZERO,
     BernoulliCylinderBall,
     Interval,
@@ -31,13 +35,22 @@ from .measures import (
     MeasureView,
     Verdict,
     _words,
+    bernoulli,
     bernoulli_image,
-    bit_source_from_spec,
-    measure_from_spec,
+    dirac,
+    enumerated_from_rows,
+    interleave_measure,
+    sampled_source,
+    uniform,
 )
 
 # alias indices live above every registry index; see ProgramTable.pad
 PAD_BASE = 1_000_000
+
+# binary digits of a Bernoulli lift's parameter; inverse-lift candidate depth and frontier caps
+LIFT_PARAM_BITS = 96
+INVERSE_DEPTH_CAP = 64
+INVERSE_FRONTIER_CAP = 512
 
 
 class WrongKindError(TypeError):
@@ -80,7 +93,7 @@ class ExactMeasureEntry(Entry):
 
     measure: Measure
     delay: int = 0
-    total: Optional[bool] = True
+    total = True
 
     def __post_init__(self):
         if self.delay < 0:
@@ -112,13 +125,13 @@ class EnumeratedMeasureEntry(Entry):
     """Partial measure given by an explicit stage-tagged tuple enumeration."""
 
     measure: Measure  # enumerated-kind Measure
-    declared_total: Optional[bool] = None
-
-    def __post_init__(self):
-        self.total = self.declared_total
+    total: Optional[bool] = None
 
     def spec(self) -> dict:
-        return {"entry": "enumerated-measure", "measure": self.measure.spec}
+        out = {"entry": "enumerated-measure", "measure": self.measure.spec}
+        if self.total is not None:
+            out["total"] = self.total
+        return out
 
     def knowledge(self, table, word, stage):
         return self.measure.knowledge(word, stage)
@@ -142,22 +155,19 @@ class EnumeratedMeasureEntry(Entry):
 class StubEntry(Entry):
     """Diverging program: never reveals anything."""
 
-    stub_kind: str = "measure"  # or "real"
-    total: Optional[bool] = False
-
-    def __post_init__(self):
-        self.kind = self.stub_kind
+    kind: str = "measure"  # or "real"
+    total = False
 
     def spec(self) -> dict:
-        return {"entry": "stub", "kind": self.stub_kind}
+        return {"entry": "stub", "kind": self.kind}
 
     def knowledge(self, table, word, stage):
-        if self.stub_kind != "measure":
+        if self.kind != "measure":
             raise WrongKindError("real stub has no measure knowledge")
         return Interval.unit()
 
     def real_bit(self, table, j, stage):
-        if self.stub_kind != "real":
+        if self.kind != "real":
             raise WrongKindError("measure stub has no bits")
         return None
 
@@ -177,7 +187,7 @@ class RealEntry(Entry):
         self.total = self.diverge_from is None
 
     def spec(self) -> dict:
-        out = {"entry": "real", "source": {"kind": self.source.kind, **self.source.spec}, "delay": self.delay}
+        out = {"entry": "real", "source": self.source.spec, "delay": self.delay}
         if self.diverge_from is not None:
             out["diverge_from"] = self.diverge_from
         return out
@@ -196,33 +206,32 @@ class BernoulliLiftEntry(Entry):
     whose parameter has that binary expansion, known at each stage to the
     parameter-interval width set by the bits defined so far.
 
-    Parameter knowledge is capped at param_bits binary digits; every tolerance
-    used in this laboratory sits far above 2^-96.
+    Parameter knowledge is capped at LIFT_PARAM_BITS binary digits; every
+    tolerance used in this laboratory sits far above 2^-96.
     """
 
-    real_index: int
-    param_bits: int = 96
+    real: int
 
     def __post_init__(self):
-        self._param_memo: dict[int, Interval] = {}
+        self._param_by_stage: dict[int, Interval] = {}
 
     def spec(self) -> dict:
-        return {"entry": "bernoulli-lift", "real": self.real_index}
+        return {"entry": "bernoulli-lift", "real": self.real}
 
     def _param(self, table: "ProgramTable", stage: int) -> Interval:
-        got = self._param_memo.get(stage)
+        got = self._param_by_stage.get(stage)
         if got is not None:
             return got
         k = 0
         val = ZERO
-        while k < min(stage, self.param_bits):
-            b = table.eval_real(self.real_index, k, stage)
+        while k < min(stage, LIFT_PARAM_BITS):
+            b = table.eval_real(self.real, k, stage)
             if b is None:
                 break
             val += Fraction(b, 1 << (k + 1))
             k += 1
         out = Interval(val, min(ONE, val + Fraction(1, 1 << k)))
-        self._param_memo[stage] = out
+        self._param_by_stage[stage] = out
         return out
 
     def param_interval(self, table, stage):
@@ -239,7 +248,7 @@ class BernoulliLiftEntry(Entry):
         return _param_defined_length(self._param(table, stage), stage)
 
     def resolved_total(self, table: "ProgramTable") -> bool:
-        return bool(table.entry(self.real_index).total)
+        return bool(table.entry(self.real).total)
 
 
 @dataclass
@@ -309,13 +318,10 @@ class InverseLiftEntry(Entry):
     param_map: ParamMapLike
     domain: ClosedClass
     measure_index: int
-    depth_cap: int = 64
-    frontier_cap: int = 512
     kind = "real"
-    total: Optional[bool] = None
 
     def __post_init__(self):
-        self._lcp_memo: dict[int, Bits] = {}
+        self._lcp_by_stage: dict[int, Bits] = {}
 
     def spec(self) -> dict:
         return {
@@ -326,11 +332,11 @@ class InverseLiftEntry(Entry):
         }
 
     def _lcp(self, table: "ProgramTable", stage: int) -> Bits:
-        got = self._lcp_memo.get(stage)
+        got = self._lcp_by_stage.get(stage)
         if got is not None:
             return got
         view = table.view(self.measure_index)
-        depth = min(stage, self.depth_cap)
+        depth = min(stage, INVERSE_DEPTH_CAP)
         frontier: list[Bits] = [""]
         lcp = ""
         for _ in range(depth):
@@ -344,7 +350,7 @@ class InverseLiftEntry(Entry):
                     if self.param_map.star(cand).contains(view, stage) == Verdict.NO:
                         continue
                     nxt.append(cand)
-                    if len(nxt) > self.frontier_cap:
+                    if len(nxt) > INVERSE_FRONTIER_CAP:
                         overflow = True
                         break
                 if overflow:
@@ -353,7 +359,7 @@ class InverseLiftEntry(Entry):
                 break
             frontier = nxt
             lcp = os.path.commonprefix(frontier)  # character-wise, so exact on words
-        self._lcp_memo[stage] = lcp
+        self._lcp_by_stage[stage] = lcp
         return lcp
 
     def real_bit(self, table, j, stage):
@@ -385,7 +391,6 @@ class ProgramTable:
 
     entries: list[Entry] = field(default_factory=list)
     flip_schedules: dict[int, int] = field(default_factory=dict)  # index -> horizon
-    _memo: dict = field(default_factory=dict)
 
     def add(self, entry: Entry) -> int:
         if len(self.entries) + 1 >= PAD_BASE:
@@ -470,27 +475,28 @@ class ProgramTable:
             return entry.resolved_total(self)
         return bool(entry.total)
 
-    # -- lifts (memoized allocation) -----------------------------------------
+    # -- lifts (one entry per lift) ------------------------------------------
+
+    def _lift(self, entry: Entry, ref: str) -> int:
+        """Index of the entry equal to entry once the ``ref`` indices are resolved, added if none."""
+
+        def key(ent: Entry) -> dict:
+            return {**ent.spec(), ref: self.resolve(ent.spec()[ref])}
+
+        want = key(entry)
+        for i, ent in enumerate(self.entries):
+            if type(ent) is type(entry) and key(ent) == want:
+                return i
+        return self.add(entry)
 
     def bernoulli_lift(self, e: int) -> int:
-        key = ("bernoulli-lift", self.resolve(e))
-        if key not in self._memo:
-            self._memo[key] = self.add(BernoulliLiftEntry(real_index=e))
-        return self._memo[key]
+        return self._lift(BernoulliLiftEntry(real=e), "real")
 
     def param_lift(self, f: ParamMapLike, e: int) -> int:
-        key = ("param-lift", f.name, self.resolve(e))
-        if key not in self._memo:
-            self._memo[key] = self.add(ParamLiftEntry(param_map=f, real_index=e))
-        return self._memo[key]
+        return self._lift(ParamLiftEntry(param_map=f, real_index=e), "real")
 
     def inverse_lift(self, f: ParamMapLike, d: ClosedClass, e: int) -> int:
-        key = ("inverse-lift", f.name, d.name, self.resolve(e))
-        if key not in self._memo:
-            self._memo[key] = self.add(
-                InverseLiftEntry(param_map=f, domain=d, measure_index=e)
-            )
-        return self._memo[key]
+        return self._lift(InverseLiftEntry(param_map=f, domain=d, measure_index=e), "measure")
 
     # -- oracles ---------------------------------------------------------------
 
@@ -555,30 +561,43 @@ class EntryView(MeasureView):
 # manifest-driven construction
 
 
-def entry_from_spec(spec: dict) -> Entry:
-    kind = spec.get("entry")
-    if kind == "exact-measure":
-        return ExactMeasureEntry(measure_from_spec(spec["measure"]), delay=int(spec.get("delay", 0)))
-    if kind == "enumerated-measure":
-        return EnumeratedMeasureEntry(
-            measure_from_spec(spec["measure"]), declared_total=spec.get("total")
-        )
-    if kind == "stub":
-        return StubEntry(stub_kind=spec.get("kind", "measure"))
-    if kind == "real":
-        return RealEntry(
-            bit_source_from_spec(spec["source"]),
-            delay=int(spec.get("delay", 0)),
-            diverge_from=spec.get("diverge_from"),
-        )
-    if kind == "alias":
-        return AliasEntry(base=int(spec["base"]))
-    raise ValueError(f"unknown entry spec {kind!r}")
+def _sampled(measure: Measure, seed: int, prng: str) -> BitSource:
+    if prng != PRNG_NAME:
+        raise ValueError(f"stream sampled under {prng!r} cannot be replayed by {PRNG_NAME!r}")
+    return sampled_source(measure, seed)
+
+
+# spec kind -> constructor; a spec's other keys are the constructor's keywords
+SPEC_KINDS: dict[str, Callable] = {
+    # sources
+    "literal": BitSource.literal, "constant": BitSource.constant, "periodic": BitSource.periodic,
+    "rational": BitSource.rational, "hat-rational": BitSource.hat_rational, "sampled": _sampled,
+    # measures
+    "uniform": uniform, "bernoulli": bernoulli, "interleave": interleave_measure, "dirac": dirac,
+    "enumerated": enumerated_from_rows,
+    # entries
+    "exact-measure": ExactMeasureEntry, "enumerated-measure": EnumeratedMeasureEntry, "stub": StubEntry,
+    "real": RealEntry, "alias": AliasEntry, "bernoulli-lift": BernoulliLiftEntry,
+}
+
+
+def from_spec(spec: dict):
+    """Rebuild a source, measure or entry: ``from_spec(x.spec)`` is x again.
+
+    The kind is the ``"entry"`` key when there is one, else ``"kind"``; nested
+    specs (dict values) are rebuilt first.  An unregistered kind (param and
+    inverse lifts among them) raises ValueError, a key the constructor does
+    not take TypeError."""
+    args = dict(spec)
+    kind = args.pop("entry") if "entry" in args else args.pop("kind", None)
+    if kind not in SPEC_KINDS:
+        raise ValueError(f"no constructor for spec kind {kind!r}")
+    return SPEC_KINDS[kind](**{k: from_spec(v) if isinstance(v, dict) else v for k, v in args.items()})
 
 
 def table_from_manifest(manifest: dict) -> ProgramTable:
     table = ProgramTable()
     for spec in manifest.get("entries", []):
-        table.add(entry_from_spec(spec))
+        table.add(from_spec(spec))
     table.flip_schedules = {int(k): int(v) for k, v in manifest.get("flip_schedules", {}).items()}
     return table

@@ -8,6 +8,7 @@ from cantorlearn.cantor import BitSource
 from cantorlearn.measures import (
     dirac,
     BernoulliCylinderBall,
+    BudgetExceeded,
     InconsistentBallError,
     Interval,
     InterleaveCylinderBall,
@@ -22,12 +23,12 @@ from cantorlearn.measures import (
     interleave_measure,
     level_max_diff,
     measure_distance,
-    measure_from_spec,
     sample_stream,
     sampled_source,
     uniform,
     validate_enumeration,
 )
+from cantorlearn.programs import from_spec
 
 
 def words(n):
@@ -107,7 +108,7 @@ class TestConstructors:
             interleave_measure(BitSource.rational(F(1, 3))),
             dirac(BitSource.rational(F(1, 3))),
         ):
-            rebuilt = measure_from_spec(mu.spec)
+            rebuilt = from_spec(mu.spec)
             for w in ("", "0", "0110", "10101"):
                 assert rebuilt.mass(w) == mu.mass(w)
 
@@ -220,7 +221,7 @@ class TestDistance:
 
     def test_generic_fast_paths_agree(self):
         mu, nu = bernoulli(F(1, 3)), bernoulli(F(5, 8))
-        generic_mu = measure_from_spec({"kind": "uniform"})
+        generic_mu = from_spec({"kind": "uniform"})
         for n in range(1, 7):
             brute = max(abs(mu.mass(w) - nu.mass(w)) for w in words(n))
             assert level_max_diff(mu, nu, n) == brute
@@ -255,6 +256,14 @@ class TestBalls:
         )
         with pytest.raises(InconsistentBallError):
             c.size_upper(3)
+
+    def test_budget_exceeded_is_not_inconsistent(self):
+        # a consistent ball too deep to propagate within NODE_BUDGET
+        assert ball([("0" * 14, Interval.closed(F(0), F(1, 2)))]).sup_mass("0") == 1
+        deep = ball([("0" * 15, Interval.closed(F(0), F(1, 2)))])
+        with pytest.raises(BudgetExceeded) as info:
+            deep.sup_mass("0")
+        assert not isinstance(info.value, InconsistentBallError)
 
     def test_sup_mass_propagates(self):
         c = ball([("0", Interval.closed(F(1, 4), F(1, 2)))])

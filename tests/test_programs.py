@@ -12,6 +12,7 @@ from cantorlearn.measures import (
     dirac,
     enumerated,
     interleave_measure,
+    sampled_source,
     uniform,
 )
 from cantorlearn.programs import (
@@ -298,7 +299,54 @@ class TestStageMonotonicity:
         assert t.defined_length(3, 100) == 0  # stub never defines
 
 
+def every_kind_table():
+    """Every source, measure and entry kind, with the three lifts."""
+    t = ProgramTable()
+    hat = BitSource.hat_rational(F(1, 3))
+    sources = [
+        BitSource.literal("0110"),
+        BitSource.constant(1),
+        BitSource.periodic("01", head="1"),
+        BitSource.rational(F(2, 7)),
+        hat,
+        sampled_source(bernoulli(F(1, 3)), 5),
+        sampled_source(interleave_measure(BitSource.periodic("10")), 2),
+    ]
+    for src in sources:
+        t.add(RealEntry(src, delay=1))  # 0-6
+    for mu in (uniform(), bernoulli(F(2, 5)), interleave_measure(hat), dirac(sources[1])):
+        t.add(ExactMeasureEntry(mu, delay=2))  # 7-10
+    closed = [("0", Interval.closed(F(1, 4), F(1, 2)), 3), ("1", Interval.exact(F(1, 2)), 0)]
+    t.add(EnumeratedMeasureEntry(enumerated(closed)))  # 11
+    t.add(StubEntry("measure"))  # 12
+    t.add(StubEntry("real"))  # 13
+    t.add(RealEntry(BitSource.rational(F(1, 3)), diverge_from=7))  # 14
+    t.add(AliasEntry(base=7))  # 15
+    t.bernoulli_lift(3)  # 16
+    lifted = t.param_lift(FbMap(), 4)  # 17
+    t.inverse_lift(FbMap(), ClosedClass.hat_image(), lifted)  # 18
+    t.flip_schedules[14] = 40
+    return t
+
+
 class TestManifest:
+    def test_pinned_hash(self):
+        # recorded at the commit before the spec registry: every spec keeps its bytes
+        want = "ce5f0067ec09e7434fe4fa1d13720d8d61c3c432ab448e9489b6c332b8942d8b"
+        assert every_kind_table().manifest_hash() == want
+
+    def test_lift_calls_return_existing_indices(self):
+        t = every_kind_table()
+        size = len(t)
+        assert t.bernoulli_lift(3) == t.bernoulli_lift(t.pad(3, 5)) == 16
+        assert t.param_lift(FbMap(), 4) == t.param_lift(FbMap(), t.pad(4, 1)) == 17
+        assert t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.pad(17, 2)) == 18
+        assert len(t) == size
+
+    def test_map_lifts_do_not_reload(self):
+        # param and inverse lifts name their map and domain only by name
+        with pytest.raises(ValueError, match="param-lift"):
+            table_from_manifest(every_kind_table().manifest())
     def test_round_trip(self):
         t = basic_table()
         t.flip_schedules[4] = 100
