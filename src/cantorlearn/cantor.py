@@ -223,13 +223,14 @@ class ClosedClass:
     name: str
     forbid_time: Callable[[Bits], Optional[int]] = field(compare=False)
 
+    def forbidden(self, word: Bits, stage: int) -> bool:
+        """Whether the word itself (not a shorter prefix) is revealed forbidden by the stage."""
+        t = self.forbid_time(word)
+        return t is not None and t <= stage
+
     def alive(self, word: Bits, stage: int) -> bool:
         check_bits(word)
-        for k in range(len(word) + 1):
-            t = self.forbid_time(word[:k])
-            if t is not None and t <= stage:
-                return False
-        return True
+        return not any(self.forbidden(word[:k], stage) for k in range(len(word) + 1))
 
     @classmethod
     def full(cls) -> "ClosedClass":

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cantor import BitSource, Bits, check_bits
@@ -119,7 +120,10 @@ class Interval:
         return Interval(lo, hi, lo_open, hi_open)
 
     def disjoint(self, other: "Interval") -> bool:
-        return self.intersect(other) is None
+        """No common point: one interval ends at or before the other starts."""
+        return (self.hi < other.lo or (self.hi == other.lo and (self.hi_open or other.lo_open))) or (
+            other.hi < self.lo or (other.hi == self.lo and (other.hi_open or self.lo_open))
+        )
 
 
 class MeasureView:
@@ -440,6 +444,10 @@ class BernoulliCylinderBall(MeasureBall):
     param: Interval
     level: int
 
+    def __post_init__(self):
+        if not ZERO <= self.param.lo <= self.param.hi <= ONE:
+            raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
+
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
         for n in range(1, self.level + 1):
             for w in _words(n):
@@ -489,13 +497,18 @@ class BernoulliCylinderBall(MeasureBall):
             if self.param.contains_interval(p):
                 return Verdict.YES
             return Verdict.UNKNOWN
-        # generic fallback: shallow exhaustive screen; sound but may stay UNKNOWN
+        # generic fallback: shallow exhaustive screen; sound but may stay UNKNOWN.  Images lie
+        # in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides nothing
         screen = min(self.level, 3)
         verdict = Verdict.YES if screen == self.level else Verdict.UNKNOWN
+        image = cache(partial(bernoulli_image, self.param))
+        unit = Interval.unit()
         for n in range(1, screen + 1):
             for w in _words(n):
-                img = bernoulli_image(self.param, w.count("0"), n - w.count("0"))
                 known = view.knowledge(w, stage)
+                if verdict is Verdict.UNKNOWN and known == unit:
+                    continue
+                img = image(w.count("0"), n - w.count("0"))
                 if img.disjoint(known):
                     return Verdict.NO
                 if not img.contains_interval(known):

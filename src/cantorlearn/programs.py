@@ -57,6 +57,21 @@ class WrongKindError(TypeError):
     """A real operation was applied to a measure entry or vice versa."""
 
 
+class _StageSlot:
+    """Memo of ``compute(table, stage)`` for the latest stage asked only: bounded,
+    yet queries at one stage, or at rising stages, compute each stage once."""
+
+    def __init__(self, compute: Callable[["ProgramTable", int], object]):
+        self.compute = compute
+        self.stage: Optional[int] = None
+        self.value = None
+
+    def __call__(self, table: "ProgramTable", stage: int):
+        if stage != self.stage:
+            self.value, self.stage = self.compute(table, stage), stage
+        return self.value
+
+
 class Entry:
     """Base class for table entries; subclasses document their definedness schedule."""
 
@@ -207,21 +222,19 @@ class BernoulliLiftEntry(Entry):
     parameter-interval width set by the bits defined so far.
 
     Parameter knowledge is capped at LIFT_PARAM_BITS binary digits; every
-    tolerance used in this laboratory sits far above 2^-96.
+    tolerance used in this laboratory sits far above 2^-96.  The parameter
+    interval is kept for the latest stage asked only.
     """
 
     real: int
 
     def __post_init__(self):
-        self._param_by_stage: dict[int, Interval] = {}
+        self._param = _StageSlot(self._read_param)
 
     def spec(self) -> dict:
         return {"entry": "bernoulli-lift", "real": self.real}
 
-    def _param(self, table: "ProgramTable", stage: int) -> Interval:
-        got = self._param_by_stage.get(stage)
-        if got is not None:
-            return got
+    def _read_param(self, table: "ProgramTable", stage: int) -> Interval:
         k = 0
         val = ZERO
         while k < min(stage, LIFT_PARAM_BITS):
@@ -230,9 +243,7 @@ class BernoulliLiftEntry(Entry):
                 break
             val += Fraction(b, 1 << (k + 1))
             k += 1
-        out = Interval(val, min(ONE, val + Fraction(1, 1 << k)))
-        self._param_by_stage[stage] = out
-        return out
+        return Interval(val, min(ONE, val + Fraction(1, 1 << k)))
 
     def param_interval(self, table, stage):
         return self._param(table, stage)
@@ -244,6 +255,24 @@ class BernoulliLiftEntry(Entry):
         a = word.count("0")
         return bernoulli_image(p, a, len(word) - a)
 
+    def prefix_sups(self, table, x, stage):
+        # bernoulli_image(p, a, b).hi along x: q^a (1-q)^b as running products at both
+        # ends of p; the interior maximum at q = a/n counts only when a/n is inside p
+        p = self._param(table, stage)
+        known = x[: max(stage, 0)]
+        at_lo = at_hi = ONE
+        a = 0
+        yield ONE
+        for n, ch in enumerate(known, 1):
+            if ch == "0":
+                a, at_lo, at_hi = a + 1, at_lo * p.lo, at_hi * p.hi
+            else:
+                at_lo, at_hi = at_lo * (ONE - p.lo), at_hi * (ONE - p.hi)
+            crit = Fraction(a, n)
+            inner = crit**a * (ONE - crit) ** (n - a) if p.lo < crit < p.hi else ZERO
+            yield max(at_lo, at_hi, inner)
+        yield from repeat(ONE, len(x) - len(known))
+
     def defined_length(self, table, stage):
         return _param_defined_length(self._param(table, stage), stage)
 
@@ -254,15 +283,21 @@ class BernoulliLiftEntry(Entry):
 @dataclass
 class ParamLiftEntry(Entry):
     """Measure entry whose stage knowledge is the param map's ball at the
-    longest defined prefix of a real entry."""
+    longest defined prefix of a real entry.
+
+    The ball is built once per stage and kept for the latest stage asked only,
+    so the real's bits are read once per stage, not once per query."""
 
     param_map: "ParamMapLike"
     real_index: int
 
+    def __post_init__(self):
+        self._ball = _StageSlot(self._read_ball)
+
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
 
-    def _ball(self, table: "ProgramTable", stage: int) -> MeasureBall:
+    def _read_ball(self, table: "ProgramTable", stage: int) -> MeasureBall:
         return self.param_map.star(table.real_prefix(self.real_index, stage, stage))
 
     def knowledge(self, table, word, stage):
@@ -313,6 +348,10 @@ class InverseLiftEntry(Entry):
     unless their star ball is provably disjoint from the measure's stage
     knowledge; pruning only shrinks the survivor cone, so emitted bits are
     stable.  With no survivors the entry diverges past the last stable prefix.
+
+    The prefix is kept for the latest stage asked only.  One search reads each
+    (word, stage) knowledge once, through a view made for it, and tests only a
+    candidate's last prefix for liveness: its parent is alive in the frontier.
     """
 
     param_map: ParamMapLike
@@ -321,7 +360,7 @@ class InverseLiftEntry(Entry):
     kind = "real"
 
     def __post_init__(self):
-        self._lcp_by_stage: dict[int, Bits] = {}
+        self._lcp = _StageSlot(self._search)
 
     def spec(self) -> dict:
         return {
@@ -331,21 +370,20 @@ class InverseLiftEntry(Entry):
             "measure": self.measure_index,
         }
 
-    def _lcp(self, table: "ProgramTable", stage: int) -> Bits:
-        got = self._lcp_by_stage.get(stage)
-        if got is not None:
-            return got
+    def _search(self, table: "ProgramTable", stage: int) -> Bits:
         view = table.view(self.measure_index)
         depth = min(stage, INVERSE_DEPTH_CAP)
         frontier: list[Bits] = [""]
         lcp = ""
+        if self.domain.forbidden("", stage):
+            return lcp
         for _ in range(depth):
             nxt: list[Bits] = []
             overflow = False
             for w in frontier:
                 for ch in "01":
                     cand = w + ch
-                    if not self.domain.alive(cand, stage):
+                    if self.domain.forbidden(cand, stage):
                         continue
                     if self.param_map.star(cand).contains(view, stage) == Verdict.NO:
                         continue
@@ -359,7 +397,6 @@ class InverseLiftEntry(Entry):
                 break
             frontier = nxt
             lcp = os.path.commonprefix(frontier)  # character-wise, so exact on words
-        self._lcp_by_stage[stage] = lcp
         return lcp
 
     def real_bit(self, table, j, stage):
@@ -544,14 +581,20 @@ class ProgramTable:
 
 
 class EntryView(MeasureView):
-    """Adapter exposing a table entry's stage knowledge to ball membership checks."""
+    """Adapter exposing a table entry's stage knowledge to ball membership checks.
+
+    A view evaluates each (word, stage) once and keeps the answers while it
+    lives; ``ProgramTable.view`` returns a fresh view on every call."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
         self.index = index
+        self._known: dict[tuple[Bits, int], Interval] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
-        return self.table.eval_measure(self.index, word, stage)
+        if (word, stage) not in self._known:
+            self._known[word, stage] = self.table.eval_measure(self.index, word, stage)
+        return self._known[word, stage]
 
     def param_interval(self, stage: int) -> Optional[Interval]:
         return self.table.entry(self.index).param_interval(self.table, stage)

@@ -309,6 +309,13 @@ class TestBalls:
         for q in (F(1, 4), F(5, 16), F(1, 2)):
             assert lazy.contains(bernoulli(q), 0) == explicit.contains(bernoulli(q), 0)
 
+    def test_bernoulli_cylinder_param_must_lie_in_unit(self):
+        for param in (Interval.closed(F(1, 2), F(3, 2)), Interval.closed(F(-1, 4), F(1, 4))):
+            with pytest.raises(ValueError):
+                BernoulliCylinderBall(param, level=2)
+        edge = BernoulliCylinderBall(Interval.unit(), level=2)
+        assert edge.contains(bernoulli(F(1, 3)), 0) == Verdict.YES
+
     def test_bernoulli_image_critical_point(self):
         img = bernoulli_image(Interval.closed(F(1, 4), F(3, 4)), 1, 1)
         assert img.hi == F(1, 4)  # attained at q=1/2

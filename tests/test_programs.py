@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlearn.cantor import BitSource, ClosedClass
 from cantorlearn.measures import (
@@ -24,6 +26,7 @@ from cantorlearn.programs import (
     RealEntry,
     StubEntry,
     WrongKindError,
+    _StageSlot,
     table_from_manifest,
 )
 
@@ -212,6 +215,15 @@ class TestLifts:
         e = t.inverse_lift(FbMap(), ClosedClass.hat_image(), 3)
         assert t.eval_real(e, 0, 500) is None
 
+    def test_inverse_lift_respects_the_domain(self):
+        # hat real of 1/3 starts 011001100110; answers recorded with whole-word liveness checks
+        pinned = {"": ["", "", "", ""], "011001": ["01", "01100", "01100", "01100"]}
+        for word, want in pinned.items():
+            t = ProgramTable()
+            d = ClosedClass.from_stage_sets({0: {word}})
+            e = t.inverse_lift(FbMap(), d, t.add(ExactMeasureEntry(bernoulli(F(2, 5)))))
+            assert [t.real_prefix(e, 12, s) for s in (2, 8, 16, 64)] == want
+
     def test_inverse_lift_stalls_on_ambiguity(self):
         t = basic_table()
         t.add(EnumeratedMeasureEntry(enumerated([("0", Interval.closed(F(0), F(1)), 0)])))
@@ -227,6 +239,64 @@ class TestLifts:
             back = t.inverse_lift(FbMap(), ClosedClass.hat_image(), lifted)
             want = BitSource.hat_rational(v).prefix(24)
             assert t.real_prefix(back, 24, stage=160) == want
+
+    def test_transfer_pins(self):
+        # lengths recorded before the lifts were memoised per stage
+        pinned = [6, 14, 22, 30] + [32] * 20
+        for v in (F(1, 3), F(5, 7)):
+            t = ProgramTable()
+            real = t.add(RealEntry(BitSource.hat_rational(v)))
+            back = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.param_lift(FbMap(), real))
+            got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
+            assert [len(p) for p in got] == pinned
+            assert all(p == BitSource.hat_rational(v).prefix(len(p)) for p in got)
+        t = ProgramTable()
+        stalled = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        assert [t.eval_real(stalled, 0, s) for s in (64, 300, 511)] == [None, None, None]
+
+    @staticmethod
+    def lift_table():
+        t = ProgramTable()
+        real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
+        plain = t.add(RealEntry(BitSource.rational(F(2, 5))))
+        param = t.param_lift(FbMap(), real)
+        lifts = {
+            "bernoulli": t.bernoulli_lift(plain),
+            "param": param,
+            "inverse": t.inverse_lift(FbMap(), ClosedClass.hat_image(), param),
+        }
+        return t, lifts
+
+    @staticmethod
+    def lift_answers(t, lifts, s):
+        return (
+            t.eval_measure(lifts["bernoulli"], "0110", s),
+            t.eval_measure(lifts["param"], "10", s),
+            t.real_prefix(lifts["inverse"], 32, s),
+        )
+
+    def test_memos_keep_the_latest_stage(self):
+        t, lifts = self.lift_table()
+        for s in range(1, 301):
+            self.lift_answers(t, lifts, s)
+        for e in lifts.values():
+            memos = [m for m in vars(t.entry(e)).values() if isinstance(m, _StageSlot)]
+            assert [m.stage for m in memos] == [300]
+        for s in (300, 1, 57, 192):
+            assert self.lift_answers(t, lifts, s) == self.lift_answers(*self.lift_table(), s)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.text("01", max_size=48),
+        st.integers(-1, 120),
+        st.sampled_from([F(1, 3), F(1, 2), F(2, 5), F(0), F(1)]),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    def test_bernoulli_lift_prefix_sups_match_knowledge(self, x, stage, q, diverge_from):
+        t = ProgramTable()
+        lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q), diverge_from=diverge_from)))
+        want = [t.eval_measure(lift, x[:n], stage).hi for n in range(len(x) + 1)]
+        assert list(t.prefix_sups(lift, x, stage)) == want
 
 
 class TestTotalityOracle:
