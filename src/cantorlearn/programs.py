@@ -445,12 +445,13 @@ class ProgramTable:
         return PAD_BASE + z
 
     def resolve(self, e: int) -> int:
-        """Follow padding and registry aliases to the base registry index."""
-        seen = set()
+        """Follow padding and registry aliases to the base registry index.
+
+        Unpadding strictly lowers the index, so a cycle must pass through a
+        registry alias; only aliases are remembered, in a set made at the first.
+        """
+        seen = None
         while True:
-            if e in seen:
-                raise ValueError(f"alias cycle at {e}")
-            seen.add(e)
             if e >= PAD_BASE:
                 z = e - PAD_BASE
                 # largest w with w(w+1)/2 <= z, exactly: (2w+1)^2 <= 8z+1
@@ -458,10 +459,14 @@ class ProgramTable:
                 e = z - w * (w + 1) // 2
                 continue
             entry = self.entry_raw(e)
-            if isinstance(entry, AliasEntry):
-                e = entry.base
-                continue
-            return e
+            if not isinstance(entry, AliasEntry):
+                return e
+            if seen is None:
+                seen = set()
+            elif e in seen:
+                raise ValueError(f"alias cycle at {e}")
+            seen.add(e)
+            e = entry.base
 
     def entry_raw(self, e: int) -> Entry:
         if not 0 <= e < len(self.entries):
@@ -583,12 +588,13 @@ class ProgramTable:
 class EntryView(MeasureView):
     """Adapter exposing a table entry's stage knowledge to ball membership checks.
 
-    A view evaluates each (word, stage) once and keeps the answers while it
-    lives; ``ProgramTable.view`` returns a fresh view on every call."""
+    A view resolves its index once, when it is built, and evaluates each
+    (word, stage) once, keeping the answers while it lives;
+    ``ProgramTable.view`` returns a fresh view on every call."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
-        self.index = index
+        self.index = table.resolve(index)
         self._known: dict[tuple[Bits, int], Interval] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:

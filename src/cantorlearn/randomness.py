@@ -6,14 +6,19 @@ The estimate is a min over a fixed codec family (literal first, so the
 consume deficiencies through comparisons and thresholds only; nothing here
 claims calibration against a universal machine.
 
-A prefix walk takes O(1) steps per bit.  Every codec costs O(1) amortised
-per pushed bit, and the masses of an exact measure come from
+A prefix walk takes O(1) steps per bit.  A codec's ``push`` takes a word of
+any length and consumes it in one call, at C speed (``len``, ``str.count``,
+``lstrip``, ``int(..., 2)``) where it can; only the pattern codec still steps
+through the word bit by bit, in one local loop.  ``EstimatorTracker`` checks
+each bit as it is pushed and buffers it, and hands the buffer to every codec
+once, when the estimate is read (or when it is full), so a walk that reads
+every k bits makes one codec push per read, not k.  The masses of an exact measure come from
 ``ProgramTable.prefix_sups`` as a running product, one ``Fraction`` multiply
 per bit.  The KT codec keeps only its two counts and reads its exact length
 from a closed form, through a float fast path that is used only when it is
 certified and an exact integer fallback otherwise.  The zlib codec feeds one
-shared compressor per tracker, block by block, and reads the length of a
-copy flushed at each block boundary.
+shared compressor per tracker with the complete blocks of each push, and
+reads the length of a copy flushed after them.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ INFINITE_DEFICIENCY = math.inf
 LITERAL_HEADER = 32
 CODEC_HEADER = 8
 ZLIB_BLOCK_BITS = 256
+# bits an EstimatorTracker buffers, at most, before the codecs see them: the
+# buffer is an immutable string copied on every push, so an unread tracker
+# would otherwise copy quadratically many characters
+TRACKER_BUFFER_BITS = 4096
 # KT lengths come from floats only when more than this times (n + 1) bits
 # from an integer; see KTCodec
 KT_FLOAT_MARGIN = 1e-12
@@ -59,15 +68,42 @@ def elias_gamma_bits(n: int) -> int:
 
 
 def pack_bits(word: Bits) -> bytes:
-    out = bytearray()
-    for i in range(0, len(word), 8):
-        out.append(int(word[i : i + 8].ljust(8, "0"), 2))
-    return bytes(out)
+    """The bits as bytes, most significant bit first, the last byte padded with 0s."""
+    size = -(-len(word) // 8)
+    if not size:
+        return b""
+    return (int(word, 2) << (8 * size - len(word))).to_bytes(size, "big")
+
+
+def _gamma_sum_of_runs(word: Bits) -> int:
+    """Elias-gamma bits of the runs after the first bit of word, each taken as
+    complete: a run of length r costs 2 * floor(log2 r) + 1.
+
+    Each such run of r bits b is preceded by the other bit, and for every
+    2^k <= r exactly one match of (other bit + 2^k copies of b) starts on that
+    bit and ends inside the run, so ``str.count`` finds it once.  The counts
+    over k = 0, 1, ... add floor(log2 r) + 1 per run; the k = 0 term is the
+    number of runs.  Once no run reaches 2^k, none reaches 2^(k+1), so the
+    counts stop there.
+    """
+    runs = word.count("01") + word.count("10")
+    total, width, longer = runs, 2, runs
+    while longer and width < len(word):
+        longer = word.count("1" + "0" * width) + word.count("0" + "1" * width)
+        total += longer
+        width *= 2
+    return 2 * total - runs
 
 
 class Codec:
-    """An incremental coder: ``push`` bits one at a time and read ``cost()``
-    at any point; ``cost(word)`` codes a word from a fresh start instead."""
+    """An incremental coder: ``push`` a word of any length and read ``cost()``
+    at any point; ``cost(word)`` codes a word from a fresh start instead, with
+    one push.  Pushing a word in pieces gives the same cost as pushing it whole.
+
+    Each push consumes its word in one call; only the pattern codec still steps
+    through it bit by bit.  ``EstimatorTracker`` buffers single bits and pushes
+    them to its codecs when its estimate is read.
+    """
 
     name = "codec"
 
@@ -75,15 +111,14 @@ class Codec:
         """A fresh codec of the same kind, with nothing pushed yet."""
         return type(self)()
 
-    def push(self, ch: str) -> None:
+    def push(self, bits: Bits) -> None:
         raise NotImplementedError
 
     def cost(self, word: Optional[Bits] = None) -> int:
         if word is None:
             return self._length()
         fresh = self.tracker()
-        for ch in word:
-            fresh.push(ch)
+        fresh.push(word)
         return fresh._length()
 
     def _length(self) -> int:
@@ -97,34 +132,45 @@ class LiteralCodec(Codec):
     def __init__(self):
         self.n = 0
 
-    def push(self, ch):
-        self.n += 1
+    def push(self, bits):
+        self.n += len(bits)
 
     def _length(self):
         return self.n + LITERAL_HEADER
 
 
 class RunLengthCodec(Codec):
+    """First bit, then the Elias-gamma length of every run."""
+
     name = "run-length"
 
     def __init__(self):
-        self.n = 0
-        self.last = None
+        self.last = None  # the bit of the current run, None before any push
         self.run = 0
         self.done = 0  # gamma bits of completed runs
 
-    def push(self, ch):
-        self.n += 1
-        if ch == self.last:
-            self.run += 1
-        else:
+    def push(self, bits):
+        if not bits:
+            return
+        first = bits[0]
+        if first != self.last:  # the current run ended before bits
             if self.last is not None:
                 self.done += elias_gamma_bits(self.run)
-            self.last = ch
-            self.run = 1
+            self.last = first
+            self.run = 0
+        head = len(bits) - len(bits.lstrip(first))
+        self.run += head
+        if head == len(bits):
+            return
+        # the current run ends inside bits; every run up to the last one does too
+        self.done += elias_gamma_bits(self.run)
+        self.last = bits[-1]
+        body = bits.rstrip(self.last)
+        self.run = len(bits) - len(body)
+        self.done += _gamma_sum_of_runs(body[head - 1 :])
 
     def _length(self):
-        if self.n == 0:
+        if self.last is None:
             return CODEC_HEADER
         return 1 + self.done + elias_gamma_bits(self.run) + CODEC_HEADER
 
@@ -138,17 +184,16 @@ class PatternCodec(Codec):
         self.word: list[str] = []
         self.border = [0]  # KMP failure function
 
-    def push(self, ch):
-        w = self.word
-        k = self.border[len(w)] if w else 0
-        while k and w[k] != ch:
-            k = self.border[k]
-        if w and w[k] == ch:
-            k += 1
-        elif not w:
-            k = 0
-        w.append(ch)
-        self.border.append(k)
+    def push(self, bits):
+        w, border = self.word, self.border
+        k = border[-1]
+        for ch in bits:
+            while k and w[k] != ch:
+                k = border[k]
+            if w and w[k] == ch:
+                k += 1
+            w.append(ch)
+            border.append(k)
 
     def _length(self):
         n = len(self.word)
@@ -188,10 +233,9 @@ class KTCodec(Codec):
         self.t = 0
         self.zeros = 0
 
-    def push(self, ch):
-        self.t += 1
-        if ch == "0":
-            self.zeros += 1
+    def push(self, bits):
+        self.t += len(bits)
+        self.zeros += bits.count("0")
 
     def _length(self):
         n, a = self.t, self.zeros
@@ -211,26 +255,29 @@ class ZlibBlockCodec(Codec):
     """zlib over complete bit blocks plus a literal tail, so pushes stay cheap.
 
     Each tracker feeds one ``zlib.compressobj(9)`` (the level, window and
-    memory level of ``zlib.compress(..., 9)``) with every completed block as
-    packed bytes.  At a block boundary the block cost is 8 times the bytes
-    emitted so far plus those a flushed copy of the compressor emits, which
-    is the length of ``zlib.compress`` on the whole packed prefix.
+    memory level of ``zlib.compress(..., 9)``) with the complete blocks of
+    each push as packed bytes, in one call.  The block cost is then 8 times
+    the bytes emitted so far plus those a flushed copy of the compressor
+    emits, which is the length of ``zlib.compress`` on the whole packed
+    prefix up to the last block boundary.
     """
 
     name = "zlib-block"
 
     def __init__(self):
-        self.block: list[str] = []
+        self.block = ""  # bits after the last block boundary
         self.compressor = zlib.compressobj(9)
         self.emitted = 0
         self.block_cost = 0
 
-    def push(self, ch):
-        self.block.append(ch)
-        if len(self.block) == ZLIB_BLOCK_BITS:
-            self.emitted += len(self.compressor.compress(pack_bits("".join(self.block))))
-            self.block = []
+    def push(self, bits):
+        pending = self.block + bits
+        if len(pending) >= ZLIB_BLOCK_BITS:
+            whole = len(pending) - len(pending) % ZLIB_BLOCK_BITS
+            self.emitted += len(self.compressor.compress(pack_bits(pending[:whole])))
             self.block_cost = 8 * (self.emitted + len(self.compressor.copy().flush()))
+            pending = pending[whole:]
+        self.block = pending
 
     def _length(self):
         return self.block_cost + len(self.block) + CODEC_HEADER
@@ -265,22 +312,36 @@ class ComplexityEstimator:
 
 
 class EstimatorTracker:
-    """Incremental estimate along a growing word."""
+    """Incremental estimate along a growing word.
+
+    ``push`` checks one bit and buffers it; ``upper`` first hands the buffer
+    to every codec in one push.  The buffer is also handed over once it holds
+    TRACKER_BUFFER_BITS bits.
+    """
 
     def __init__(self, est: ComplexityEstimator):
         self.trackers = [c.tracker() for c in est.codecs]
+        self._pending = ""
 
     def push(self, ch: str) -> None:
         if ch != "0" and ch != "1":
             raise BadWordError(f"not a bit: {ch!r}")
+        self._pending += ch
+        if len(self._pending) >= TRACKER_BUFFER_BITS:
+            self._flush()
+
+    def _flush(self) -> None:
         for t in self.trackers:
-            t.push(ch)
+            t.push(self._pending)
+        self._pending = ""
 
     def upper(self, stage: int) -> int:
         if stage < 1:
             raise ValueError("stage must be >= 1")
+        if self._pending:
+            self._flush()
         avail = min(stage, len(self.trackers))
-        return min(self.trackers[i].cost() + 2 * i for i in range(avail))
+        return min([self.trackers[i]._length() + 2 * i for i in range(avail)])
 
 
 def _deficiency(u: Fraction, upper: Callable[[], int]):

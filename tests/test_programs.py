@@ -150,6 +150,17 @@ class TestPadding:
         # far beyond float range: the pairing inverse must stay exact
         assert t.resolve(t.pad(t.pad(1, 10**200), 10**300)) == 1
 
+    def test_alias_cycle_raises(self):
+        t = ProgramTable()
+        t.add(AliasEntry(base=0))  # 0 -> 0
+        t.add(AliasEntry(base=t.pad(2, 1)))  # 1 -> pad(2, 1) -> 2
+        t.add(AliasEntry(base=1))  # 2 -> 1
+        for e in (0, 1, 2, t.pad(1, 4)):
+            with pytest.raises(ValueError, match="alias cycle"):
+                t.resolve(e)
+            with pytest.raises(ValueError, match="alias cycle"):
+                t.eval_measure(e, "0", 8)
+
 
 class TestLifts:
     def test_bernoulli_lift_converges(self):

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import math
 import random
 import zlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlearn import cantor, measures, programs, randomness
 from cantorlearn.cantor import BadWordError, BitSource, check_bits
@@ -23,6 +26,8 @@ from cantorlearn.randomness import (
     DEFAULT_CODECS,
     INFINITE_DEFICIENCY,
     LITERAL_HEADER,
+    TRACKER_BUFFER_BITS,
+    ZLIB_BLOCK_BITS,
     ComplexityEstimator,
     KTCodec,
     PatternCodec,
@@ -259,6 +264,162 @@ class TestZlibAgainstZlib:
             else:
                 assert t.cost() == prev + 1, i
             prev = t.cost()
+
+
+def gamma_ref(r: int) -> int:
+    return 2 * math.floor(math.log2(r)) + 1
+
+
+def pack_ref(word: str) -> bytes:
+    """One byte per 8 bits, the last padded with 0s on the right."""
+    return bytes(int(word[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(word), 8))
+
+
+def literal_ref(w: str) -> int:
+    return len(w) + 32
+
+
+def run_length_ref(w: str) -> int:
+    if not w:
+        return 8
+    return 1 + sum(gamma_ref(len(list(g))) for _, g in itertools.groupby(w)) + 8
+
+
+def pattern_ref(w: str) -> int:
+    n = len(w)
+    if not n:
+        return 8
+    period = next(p for p in range(1, n + 1) if w[p:] == w[: n - p])
+    return gamma_ref(period) + period + gamma_ref(-(-n // period)) + 8
+
+
+def kt_ref(w: str) -> int:
+    """8 + ceil(-log2) of the sequential KT product, one factor per bit."""
+    if not w:
+        return 8
+    num = den = 1
+    seen = [0, 0]
+    for t, ch in enumerate(w):
+        num *= 2 * seen[int(ch)] + 1
+        den *= 2 * t + 2
+        seen[int(ch)] += 1
+    return kt_oracle_length(num, den)
+
+
+def zlib_ref(w: str) -> int:
+    whole = len(w) - len(w) % ZLIB_BLOCK_BITS
+    blocks = 8 * len(zlib.compress(pack_ref(w[:whole]), 9)) if whole else 0
+    return blocks + len(w) - whole + 8
+
+
+CODEC_REFS = {
+    "literal": literal_ref,
+    "run-length": run_length_ref,
+    "pattern": pattern_ref,
+    "kt": kt_ref,
+    "zlib-block": zlib_ref,
+}
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def words(draw):
+    """iid, run-heavy or periodic words of up to ~1500 bits."""
+    kind = draw(st.sampled_from(["iid", "runs", "periodic"]))
+    if kind == "iid":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        p0 = draw(st.sampled_from([0.5, 1 / 3, 0.9]))
+        return "".join("0" if rng.random() < p0 else "1" for _ in range(draw(st.integers(0, 1500))))
+    if kind == "runs":
+        runs = draw(st.lists(st.integers(1, 200), max_size=40))
+        return "".join(("0", "1")[i % 2] * r for i, r in enumerate(runs))
+    period = draw(st.text("01", min_size=1, max_size=40))
+    return (period * 1500)[: draw(st.integers(0, 1500))]
+
+
+def chunk_ends(draw, n: int) -> list[int]:
+    """Random cut points 0 < c_1 < ... < n, then n."""
+    cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=12))
+    return sorted({c for c in cuts if c < n} | {n})
+
+
+class TestChunkedPushes:
+    """A word pushed in any chunks costs what a brute-force coder says at
+    every chunk boundary."""
+
+    @PROPERTY
+    @given(words(), st.data())
+    def test_codecs_match_references(self, word, data):
+        ends = chunk_ends(data.draw, len(word))
+        for codec in DEFAULT_CODECS:
+            ref = CODEC_REFS[codec.name]
+            t, start = codec.tracker(), 0
+            for end in ends:
+                t.push(word[start:end])
+                start = end
+                assert t.cost() == ref(word[:end]), (codec.name, end)
+            assert codec.cost(word) == ref(word), codec.name
+
+    @PROPERTY
+    @given(words(), st.data(), st.integers(1, 7))
+    def test_tracker_reads_match_whole_word_estimate(self, word, data, stage):
+        reads = set(chunk_ends(data.draw, len(word)))
+        tr = EST.tracker()
+        assert tr.upper(stage) == EST.upper("", stage)
+        for i, ch in enumerate(word, 1):
+            tr.push(ch)
+            if i in reads:
+                assert tr.upper(stage) == EST.upper(word[:i], stage), i
+
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.integers(0, 200), st.integers(1, 7))
+    def test_pack_bits_matches_per_byte(self, seed, full_bytes, extra):
+        rng = random.Random(seed)
+        for n in (8 * full_bytes, 8 * full_bytes + extra):
+            w = "".join(rng.choice("01") for _ in range(n))
+            assert pack_bits(w) == pack_ref(w)
+
+
+class TestOnePushPerRead:
+    """Codecs see a word in one push, and a tracker's bits once per read."""
+
+    N = 32768
+
+    @pytest.fixture
+    def pushes(self, monkeypatch):
+        counts = {}
+        for codec in DEFAULT_CODECS:
+            cls, counts[codec.name] = type(codec), 0
+
+            def counted(self, bits, real=cls.push, name=codec.name):
+                counts[name] += 1
+                return real(self, bits)
+
+            monkeypatch.setattr(cls, "push", counted)
+        return counts
+
+    def test_whole_word_estimate(self, pushes):
+        EST.upper(structured_words(self.N, 13)["iid"], len(DEFAULT_CODECS))
+        assert pushes == {c.name: 1 for c in DEFAULT_CODECS}
+
+    def test_tracker_read_every_256_bits(self, pushes):
+        word = structured_words(self.N, 13)["run-length"]
+        tr = EST.tracker()
+        for i, ch in enumerate(word, 1):
+            tr.push(ch)
+            if i % 256 == 0:
+                tr.upper(self.N)
+        assert pushes == {c.name: self.N // 256 for c in DEFAULT_CODECS}
+
+    def test_unread_tracker_buffers_a_bounded_run(self, pushes):
+        tr = EST.tracker()
+        for ch in structured_words(self.N, 13)["cyclic"]:
+            tr.push(ch)
+        want = self.N // TRACKER_BUFFER_BITS
+        assert pushes == {c.name: want for c in DEFAULT_CODECS}
+        tr.upper(1)
+        assert pushes == {c.name: want for c in DEFAULT_CODECS}  # nothing was left over
 
 
 class TestDeficiency:
