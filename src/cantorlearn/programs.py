@@ -4,7 +4,8 @@ computable measures and reals.
 The table is a finite list of entries plus an arithmetic padding scheme that
 mints unboundedly many alias indices for each entry.  Every evaluation is
 stage-bounded and monotone: knowledge intervals only shrink as the stage
-grows, defined real bits never change, and disjointness verdicts never
+grows, defined real bits never change (except an inverse lift's, when its
+domain reveals a forbidden prefix late), and disjointness verdicts never
 retract.  Ground-truth totality flags and configurable flip schedules simulate
 the limit-computable totality oracle.
 Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
@@ -344,14 +345,30 @@ class InverseLiftEntry(Entry):
     """Real entry emitting the longest common prefix of the parameter
     candidates not yet pruned against a measure entry's knowledge.
 
-    Candidates of depth min(stage, cap) alive in the domain class survive
-    unless their star ball is provably disjoint from the measure's stage
-    knowledge; pruning only shrinks the survivor cone, so emitted bits are
-    stable.  With no survivors the entry diverges past the last stable prefix.
+    The search walks candidates level by level from "", to depth
+    min(stage, INVERSE_DEPTH_CAP).  A candidate survives while the domain
+    class does not forbid it at the stage (its parent survived, so only the
+    candidate itself is checked) and its star ball is not provably disjoint
+    from the measure's stage knowledge (verdict NO).  The search stops at that
+    depth, at more than INVERSE_FRONTIER_CAP survivors on one level, when no
+    candidate survives, or at once when "" is forbidden; it emits the common
+    prefix of the last full level's survivors, and ``stop_reason`` says which
+    of the four stops it took.  Pruning by the measure only shrinks the
+    survivor cone, but a domain that reveals a forbidden prefix late can empty
+    a level and so retract emitted bits.
 
-    The prefix is kept for the latest stage asked only.  One search reads each
-    (word, stage) knowledge once, through a view made for it, and tests only a
-    candidate's last prefix for liveness: its parent is alive in the frontier.
+    The prefix and stop reason are kept for the latest stage asked only.  One
+    search reads each (word, stage) knowledge once, through a view made for it.
+
+    Verdict record: a search keeps the YES/NO verdicts it decided, with its
+    stage, and a search at that stage or a later one takes a recorded verdict
+    instead of testing the ball again.  That rests on the measure's knowledge
+    nesting as the stage grows, so a ball's YES or NO is never retracted (see
+    ``MeasureBall``).  Only UNKNOWN and unseen candidates are tested; the
+    domain is checked on every candidate at the current stage.  Each search
+    replaces the record with what it decided, so it holds at most
+    2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1) candidates, and a search
+    at an earlier stage than the record's starts from an empty one.
     """
 
     param_map: ParamMapLike
@@ -361,6 +378,8 @@ class InverseLiftEntry(Entry):
 
     def __post_init__(self):
         self._lcp = _StageSlot(self._search)
+        self._decided: dict[Bits, Verdict] = {}
+        self._decided_stage = -1
 
     def spec(self) -> dict:
         return {
@@ -370,37 +389,43 @@ class InverseLiftEntry(Entry):
             "measure": self.measure_index,
         }
 
-    def _search(self, table: "ProgramTable", stage: int) -> Bits:
+    def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
         view = table.view(self.measure_index)
-        depth = min(stage, INVERSE_DEPTH_CAP)
-        frontier: list[Bits] = [""]
-        lcp = ""
+        known = self._decided if stage >= self._decided_stage else {}
+        decided: dict[Bits, Verdict] = {}
+        self._decided, self._decided_stage = decided, stage
         if self.domain.forbidden("", stage):
-            return lcp
-        for _ in range(depth):
+            return "", "dead-domain"
+        frontier: list[Bits] = [""]
+        for _ in range(min(stage, INVERSE_DEPTH_CAP)):
             nxt: list[Bits] = []
-            overflow = False
             for w in frontier:
                 for ch in "01":
                     cand = w + ch
                     if self.domain.forbidden(cand, stage):
                         continue
-                    if self.param_map.star(cand).contains(view, stage) == Verdict.NO:
+                    verdict = known.get(cand)
+                    if verdict is None:
+                        verdict = self.param_map.star(cand).contains(view, stage)
+                    if verdict is not Verdict.UNKNOWN:
+                        decided[cand] = verdict
+                    if verdict is Verdict.NO:
                         continue
                     nxt.append(cand)
                     if len(nxt) > INVERSE_FRONTIER_CAP:
-                        overflow = True
-                        break
-                if overflow:
-                    break
-            if overflow or not nxt:
-                break
+                        return os.path.commonprefix(frontier), "frontier-cap"
+            if not nxt:
+                return os.path.commonprefix(frontier), "no-survivors"
             frontier = nxt
-            lcp = os.path.commonprefix(frontier)  # character-wise, so exact on words
-        return lcp
+        return os.path.commonprefix(frontier), "depth"  # character-wise, so exact on words
+
+    def stop_reason(self, table: "ProgramTable", stage: int) -> str:
+        """Why the search at this stage stopped: "depth", "frontier-cap",
+        "no-survivors" or "dead-domain"."""
+        return self._lcp(table, stage)[1]
 
     def real_bit(self, table, j, stage):
-        lcp = self._lcp(table, stage)
+        lcp = self._lcp(table, stage)[0]
         return int(lcp[j]) if j < len(lcp) else None
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from cantorlearn.measures import (
     uniform,
 )
 from cantorlearn.programs import (
+    INVERSE_DEPTH_CAP,
+    INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
     EnumeratedMeasureEntry,
@@ -296,6 +299,64 @@ class TestLifts:
         for s in (300, 1, 57, 192):
             assert self.lift_answers(t, lifts, s) == self.lift_answers(*self.lift_table(), s)
 
+    @staticmethod
+    def domain_table(sets):
+        t = ProgramTable()
+        d = ClosedClass.from_stage_sets(sets)
+        return t, t.inverse_lift(FbMap(), d, t.add(ExactMeasureEntry(bernoulli(F(2, 5)))))
+
+    RECORD_BOUND = 2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1)
+
+    def test_resumed_search_equals_a_fresh_one(self):
+        # each search resumes the previous one's verdict record, or drops it when the stage falls;
+        # 64 -> 66 resumes at the depth cap, where the delayed real leaves UNKNOWN verdicts to retest
+        def hat(delay):
+            t = ProgramTable()
+            real = t.add(RealEntry(BitSource.hat_rational(F(1, 3)), delay))
+            return t, t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.param_lift(FbMap(), real))
+
+        domains = [partial(self.domain_table, {at: {word}}) for at in (0, 10) for word in ("", "011001")]
+        for build in [partial(hat, 0), partial(hat, 4), *domains]:
+            t, e = build()
+            for s in (2, 8, 9, 16, 12, 64, 66, 3, 192):
+                fresh, f = build()
+                assert t.real_prefix(e, INVERSE_DEPTH_CAP, s) == fresh.real_prefix(f, INVERSE_DEPTH_CAP, s)
+                assert len(t.entry(e)._decided) <= self.RECORD_BOUND
+        t = ProgramTable()
+        stalled = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        assert t.eval_real(stalled, 0, 511) is None
+        assert len(t.entry(stalled)._decided) <= self.RECORD_BOUND
+
+    def test_rising_sweep_builds_each_ball_once(self):
+        # 121 of the sweep's candidates ever need a test; without the record it builds 2000 balls
+        class CountingMap(FbMap):
+            built = 0
+
+            def star(self, word):
+                CountingMap.built += 1
+                return super().star(word)
+
+        f = CountingMap()
+        t = ProgramTable()
+        real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
+        back = t.inverse_lift(f, ClosedClass.hat_image(), t.param_lift(f, real))
+        got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
+        assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
+        assert CountingMap.built <= 200
+
+    def test_stop_reasons(self):
+        t = ProgramTable()
+        stalled = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
+        t, lifts = self.lift_table()
+        assert t.entry(lifts["inverse"]).stop_reason(t, 192) == "depth"
+        t, e = self.domain_table({0: {""}})
+        assert t.entry(e).stop_reason(t, 16) == "dead-domain"
+        t, e = self.domain_table({10: {"011001"}})
+        assert t.entry(e).stop_reason(t, 16) == "no-survivors"
+        # the reason comes from the same search as the bits, which it leaves as they are
+        assert t.real_prefix(e, 12, 16) == "01100"
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         st.text("01", max_size=48),
@@ -355,6 +416,40 @@ class TestMeasuresEqual:
         assert t.measures_equal(1, 2, 3, 500) == Verdict.NO
 
 
+@st.composite
+def nested_rows(draw):
+    """Stage-tagged rows on words of length 1..3, each word's intervals nested as the stage grows."""
+    rows = []
+    for word in draw(st.lists(st.text("01", min_size=1, max_size=3), max_size=4, unique=True)):
+        mid = draw(st.fractions(0, 1, max_denominator=16))
+        widths = draw(st.lists(st.fractions(0, 1, max_denominator=16), min_size=1, max_size=3))
+        stages = sorted(draw(st.lists(st.integers(0, 12), min_size=len(widths), max_size=len(widths))))
+        for r, s in zip(sorted(widths, reverse=True), stages):
+            rows.append((word, Interval.closed(max(F(0), mid - r / 2), min(F(1), mid + r / 2)), s))
+    return enumerated(rows)
+
+
+@st.composite
+def measure_entries(draw):
+    """A table and a measure entry in it, of every kind a ball's verdict reads."""
+    t = ProgramTable()
+    q = draw(st.fractions(0, 1, max_denominator=12))
+    delay = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("bernoulli", "interleave", "enumerated", "stub", "bernoulli-lift", "param-lift")))
+    if kind == "bernoulli":
+        return t, t.add(ExactMeasureEntry(bernoulli(q), delay))
+    if kind == "interleave":
+        return t, t.add(ExactMeasureEntry(interleave_measure(BitSource.hat_rational(q)), delay))
+    if kind == "enumerated":
+        return t, t.add(EnumeratedMeasureEntry(draw(nested_rows())))
+    if kind == "stub":
+        return t, t.add(StubEntry("measure"))
+    # lifts over a partial real
+    source = BitSource.hat_rational(q) if kind == "param-lift" else BitSource.rational(q)
+    real = t.add(RealEntry(source, delay, draw(st.one_of(st.none(), st.integers(0, 16)))))
+    return t, t.bernoulli_lift(real) if kind == "bernoulli-lift" else t.param_lift(FbMap(), real)
+
+
 class TestStageMonotonicity:
     def test_width_antitone_all_entries(self):
         t = basic_table()
@@ -378,6 +473,16 @@ class TestStageMonotonicity:
         assert t.defined_length(0, 0) == 0
         assert t.defined_length(0, 5) == 5
         assert t.defined_length(3, 100) == 0  # stub never defines
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(measure_entries(), st.text("01", max_size=12), st.integers(0, 40), st.integers(1, 60))
+    def test_ball_verdicts_are_never_retracted(self, table_entry, word, stage, later):
+        # the inverse lift's verdict record rests on this
+        t, e = table_entry
+        ball = FbMap().star(word)
+        before = ball.contains(t.view(e), stage)
+        if before is not Verdict.UNKNOWN:
+            assert ball.contains(t.view(e), stage + later) is before
 
 
 def every_kind_table():
