@@ -145,8 +145,9 @@ class Measure(MeasureView):
 
     An exact measure is one rule, ``p0(j)``: the probability that bit j is 0
     after any prefix of positive mass.  ``prefix_masses`` is its running
-    product along a word, one step per bit; ``mass`` is the last value.  An
-    enumerated measure (``p0`` None) only reveals interval knowledge per stage.
+    product along a word, kept as an integer numerator and denominator with
+    no gcd, one step per bit; ``mass`` is the last value as one ``Fraction``.
+    An enumerated measure (``p0`` None) only reveals interval knowledge per stage.
     Both answer ``knowledge(word, stage)``, and a measure is its own view for
     ball membership (``ball.contains(mu, stage)``).
     """
@@ -163,22 +164,25 @@ class Measure(MeasureView):
         self.p0 = p0
         self._tuples = tuple(tuples) if tuples is not None else None
 
-    def prefix_masses(self, word: Bits) -> Iterator[Fraction]:
-        """The mass of "" and of each prefix of word: one multiply per bit,
-        and no further reads of the rule once the mass is 0."""
+    def prefix_masses(self, word: Bits) -> Iterator[tuple[int, int]]:
+        """The mass of "" and of each prefix of word as a ``(numerator,
+        denominator)`` pair of ints, not in lowest terms: two integer multiplies
+        per bit and no gcd, and no further reads of the rule once the mass is 0."""
         if self.p0 is None:
             raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        m = ONE
-        yield m
+        num = den = 1
+        yield num, den
         for j, ch in enumerate(word):
-            if m:
-                m *= self.p0(j) if ch == "0" else ONE - self.p0(j)
-            yield m
+            if num:
+                p = self.p0(j)
+                num *= p.numerator if ch == "0" else p.denominator - p.numerator
+                den *= p.denominator
+            yield num, den
 
     def mass(self, word: Bits) -> Fraction:
-        for m in self.prefix_masses(word):
+        for num, den in self.prefix_masses(word):
             pass
-        return m
+        return Fraction(num, den)
 
     def tuples_at(self, word: Bits, stage: int) -> list[Interval]:
         """The enumeration's intervals for this string revealed by the stage."""
@@ -590,7 +594,8 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
     """Deterministic stream of n bits sampled from an exact measure.
 
     Bit j is 0 with probability ``mu.p0(j)``, the exact conditional given the
-    prefix so far, so each bit costs one read of the rule.  Forced bits
+    prefix so far, so each bit costs one read of the rule; the float draw is
+    compared with it exactly, as integers.  Forced bits
     (p0 of 0 or 1) consume no randomness, so streams from interleaving
     measures carry the forced bits exactly.
     """
@@ -605,7 +610,8 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
         if p0 == 1 or p0 == 0:
             out.append("0" if p0 == 1 else "1")
         else:
-            out.append("0" if Fraction(rng.random()) < p0 else "1")
+            a, b = rng.random().as_integer_ratio()  # the draw, exactly
+            out.append("0" if a * p0.denominator < p0.numerator * b else "1")
     return "".join(out)
 
 

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
 
 from .cantor import BitSource, Bits, ClosedClass, check_bits
@@ -86,9 +86,10 @@ class Entry:
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
 
-    def prefix_sups(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator[Fraction]:
-        """Sup of the stage knowledge on "" and on every prefix of x."""
-        return (self.knowledge(table, x[:n], stage).hi for n in range(len(x) + 1))
+    def prefix_sups(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator[tuple[int, int]]:
+        """Sup of the stage knowledge on "" and on every prefix of x, each as a
+        ``(numerator, denominator)`` pair of ints, not necessarily in lowest terms."""
+        return (self.knowledge(table, x[:n], stage).hi.as_integer_ratio() for n in range(len(x) + 1))
 
     def param_interval(self, table: "ProgramTable", stage: int) -> Optional[Interval]:
         """Bernoulli parameter knowledge when the entry is product-structured."""
@@ -125,9 +126,8 @@ class ExactMeasureEntry(Entry):
 
     def prefix_sups(self, table, x, stage):
         known = stage - self.delay
-        if known >= 0:
-            yield from self.measure.prefix_masses(x[:known])
-        yield from repeat(ONE, len(x) - max(known, -1))
+        masses = self.measure.prefix_masses(x[:known]) if known >= 0 else ()
+        return chain(masses, repeat((1, 1), len(x) - max(known, -1)))
 
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
@@ -257,22 +257,25 @@ class BernoulliLiftEntry(Entry):
         return bernoulli_image(p, a, len(word) - a)
 
     def prefix_sups(self, table, x, stage):
-        # bernoulli_image(p, a, b).hi along x: q^a (1-q)^b as running products at both
-        # ends of p; the interior maximum at q = a/n counts only when a/n is inside p
+        # bernoulli_image(p, a, b).hi along x: q^a (1-q)^b as running products, each an
+        # int pair, at both ends of p; the interior maximum at q = a/n counts only when
+        # a/n is inside p
         p = self._param(table, stage)
+        (lo_n, lo_d), (hi_n, hi_d) = p.lo.as_integer_ratio(), p.hi.as_integer_ratio()
         known = x[: max(stage, 0)]
-        at_lo = at_hi = ONE
+        lo_num = lo_den = hi_num = hi_den = 1
         a = 0
-        yield ONE
+        yield 1, 1
         for n, ch in enumerate(known, 1):
             if ch == "0":
-                a, at_lo, at_hi = a + 1, at_lo * p.lo, at_hi * p.hi
+                a, lo_num, hi_num = a + 1, lo_num * lo_n, hi_num * hi_n
             else:
-                at_lo, at_hi = at_lo * (ONE - p.lo), at_hi * (ONE - p.hi)
-            crit = Fraction(a, n)
-            inner = crit**a * (ONE - crit) ** (n - a) if p.lo < crit < p.hi else ZERO
-            yield max(at_lo, at_hi, inner)
-        yield from repeat(ONE, len(x) - len(known))
+                lo_num, hi_num = lo_num * (lo_d - lo_n), hi_num * (hi_d - hi_n)
+            lo_den, hi_den = lo_den * lo_d, hi_den * hi_d
+            inside = lo_n * n < a * lo_d and a * hi_d < hi_n * n
+            inner = (a**a * (n - a) ** (n - a), n**n) if inside else (0, 1)
+            yield _max_ratio((lo_num, lo_den), (hi_num, hi_den), inner)
+        yield from repeat((1, 1), len(x) - len(known))
 
     def defined_length(self, table, stage):
         return _param_defined_length(self._param(table, stage), stage)
@@ -315,6 +318,15 @@ class ParamLiftEntry(Entry):
     def defined_length(self, table, stage):
         p = self.param_interval(table, stage)
         return 0 if p is None else _param_defined_length(p, stage)
+
+
+def _max_ratio(*pairs: tuple[int, int]) -> tuple[int, int]:
+    """The (numerator, denominator) pair of largest ratio, denominators positive."""
+    best = pairs[0]
+    for num, den in pairs[1:]:
+        if num * best[1] > best[0] * den:
+            best = num, den
+    return best
 
 
 def _param_defined_length(p: Interval, stage: int) -> int:
@@ -510,8 +522,9 @@ class ProgramTable:
         check_bits(word)
         return self.entry(e).knowledge(self, word, stage)
 
-    def prefix_sups(self, e: int, x: Bits, stage: int) -> Iterator[Fraction]:
-        """Sup of entry e's stage knowledge on "" and each prefix of x (x checked once)."""
+    def prefix_sups(self, e: int, x: Bits, stage: int) -> Iterator[tuple[int, int]]:
+        """Sup of entry e's stage knowledge on "" and each prefix of x (x checked
+        once), as ``(numerator, denominator)`` int pairs; see ``Entry.prefix_sups``."""
         check_bits(x)
         return self.entry(e).prefix_sups(self, x, stage)
 

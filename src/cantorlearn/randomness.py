@@ -12,13 +12,23 @@ any length and consumes it in one call, at C speed (``len``, ``str.count``,
 through the word bit by bit, in one local loop.  ``EstimatorTracker`` checks
 each bit as it is pushed and buffers it, and hands the buffer to every codec
 once, when the estimate is read (or when it is full), so a walk that reads
-every k bits makes one codec push per read, not k.  The masses of an exact measure come from
-``ProgramTable.prefix_sups`` as a running product, one ``Fraction`` multiply
-per bit.  The KT codec keeps only its two counts and reads its exact length
-from a closed form, through a float fast path that is used only when it is
-certified and an exact integer fallback otherwise.  The zlib codec feeds one
-shared compressor per tracker with the complete blocks of each push, and
-reads the length of a copy flushed after them.
+every k bits makes one codec push per read, not k.  The masses of an exact
+measure come from ``ProgramTable.prefix_sups`` as a running product kept as an
+integer numerator and denominator, with no gcd per bit, and ceil(-log2) of each
+comes from their bit lengths.  The KT codec keeps only its two counts and reads
+its exact length from a closed form, through a float fast path that is used
+only when it is certified and an exact integer fallback otherwise.  The zlib
+codec feeds one shared compressor per tracker with the complete blocks of each
+push, and reads the length of a copy flushed after them.
+
+Every codec also states a floor: a lower bound on its length that holds after
+any further pushes (the zlib codec's only until its open block completes), each
+with a one-line proof in the codec's docstring.  At each read the tracker folds
+the floors, with the id penalties, into a bound on every later estimate, so
+``random_verdict`` and ``max_prefix_deficiency`` (which starts from the whole
+word's deficiency) read the estimate only at the prefixes where that bound
+leaves their answer open, and still give exactly the answer a read at every
+prefix would.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ import math
 import zlib
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cantor import BadWordError, Bits, check_bits
 from .measures import MeasureBall
@@ -103,6 +114,11 @@ class Codec:
     Each push consumes its word in one call; only the pattern codec still steps
     through it bit by bit.  ``EstimatorTracker`` buffers single bits and pushes
     them to its codecs when its estimate is read.
+
+    ``_floors(length)``, given the current length, returns ``(near, room, far)``:
+    whatever bits are pushed next, the length stays at least ``near`` while
+    fewer than ``room`` of them have been pushed, and at least ``far`` after
+    any number.  Each codec proves its own in its docstring.
     """
 
     name = "codec"
@@ -125,8 +141,21 @@ class Codec:
         """Code length of the bits pushed so far."""
         raise NotImplementedError
 
+    def _floors(self, length: int) -> tuple[int, float, int]:
+        raise NotImplementedError
+
+
+def _lasting(length: int) -> tuple[int, float, int]:
+    """Floors of a codec whose length never falls as bits are pushed."""
+    return length, math.inf, length
+
 
 class LiteralCodec(Codec):
+    """The word verbatim after a fixed header.
+
+    Floor: the current length, since the length is exactly n + header.
+    """
+
     name = "literal"
 
     def __init__(self):
@@ -138,9 +167,15 @@ class LiteralCodec(Codec):
     def _length(self):
         return self.n + LITERAL_HEADER
 
+    _floors = staticmethod(_lasting)
+
 
 class RunLengthCodec(Codec):
-    """First bit, then the Elias-gamma length of every run."""
+    """First bit, then the Elias-gamma length of every run.
+
+    Floor: the current length, since extending the open run never lowers its
+    gamma length and starting a run adds one.
+    """
 
     name = "run-length"
 
@@ -174,9 +209,16 @@ class RunLengthCodec(Codec):
             return CODEC_HEADER
         return 1 + self.done + elias_gamma_bits(self.run) + CODEC_HEADER
 
+    _floors = staticmethod(_lasting)
+
 
 class PatternCodec(Codec):
-    """Smallest-period coder: period bits verbatim plus two gamma lengths."""
+    """Smallest-period coder: period bits verbatim plus two gamma lengths.
+
+    Floor: gamma(p) + p + 1 + header for the smallest period p, since the
+    smallest period never shrinks as the word grows and a repeat count costs
+    at least 1 (only the header before any bit).
+    """
 
     name = "pattern"
 
@@ -203,6 +245,12 @@ class PatternCodec(Codec):
         reps = -(-n // period)
         return elias_gamma_bits(period) + period + elias_gamma_bits(reps) + CODEC_HEADER
 
+    def _floors(self, length):
+        n = len(self.word)
+        period = n - self.border[n]
+        floor = elias_gamma_bits(period) + period + 1 + CODEC_HEADER if n else CODEC_HEADER
+        return floor, math.inf, floor
+
 
 class KTCodec(Codec):
     """Order-0 adaptive coder with the Krichevsky-Trofimov estimator, exact.
@@ -225,6 +273,9 @@ class KTCodec(Codec):
     while ln(2n+1) < 150, that is for every n a word can have.  Otherwise
     the length comes exactly from ``_ceil_log2_ratio`` on the factorial
     products.
+
+    Floor: the current length, since each further bit multiplies P by its
+    KT conditional probability, which is below 1.
     """
 
     name = "kt"
@@ -250,6 +301,8 @@ class KTCodec(Codec):
         den = (f(n) * f(a) * f(b)) << (2 * n)
         return _ceil_log2_ratio(f(2 * a) * f(2 * b), den) + CODEC_HEADER
 
+    _floors = staticmethod(_lasting)
+
 
 class ZlibBlockCodec(Codec):
     """zlib over complete bit blocks plus a literal tail, so pushes stay cheap.
@@ -260,6 +313,10 @@ class ZlibBlockCodec(Codec):
     the bytes emitted so far plus those a flushed copy of the compressor
     emits, which is the length of ``zlib.compress`` on the whole packed
     prefix up to the last block boundary.
+
+    Floor: the current length until the open block completes, since until
+    then only the literal tail grows; the header after that, since a longer
+    input can compress to fewer bytes.
     """
 
     name = "zlib-block"
@@ -281,6 +338,9 @@ class ZlibBlockCodec(Codec):
 
     def _length(self):
         return self.block_cost + len(self.block) + CODEC_HEADER
+
+    def _floors(self, length):
+        return length, ZLIB_BLOCK_BITS - len(self.block), CODEC_HEADER
 
 
 DEFAULT_CODECS: tuple[Codec, ...] = (
@@ -316,12 +376,17 @@ class EstimatorTracker:
 
     ``push`` checks one bit and buffers it; ``upper`` first hands the buffer
     to every codec in one push.  The buffer is also handed over once it holds
-    TRACKER_BUFFER_BITS bits.
+    TRACKER_BUFFER_BITS bits.  Each ``upper`` also folds the codecs' floors
+    with their id penalties, so ``floor`` bounds every later estimate in O(1)
+    without reading a codec.
     """
 
     def __init__(self, est: ComplexityEstimator):
         self.trackers = [c.tracker() for c in est.codecs]
         self._pending = ""
+        self._handed = 0  # bits handed to the codecs
+        self._penalties = range(0, 2 * len(self.trackers), 2)
+        self._fold_floors([t._length() for t in self.trackers])
 
     def push(self, ch: str) -> None:
         if ch != "0" and ch != "1":
@@ -333,15 +398,43 @@ class EstimatorTracker:
     def _flush(self) -> None:
         for t in self.trackers:
             t.push(self._pending)
+        self._handed += len(self._pending)
         self._pending = ""
+
+    def _fold_floors(self, lengths: list[int]) -> None:
+        """Prefix minima, over the codec order, of each codec's near and far
+        floor plus its id penalty; the near ones hold until ``_horizon`` bits."""
+        near = far = room = math.inf
+        self._near, self._far = [], []
+        for t, length, penalty in zip(self.trackers, lengths, self._penalties):
+            n, r, f = t._floors(length)
+            if n + penalty < near:
+                near = n + penalty
+            if f + penalty < far:
+                far = f + penalty
+            if r < room:
+                room = r
+            self._near.append(near)
+            self._far.append(far)
+        self._horizon = self._handed + room
 
     def upper(self, stage: int) -> int:
         if stage < 1:
             raise ValueError("stage must be >= 1")
         if self._pending:
             self._flush()
-        avail = min(stage, len(self.trackers))
-        return min([self.trackers[i]._length() + 2 * i for i in range(avail)])
+        lengths = [t._length() for t in self.trackers]
+        self._fold_floors(lengths)
+        return min(map(add, lengths[:stage], self._penalties))
+
+    def floor(self, stage: int) -> int:
+        """A lower bound on ``upper(stage)``, now and after any further pushes,
+        from the floors of the latest read."""
+        if stage < 1:
+            raise ValueError("stage must be >= 1")
+        seen = self._handed + len(self._pending)
+        floors = self._near if seen < self._horizon else self._far
+        return floors[min(stage, len(floors)) - 1]
 
 
 def _deficiency(u: Fraction, upper: Callable[[], int]):
@@ -362,30 +455,65 @@ def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, sta
     return _deficiency(ball.sup_mass(word), partial(est.upper, word, max(1, stage)))
 
 
-def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
-    """The deficiency of each prefix of x at stage |x|, empty prefix first.
+def _sup_bits(table, e: int, x: Bits, stage: int) -> Iterator:
+    """ceil(-log2 sup) of entry e's stage knowledge on "" and each prefix of x,
+    infinite where the sup is 0; on exact measures, one integer mass step per bit."""
+    for num, den in table.prefix_sups(e, x, stage):
+        yield _ceil_log2_ratio(num, den) if num else INFINITE_DEFICIENCY
 
-    One incremental estimator and one ``table.prefix_sups`` walk x together,
-    so each bit costs one push and, on exact measures, one mass step.
-    """
+
+def _pushed(tracker: EstimatorTracker, x: Bits, values: Iterable) -> Iterator:
+    """The values of "" and each prefix of x, each bit of x pushed to the
+    tracker before the value of the prefix it ends."""
+    values = iter(values)
+    yield next(values)
+    for ch, value in zip(x, values):
+        tracker.push(ch)
+        yield value
+
+
+def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
+    """The deficiency of each prefix of x at stage |x|, empty prefix first;
+    the estimate is read at every prefix of positive sup."""
     stage = max(1, len(x))
     tracker = est.tracker()
-    upper = partial(tracker.upper, stage)
-    sups = table.prefix_sups(e, x, stage)
-    yield _deficiency(next(sups), upper)
-    for ch, u in zip(x, sups):
-        tracker.push(ch)
-        yield _deficiency(u, upper)
+    for k in _pushed(tracker, x, _sup_bits(table, e, x, stage)):
+        yield k if k == INFINITE_DEFICIENCY else k - tracker.upper(stage)
 
 
 def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
-    """Finite-horizon randomness surrogate: every prefix deficiency stays <= c."""
+    """Finite-horizon randomness surrogate: every prefix deficiency stays <= c.
+
+    A deficiency is at most ceil(-log2 sup) minus the tracker's floor, so the
+    estimate is read only at prefixes where that bound exceeds c; the answer
+    is ``all(d <= c for d in prefix_deficiencies(...))`` exactly."""
     check_bits(x)
     if c == INFINITE_DEFICIENCY:
         return True
-    return all(d <= c for d in prefix_deficiencies(table, est, e, x))
+    stage = max(1, len(x))
+    tracker = est.tracker()
+    for k in _pushed(tracker, x, _sup_bits(table, e, x, stage)):
+        # "not <=", so that a NaN c rejects, as all(d <= c) does
+        if not k - tracker.floor(stage) <= c and not k - tracker.upper(stage) <= c:
+            return False
+    return True
 
 
 def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
-    """Largest prefix deficiency along x at stage |x| (reporting helper)."""
-    return max(prefix_deficiencies(table, est, e, x))
+    """Largest prefix deficiency along x at stage |x| (reporting helper).
+
+    The whole word's deficiency comes first, from one whole-word estimate.
+    Then the prefixes are walked, and the estimate is read only where
+    ceil(-log2 sup) minus the tracker's floor, a bound on the deficiency,
+    exceeds the largest deficiency so far; the answer is
+    ``max(prefix_deficiencies(...))`` exactly."""
+    stage = max(1, len(x))
+    sup_bits = list(_sup_bits(table, e, x, stage))
+    if sup_bits[-1] == INFINITE_DEFICIENCY:
+        return INFINITE_DEFICIENCY
+    best = sup_bits[-1] - est.upper(x, stage)
+    tracker = est.tracker()
+    for k in _pushed(tracker, x, sup_bits):
+        if k - tracker.floor(stage) > best:
+            best = max(best, k - tracker.upper(stage))
+    return best

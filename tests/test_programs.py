@@ -105,7 +105,7 @@ class TestEvaluation:
         for e, x in ((0, "0111100110"), (1, "1000")):
             for stage in range(16):
                 want = [t.eval_measure(e, x[:n], stage).hi for n in range(len(x) + 1)]
-                assert list(t.prefix_sups(e, x, stage)) == want
+                assert [F(*pair) for pair in t.prefix_sups(e, x, stage)] == want
 
     def test_negative_delays_raise(self):
         # a negative delay would reveal exact masses beyond the stage
@@ -368,7 +368,7 @@ class TestLifts:
         t = ProgramTable()
         lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q), diverge_from=diverge_from)))
         want = [t.eval_measure(lift, x[:n], stage).hi for n in range(len(x) + 1)]
-        assert list(t.prefix_sups(lift, x, stage)) == want
+        assert [F(*pair) for pair in t.prefix_sups(lift, x, stage)] == want
 
 
 class TestTotalityOracle:

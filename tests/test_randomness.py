@@ -17,11 +17,18 @@ from cantorlearn.measures import (
     Measure,
     bernoulli,
     dirac,
+    enumerated,
     interleave_measure,
     sample_stream,
     uniform,
 )
-from cantorlearn.programs import ExactMeasureEntry, ProgramTable, RealEntry, StubEntry
+from cantorlearn.programs import (
+    EnumeratedMeasureEntry,
+    ExactMeasureEntry,
+    ProgramTable,
+    RealEntry,
+    StubEntry,
+)
 from cantorlearn.randomness import (
     DEFAULT_CODECS,
     INFINITE_DEFICIENCY,
@@ -422,6 +429,61 @@ class TestOnePushPerRead:
         assert pushes == {c.name: want for c in DEFAULT_CODECS}  # nothing was left over
 
 
+def with_break(draw, word: str, start: int) -> str:
+    """word, or word with one bit at or after start flipped."""
+    if start >= len(word) or not draw(st.booleans()):
+        return word
+    i = draw(st.integers(start, len(word) - 1))
+    return word[:i] + "10"[int(word[i])] + word[i + 1 :]
+
+
+class TestFloors:
+    """A codec's floor, and a tracker's, is at most the exact length after any
+    further chunked pushes: across runs, period breaks and zlib block ends."""
+
+    @PROPERTY
+    @given(words(), words(), st.data())
+    def test_codec_floors_hold_after_further_pushes(self, head, tail, data):
+        word = with_break(data.draw, head + tail, len(head))
+        for codec in DEFAULT_CODECS:
+            t, start = codec.tracker(), 0
+            for end in chunk_ends(data.draw, len(head)):
+                t.push(word[start:end])
+                start = end
+            length = t.cost()
+            near, room, far = t._floors(length)
+            assert far <= near <= length, codec.name
+            # chunk ends, and every block end, where a zlib tail is empty
+            block_ends = range(-len(head) % ZLIB_BLOCK_BITS or ZLIB_BLOCK_BITS, len(tail), ZLIB_BLOCK_BITS)
+            for end in sorted(set(chunk_ends(data.draw, len(tail))) | set(block_ends)):
+                t.push(word[start : len(head) + end])
+                start = len(head) + end
+                assert t.cost() >= (near if end < room else far), (codec.name, end)
+
+    @PROPERTY
+    @given(words(), words(), st.data())
+    def test_tracker_floor_bounds_every_later_estimate(self, head, tail, data):
+        word = with_break(data.draw, head + tail, len(head))
+        reads = set(chunk_ends(data.draw, len(word)))
+        checks = set(chunk_ends(data.draw, len(word)))
+        tr = EST.tracker()
+        for i, ch in enumerate(word, 1):
+            tr.push(ch)
+            if i in checks:
+                costs = [c.cost(word[:i]) for c in DEFAULT_CODECS]
+                for stage in range(1, len(DEFAULT_CODECS) + 2):
+                    exact = min(costs[j] + 2 * j for j in range(min(stage, len(costs))))
+                    assert tr.floor(stage) <= exact, (i, stage)
+            if i in reads:
+                stage = data.draw(st.integers(1, 7))
+                assert tr.floor(stage) <= tr.upper(stage)
+
+    @pytest.mark.parametrize("stage", [0, -1])
+    def test_floor_rejects_bad_stage(self, stage):
+        with pytest.raises(ValueError):
+            EST.tracker().floor(stage)
+
+
 class TestDeficiency:
     def test_uniform_is_length_minus_estimate(self):
         t = table_with(uniform())
@@ -488,6 +550,74 @@ class TestRandomVerdict:
             if max_prefix_deficiency(t, EST, 0, x) > 64:
                 hits += 1
         assert hits == 10
+
+
+def shortcut_tables():
+    """(table, index) for each entry kind the walk meets."""
+    half = Interval.closed(F(1, 3), F(1, 2))
+    rows = [
+        ("", Interval.exact(1), 0),
+        ("0", half, 1),
+        ("1", half, 1),
+        ("01", Interval.exact(0), 2),  # a zero sup: infinite deficiency
+        ("00", Interval.closed(F(1, 8), F(1, 4)), 3),
+    ]
+    entries = {
+        "exact-delay": ExactMeasureEntry(bernoulli(F(1, 3)), delay=2),
+        "zero-mass": ExactMeasureEntry(bernoulli(F(1))),
+        "dirac": ExactMeasureEntry(dirac(BitSource.periodic("01"))),
+        "enumerated": EnumeratedMeasureEntry(enumerated(rows)),
+        "stub": StubEntry("measure"),
+    }
+    out = {}
+    for name, entry in entries.items():
+        t = ProgramTable()
+        out[name] = t, t.add(entry)
+    for name, real in (
+        ("bernoulli-lift", RealEntry(BitSource.rational(F(2, 5)))),
+        ("partial-lift", RealEntry(BitSource.rational(F(1, 3)), diverge_from=3)),
+    ):
+        t = ProgramTable()
+        out[name] = t, t.bernoulli_lift(t.add(real))
+    return out
+
+
+SHORTCUT_WORDS = [
+    "".join(w) for n in range(6) for w in itertools.product("01", repeat=n)
+] + [sample_stream(bernoulli(F(1, 3)), 3, 200), sample_stream(bernoulli(F(2, 5)), 4, 200), "0" * 200]
+
+
+class TestVerdictShortcuts:
+    """random_verdict and max_prefix_deficiency read the estimate only where
+    it can change their answer, and answer as a read at every prefix would."""
+
+    @pytest.mark.parametrize("name", sorted(shortcut_tables()))
+    def test_equal_to_every_prefix_deficiency(self, name):
+        t, e = shortcut_tables()[name]
+        for x in SHORTCUT_WORDS:
+            defs = list(prefix_deficiencies(t, EST, e, x))
+            assert max_prefix_deficiency(t, EST, e, x) == max(defs), x
+            for c in (-5, 0, 48, INFINITE_DEFICIENCY):
+                assert random_verdict(t, EST, e, x, c) == all(d <= c for d in defs), (x, c)
+
+    def test_walks_read_the_estimate_rarely(self, monkeypatch):
+        counts = {"push": 0, "upper": 0}
+        for method in counts:
+            real = getattr(randomness.EstimatorTracker, method)
+
+            def counted(self, arg, real=real, method=method):
+                counts[method] += 1
+                return real(self, arg)
+
+            monkeypatch.setattr(randomness.EstimatorTracker, method, counted)
+        x = sample_stream(bernoulli(F(1, 3)), 0, 2048)
+        t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
+        assert random_verdict(t, EST, 0, x, 48)
+        # every bit goes through the tracker, but few reads follow
+        assert counts["push"] == 2048 and counts["upper"] <= 128
+        counts.update(push=0, upper=0)
+        assert max_prefix_deficiency(t, EST, 1, x) > 64
+        assert counts["push"] == 2048 and counts["upper"] <= 128
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word
