@@ -148,7 +148,9 @@ class BitSource:
         """Binary expansion of a rational in [0,1].
 
         Dyadic rationals get the terminating expansion (trailing zeros);
-        the value 1 is the all-ones sequence by convention.
+        the value 1 is the all-ones sequence by convention.  Bit i is
+        floor(p 2^(i+1) / q) mod 2, read from p 2^(i+1) mod 2q, so it costs
+        O(log i) products of numbers below 2q, not one (i+1)-bit product.
         """
         value = Fraction(value)
         if not 0 <= value <= 1:
@@ -158,7 +160,7 @@ class BitSource:
         def bit(i: int) -> int:
             if p == q:
                 return 1
-            return (p * (1 << (i + 1)) // q) % 2
+            return p * pow(2, i + 1, 2 * q) % (2 * q) // q
 
         return cls({"kind": "rational", "value": f"{p}/{q}"}, bit)
 

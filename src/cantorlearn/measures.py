@@ -79,7 +79,8 @@ class Interval:
 
     @classmethod
     def unit(cls) -> "Interval":
-        return cls(ZERO, ONE)
+        """The closed unit interval, one shared instance (intervals are frozen)."""
+        return _UNIT
 
     @property
     def width(self) -> Fraction:
@@ -124,6 +125,9 @@ class Interval:
         return (self.hi < other.lo or (self.hi == other.lo and (self.hi_open or other.lo_open))) or (
             other.hi < self.lo or (other.hi == self.lo and (other.hi_open or self.lo_open))
         )
+
+
+_UNIT = Interval(ZERO, ONE)
 
 
 class MeasureView:
@@ -319,8 +323,14 @@ class MeasureBall:
     """A basic open set of the measure space: constraints (word, interval).
 
     Concrete subclasses may generate their finite constraint set lazily and
-    provide structure-aware implementations of the queries below.  Yes/no
-    verdicts of ``contains`` are stable as the stage grows.
+    provide structure-aware implementations of the queries below.
+
+    ``contains(view, stage)`` reads the view only through ``knowledge(word,
+    stage)`` and ``param_interval(stage)``, passing on the stage it was given,
+    and its verdict is a function of the answers alone: a view that gives the
+    same answers under another stage argument gets the same verdict (the
+    inverse lift's verdict record rests on this).  Yes/no verdicts are stable
+    as the stage grows, since the knowledge they read only shrinks.
     """
 
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
@@ -425,6 +435,11 @@ def ball(constraints: Iterable[tuple[Bits, Interval]]) -> ExplicitBall:
     return ExplicitBall(tuple((check_bits(w), iv) for w, iv in constraints))
 
 
+# the words of levels 1 to 3 that BernoulliCylinderBall's generic screen reads, in level
+# order, each with its zero and one counts; levels 1 to k are the first 2^(k+1) - 2
+_SCREEN_WORDS = tuple((w, w.count("0"), n - w.count("0")) for n in (1, 2, 3) for w in _words(n))
+
+
 def bernoulli_image(param: Interval, zeros: int, ones: int) -> Interval:
     """Tight image of q^zeros (1-q)^ones over a parameter interval (closed hull)."""
     lo, hi = param.lo, param.hi
@@ -449,7 +464,7 @@ class BernoulliCylinderBall(MeasureBall):
     level: int
 
     def __post_init__(self):
-        if not ZERO <= self.param.lo <= self.param.hi <= ONE:
+        if self.param.lo < ZERO or self.param.hi > ONE:
             raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
 
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
@@ -502,21 +517,22 @@ class BernoulliCylinderBall(MeasureBall):
                 return Verdict.YES
             return Verdict.UNKNOWN
         # generic fallback: shallow exhaustive screen; sound but may stay UNKNOWN.  Images lie
-        # in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides nothing
+        # in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides nothing,
+        # and the images are computed only for words that can decide
         screen = min(self.level, 3)
         verdict = Verdict.YES if screen == self.level else Verdict.UNKNOWN
-        image = cache(partial(bernoulli_image, self.param))
-        unit = Interval.unit()
-        for n in range(1, screen + 1):
-            for w in _words(n):
-                known = view.knowledge(w, stage)
-                if verdict is Verdict.UNKNOWN and known == unit:
-                    continue
-                img = image(w.count("0"), n - w.count("0"))
-                if img.disjoint(known):
-                    return Verdict.NO
-                if not img.contains_interval(known):
-                    verdict = Verdict.UNKNOWN
+        image = None
+        for w, zeros, ones in _SCREEN_WORDS[: (2 << screen) - 2]:
+            known = view.knowledge(w, stage)
+            if verdict is Verdict.UNKNOWN and (known is _UNIT or known == _UNIT):
+                continue
+            if image is None:
+                image = cache(partial(bernoulli_image, self.param))
+            img = image(zeros, ones)
+            if img.disjoint(known):
+                return Verdict.NO
+            if not img.contains_interval(known):
+                verdict = Verdict.UNKNOWN
         return verdict
 
 

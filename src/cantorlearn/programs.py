@@ -370,15 +370,22 @@ class InverseLiftEntry(Entry):
     a level and so retract emitted bits.
 
     The prefix and stop reason are kept for the latest stage asked only.  One
-    search reads each (word, stage) knowledge once, through a view made for it.
+    search reads each (word, stage) knowledge and each stage's parameter
+    interval once, through a view made for it.
 
-    Verdict record: a search keeps the YES/NO verdicts it decided, with its
-    stage, and a search at that stage or a later one takes a recorded verdict
-    instead of testing the ball again.  That rests on the measure's knowledge
-    nesting as the stage grows, so a ball's YES or NO is never retracted (see
-    ``MeasureBall``).  Only UNKNOWN and unseen candidates are tested; the
+    Verdict record: a search keeps every verdict it met, YES, NO and UNKNOWN,
+    with its stage and its view, whose memo is the search's read log: each
+    answer the measure gave it.  A search at that stage or a later one takes a
+    recorded YES or NO instead of testing the ball again, since the measure's
+    knowledge nests as the stage grows and so a ball's YES or NO is never
+    retracted.  It takes a recorded UNKNOWN only if the view asked now gives
+    every logged answer again: a ball's verdict is a function of the answers
+    it reads, whatever the stage (see ``MeasureBall``), so the ball would read
+    the same answers and say UNKNOWN again.  That check is made once per
+    search, on the first recorded UNKNOWN the walk meets, and its reads join
+    the new log; if it fails, every recorded UNKNOWN is tested again.  The
     domain is checked on every candidate at the current stage.  Each search
-    replaces the record with what it decided, so it holds at most
+    replaces the record with the verdicts it met, so it holds at most
     2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1) candidates, and a search
     at an earlier stage than the record's starts from an empty one.
     """
@@ -390,8 +397,9 @@ class InverseLiftEntry(Entry):
 
     def __post_init__(self):
         self._lcp = _StageSlot(self._search)
-        self._decided: dict[Bits, Verdict] = {}
-        self._decided_stage = -1
+        self._verdicts: dict[Bits, Verdict] = {}
+        self._record_stage = -1
+        self._read_log: Optional[EntryView] = None
 
     def spec(self) -> dict:
         return {
@@ -403,9 +411,11 @@ class InverseLiftEntry(Entry):
 
     def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
         view = table.view(self.measure_index)
-        known = self._decided if stage >= self._decided_stage else {}
-        decided: dict[Bits, Verdict] = {}
-        self._decided, self._decided_stage = decided, stage
+        known = self._verdicts if stage >= self._record_stage else {}
+        log = self._read_log
+        unknown_holds: Optional[bool] = None  # whether recorded UNKNOWNs hold, once asked
+        verdicts: dict[Bits, Verdict] = {}
+        self._verdicts, self._record_stage, self._read_log = verdicts, stage, view
         if self.domain.forbidden("", stage):
             return "", "dead-domain"
         frontier: list[Bits] = [""]
@@ -417,10 +427,14 @@ class InverseLiftEntry(Entry):
                     if self.domain.forbidden(cand, stage):
                         continue
                     verdict = known.get(cand)
+                    if verdict is Verdict.UNKNOWN:
+                        if unknown_holds is None:
+                            unknown_holds = view.replays(log, stage)
+                        if not unknown_holds:
+                            verdict = None
                     if verdict is None:
                         verdict = self.param_map.star(cand).contains(view, stage)
-                    if verdict is not Verdict.UNKNOWN:
-                        decided[cand] = verdict
+                    verdicts[cand] = verdict
                     if verdict is Verdict.NO:
                         continue
                     nxt.append(cand)
@@ -627,21 +641,35 @@ class EntryView(MeasureView):
     """Adapter exposing a table entry's stage knowledge to ball membership checks.
 
     A view resolves its index once, when it is built, and evaluates each
-    (word, stage) once, keeping the answers while it lives;
-    ``ProgramTable.view`` returns a fresh view on every call."""
+    (word, stage) knowledge and each stage's parameter interval once, keeping
+    the answers while it lives; ``ProgramTable.view`` returns a fresh view on
+    every call.  The kept answers are the view's read log: an inverse-lift
+    search asks one view at one stage, and ``replays`` tells whether a later
+    view gives every answer a logged one gave."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
         self.index = table.resolve(index)
         self._known: dict[tuple[Bits, int], Interval] = {}
+        self._params: dict[int, Optional[Interval]] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
-        if (word, stage) not in self._known:
-            self._known[word, stage] = self.table.eval_measure(self.index, word, stage)
-        return self._known[word, stage]
+        known = self._known.get((word, stage))
+        if known is None:
+            known = self._known[word, stage] = self.table.eval_measure(self.index, word, stage)
+        return known
 
     def param_interval(self, stage: int) -> Optional[Interval]:
-        return self.table.entry(self.index).param_interval(self.table, stage)
+        if stage not in self._params:
+            self._params[stage] = self.table.entry(self.index).param_interval(self.table, stage)
+        return self._params[stage]
+
+    def replays(self, log: "EntryView", stage: int) -> bool:
+        """Whether this view, asked at this stage, gives every answer the log
+        view gave (at whatever stage it was asked); the reads join this view's memo."""
+        return all(self.knowledge(w, stage) == iv for (w, _), iv in log._known.items()) and all(
+            self.param_interval(stage) == p for p in log._params.values()
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,22 @@ class TestBitSource:
         assert BitSource.rational(Fraction(0)).prefix(4) == "0000"
         assert BitSource.rational(Fraction(1)).prefix(4) == "1111"
 
+    def test_rational_matches_long_division(self):
+        def long_division(value, n):
+            if value == 1:
+                return "1" * n  # the convention for 1
+            rem, q, out = value.numerator, value.denominator, []
+            for _ in range(n):
+                rem *= 2
+                out.append(str(rem // q))
+                rem %= q
+            return "".join(out)
+
+        dyadic = [Fraction(1, 2), Fraction(3, 8), Fraction(5, 1024), Fraction(12345, 1 << 20)]
+        periodic = [Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(1, 6), Fraction(123, 997)]
+        for v in [Fraction(0), Fraction(1), *dyadic, *periodic]:
+            assert BitSource.rational(v).prefix(2000) == long_division(v, 2000), v
+
     def test_hat_rational(self):
         assert BitSource.hat_rational(Fraction(1, 3)).prefix(8) == "01100110"
 

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from cantorlearn.cantor import BitSource, ClosedClass
 from cantorlearn.measures import (
     BernoulliCylinderBall,
+    InterleaveCylinderBall,
     Interval,
+    MeasureView,
     Verdict,
+    ball as explicit_ball,
     bernoulli,
     dirac,
     enumerated,
@@ -165,6 +168,29 @@ class TestPadding:
                 t.eval_measure(e, "0", 8)
 
 
+def late_measures():
+    """Adders of measure entries for inverse lifts: the hat lifts' parameter narrows at every
+    stage, the delayed interleave measures (whose FbMap balls take the generic screen) reveal words
+    as the stage grows, the enumerated one reveals "0" at stage 9 and "11" at stage 20, and the stub
+    and bernoulli(2/5) give FbMap balls the same answers at every stage."""
+
+    def hat_lift(t, delay):
+        return t.param_lift(FbMap(), t.add(RealEntry(BitSource.hat_rational(F(1, 3)), delay)))
+
+    def interleave(t, delay):
+        return t.add(ExactMeasureEntry(interleave_measure(BitSource.hat_rational(F(1, 3))), delay))
+
+    late = enumerated([("0", Interval.closed(F(1, 4), F(1, 2)), 9), ("11", Interval.exact(F(1, 4)), 20)])
+    return [
+        partial(hat_lift, delay=0),
+        partial(hat_lift, delay=4),
+        lambda t: t.add(StubEntry("measure")),
+        lambda t: t.add(ExactMeasureEntry(bernoulli(F(2, 5)))),
+        *(partial(interleave, delay=delay) for delay in (0, 3, 6)),
+        lambda t: t.add(EnumeratedMeasureEntry(late)),
+    ]
+
+
 class TestLifts:
     def test_bernoulli_lift_converges(self):
         t = basic_table()
@@ -307,42 +333,55 @@ class TestLifts:
 
     RECORD_BOUND = 2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1)
 
+    @staticmethod
+    def measure_table(add_measure, domain):
+        t = ProgramTable()
+        return t, t.inverse_lift(FbMap(), domain, add_measure(t))
+
     def test_resumed_search_equals_a_fresh_one(self):
         # each search resumes the previous one's verdict record, or drops it when the stage falls;
-        # 64 -> 66 resumes at the depth cap, where the delayed real leaves UNKNOWN verdicts to retest
-        def hat(delay):
-            t = ProgramTable()
-            real = t.add(RealEntry(BitSource.hat_rational(F(1, 3)), delay))
-            return t, t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.param_lift(FbMap(), real))
-
-        domains = [partial(self.domain_table, {at: {word}}) for at in (0, 10) for word in ("", "011001")]
-        for build in [partial(hat, 0), partial(hat, 4), *domains]:
+        # a recorded UNKNOWN is kept only while the measure answers the logged reads as before
+        builds = [
+            partial(self.measure_table, add, domain)
+            for add in late_measures()
+            for domain in (ClosedClass.full(), ClosedClass.hat_image())
+        ]
+        builds += [partial(self.domain_table, {at: {word}}) for at in (0, 10) for word in ("", "011001")]
+        for build in builds:
             t, e = build()
-            for s in (2, 8, 9, 16, 12, 64, 66, 3, 192):
+            for s in (2, 8, 9, 16, 12, 20, 21, 64, 66, 3, 30, 192, 70):
                 fresh, f = build()
                 assert t.real_prefix(e, INVERSE_DEPTH_CAP, s) == fresh.real_prefix(f, INVERSE_DEPTH_CAP, s)
-                assert len(t.entry(e)._decided) <= self.RECORD_BOUND
-        t = ProgramTable()
-        stalled = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.add(StubEntry("measure")))
-        assert t.eval_real(stalled, 0, 511) is None
-        assert len(t.entry(stalled)._decided) <= self.RECORD_BOUND
+                assert t.entry(e).stop_reason(t, s) == fresh.entry(f).stop_reason(fresh, s)
+                assert len(t.entry(e)._verdicts) <= self.RECORD_BOUND
 
     def test_rising_sweep_builds_each_ball_once(self):
-        # 121 of the sweep's candidates ever need a test; without the record it builds 2000 balls
         class CountingMap(FbMap):
-            built = 0
+            def __init__(self):
+                self.built = 0
 
             def star(self, word):
-                CountingMap.built += 1
+                self.built += 1
                 return super().star(word)
 
+        # 121 of the sweep's candidates ever need a test; without the record it builds 2000 balls
         f = CountingMap()
         t = ProgramTable()
         real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
         back = t.inverse_lift(f, ClosedClass.hat_image(), t.param_lift(f, real))
         got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
         assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
-        assert CountingMap.built <= 200
+        assert f.built <= 200
+        # past depth 2 the stub's candidates stay UNKNOWN, and its knowledge never changes, so the
+        # later stalls take every verdict from the record; without UNKNOWNs in it they build 7663 balls
+        f = CountingMap()
+        t = ProgramTable()
+        stalled = t.inverse_lift(f, ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        for s in (64, 300, 511):
+            assert t.eval_real(stalled, 0, s) is None
+            assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
+            assert len(t.entry(stalled)._verdicts) <= self.RECORD_BOUND
+        assert f.built <= 2557
 
     def test_stop_reasons(self):
         t = ProgramTable()
@@ -450,6 +489,36 @@ def measure_entries(draw):
     return t, t.bernoulli_lift(real) if kind == "bernoulli-lift" else t.param_lift(FbMap(), real)
 
 
+@st.composite
+def balls(draw):
+    """An FbMap star ball, an interleave cylinder ball or an explicit ball on words of length <= 3."""
+    kind = draw(st.sampled_from(("fb", "interleave", "explicit")))
+    if kind == "fb":
+        return FbMap().star(draw(st.text("01", max_size=12)))
+    if kind == "interleave":
+        return InterleaveCylinderBall(draw(st.text("01", max_size=4)))
+    grid = st.fractions(0, 1, max_denominator=8)
+    constraints = []
+    for word in draw(st.lists(st.text("01", max_size=3), max_size=4)):
+        lo, hi = sorted((draw(grid), draw(grid)))
+        constraints.append((word, Interval.closed(lo, hi)))
+    return explicit_ball(constraints)
+
+
+class ReplayView(MeasureView):
+    """The answers an EntryView gave at one stage, given again at whatever stage is asked;
+    a read the view was not asked raises KeyError."""
+
+    def __init__(self, view, stage):
+        self.view, self.stage = view, stage
+
+    def knowledge(self, word, stage):
+        return self.view._known[word, self.stage]
+
+    def param_interval(self, stage):
+        return self.view._params[self.stage]
+
+
 class TestStageMonotonicity:
     def test_width_antitone_all_entries(self):
         t = basic_table()
@@ -483,6 +552,19 @@ class TestStageMonotonicity:
         before = ball.contains(t.view(e), stage)
         if before is not Verdict.UNKNOWN:
             assert ball.contains(t.view(e), stage + later) is before
+
+
+class TestVerdictsReadOnlyAnswers:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(measure_entries(), balls(), st.integers(0, 40), st.integers(0, 512))
+    def test_replayed_answers_give_the_same_verdict(self, table_entry, ball, stage, other):
+        # the inverse lift's record of UNKNOWN verdicts rests on this: a verdict is a function of
+        # the answers the ball reads, not of the stage it passes to the view
+        t, e = table_entry
+        view = t.view(e)
+        verdict = ball.contains(view, stage)
+        for s in (other, stage + 1, stage + 100):
+            assert ball.contains(ReplayView(view, stage), s) is verdict
 
 
 def every_kind_table():
