@@ -8,6 +8,7 @@ position -> bit function with a JSON-able spec that carries its kind.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -74,15 +75,6 @@ def hat_decode(word: Bits) -> Bits:
         else:
             raise HatDecodeError(f"block {block!r} at position {i} is not a hat image block")
     return "".join(out)
-
-
-def is_hat_prefix(word: Bits) -> bool:
-    """True iff word is a prefix of some hat-encoded real."""
-    try:
-        hat_decode(word)
-    except HatDecodeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -176,42 +168,6 @@ class BitSource:
         return cls({**base.spec, "kind": "hat-rational"}, bit)
 
 
-def hat_value(value: Fraction, bits: int = 128) -> Fraction:
-    """The rational with binary expansion hat(expansion(value)), to the given precision.
-
-    Exact when the expansion of ``value`` is eventually periodic (always, for
-    rationals): the hat image is again eventually periodic, so we detect the
-    cycle instead of truncating.
-    """
-    src = BitSource.rational(value)
-    p, q = Fraction(value).numerator, Fraction(value).denominator
-    # remainder after i bits determines the tail; cycle detection on remainders
-    seen: dict[int, int] = {}
-    rem = p
-    i = 0
-    bits_list: list[int] = []
-    while rem not in seen and i < bits:
-        seen[rem] = i
-        bits_list.append(src.bit(i))
-        rem = (rem * 2) % q
-        i += 1
-    hat_bits = []
-    for b in bits_list:
-        hat_bits.extend((b, 1 - b))
-    # no cycle within the precision: the truncated image is all head
-    start = seen.get(rem, len(bits_list))
-    head, cycle = hat_bits[: 2 * start], hat_bits[2 * start :]
-    val = Fraction(0)
-    for j, b in enumerate(head):
-        val += Fraction(b, 1 << (j + 1))
-    if cycle:
-        cyc_val = 0
-        for b in cycle:
-            cyc_val = 2 * cyc_val + b
-        val += Fraction(cyc_val, (1 << len(cycle)) - 1) / (1 << len(head))
-    return val
-
-
 @dataclass(frozen=True)
 class ClosedClass:
     """An effectively closed subset of Cantor space as a co-enumerated forbidden-prefix set.
@@ -253,11 +209,15 @@ class ClosedClass:
         return cls(name="hat-image", forbid_time=forbid_time)
 
     @classmethod
-    def from_stage_sets(cls, stage_sets: dict[int, set[Bits]], name: str = "explicit") -> "ClosedClass":
-        """Explicit stage-indexed forbidden sets; forbid[s] accumulates over stages."""
+    def from_stage_sets(cls, stage_sets: dict[int, set[Bits]]) -> "ClosedClass":
+        """Explicit stage-indexed forbidden sets; forbid[s] accumulates over stages.
+
+        The name spells out each word's first stage, so two such classes share
+        a name exactly when they forbid the same words at the same stages."""
         first: dict[Bits, int] = {}
         for s in sorted(stage_sets):
             for w in stage_sets[s]:
                 check_bits(w)
                 first.setdefault(w, s)
+        name = "explicit" + json.dumps(dict(sorted(first.items())), separators=(",", ":"))
         return cls(name=name, forbid_time=lambda w: first.get(w))

@@ -1,8 +1,7 @@
-"""Exact measures on Cantor space, the measure-space metric, and basic open balls.
+"""Exact measures on Cantor space, their stage-bounded knowledge, and basic open balls.
 
-All masses are ``fractions.Fraction`` values, so additivity, the metric partial
-sums and every ball computation are exact; truncation error is always returned
-as an explicit tail bound instead of a float tolerance.
+All masses are ``fractions.Fraction`` values, so additivity and every ball
+computation are exact.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ class InconsistentBallError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A computation hit its resource limit before it could decide."""
-
-
-class UndefinedConditionalError(ZeroDivisionError):
-    """Conditional probability requested at a mass-zero prefix."""
 
 
 class Verdict(Enum):
@@ -152,8 +147,9 @@ class Measure(MeasureView):
     product along a word, kept as an integer numerator and denominator with
     no gcd, one step per bit; ``mass`` is the last value as one ``Fraction``.
     An enumerated measure (``p0`` None) only reveals interval knowledge per stage.
-    Both answer ``knowledge(word, stage)``, and a measure is its own view for
-    ball membership (``ball.contains(mu, stage)``).
+    Both answer ``knowledge(word, stage)``, a Bernoulli measure also its
+    exact ``param_interval``, and a measure is its own view for ball
+    membership (``ball.contains(mu, stage)``).
     """
 
     def __init__(
@@ -207,14 +203,10 @@ class Measure(MeasureView):
             out = nxt
         return out
 
-    def bernoulli_param(self) -> Optional[Fraction]:
-        if self.spec.get("kind") == "bernoulli":
-            return _frac(Fraction(self.spec["q"]))
-        return None
-
     def param_interval(self, stage: int) -> Optional[Interval]:
-        q = self.bernoulli_param()
-        return Interval.exact(q) if q is not None else None
+        if self.spec.get("kind") == "bernoulli":
+            return Interval.exact(self.spec["q"])
+        return None
 
 
 def uniform() -> Measure:
@@ -259,60 +251,9 @@ def enumerated_from_rows(tuples: Iterable[list]) -> Measure:
     return enumerated((w, Interval(lo, hi, *flags), s) for (w, lo, hi, s, *flags) in tuples)
 
 
-def validate_enumeration(mu: Measure, depth: int, stage: int) -> bool:
-    """Opt-in check of the parent/children sum compatibility of an enumeration.
-
-    For every revealed (w, I) with both children revealed as (w0, J0), (w1, J1),
-    requires I to meet [inf J0 + inf J1, sup J0 + sup J1].
-    """
-    for n in range(depth + 1):
-        for w in _words(n):
-            for iv in mu.tuples_at(w, stage):
-                j0s = mu.tuples_at(w + "0", stage)
-                j1s = mu.tuples_at(w + "1", stage)
-                for j0 in j0s:
-                    for j1 in j1s:
-                        if iv.disjoint(Interval(j0.lo + j1.lo, min(ONE, j0.hi + j1.hi))):
-                            return False
-    return True
-
-
 def _words(n: int) -> Iterator[Bits]:
     for k in range(1 << n):
         yield format(k, f"0{n}b") if n else ""
-
-
-def conditional(mu: Measure, word: Bits, b: int) -> Fraction:
-    if b not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    if mu.mass(word) == 0:
-        raise UndefinedConditionalError(f"mass zero at {word!r}")
-    p0 = mu.p0(len(word))
-    return p0 if b == 0 else ONE - p0
-
-
-def level_max_diff(mu: Measure, nu: Measure, n: int) -> Fraction:
-    """max over words of length n of |mu - nu|, exact."""
-    qm, qn = mu.bernoulli_param(), nu.bernoulli_param()
-    if qm is not None and qn is not None:
-        # product measures attain the level max at some zero-count class
-        return max(
-            abs(qm**a * (ONE - qm) ** (n - a) - qn**a * (ONE - qn) ** (n - a))
-            for a in range(n + 1)
-        )
-    return max(abs(mu.mass(w) - nu.mass(w)) for w in _words(n))
-
-
-def measure_distance(mu: Measure, nu: Measure, depth: int) -> tuple[Fraction, Fraction]:
-    """Partial sum of the metric over levels 1..depth, with tail bound 2^-depth.
-
-    The true distance lies within partial +/- tail (levels beyond depth each
-    contribute at most 2^-n).
-    """
-    partial = ZERO
-    for n in range(1, depth + 1):
-        partial += Fraction(1, 1 << n) * level_max_diff(mu, nu, n)
-    return partial, Fraction(1, 1 << depth)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +263,8 @@ def measure_distance(mu: Measure, nu: Measure, depth: int) -> tuple[Fraction, Fr
 class MeasureBall:
     """A basic open set of the measure space: constraints (word, interval).
 
-    Concrete subclasses may generate their finite constraint set lazily and
-    provide structure-aware implementations of the queries below.
+    A ball answers two queries: ``sup_mass(word)``, an upper bound on the
+    mass of a word over the ball, and ``contains``.
 
     ``contains(view, stage)`` reads the view only through ``knowledge(word,
     stage)`` and ``param_interval(stage)``, passing on the stage it was given,
@@ -333,18 +274,8 @@ class MeasureBall:
     as the stage grows, since the knowledge they read only shrinks.
     """
 
-    def constraints(self) -> Iterator[tuple[Bits, Interval]]:
-        raise NotImplementedError
-
-    def max_constraint_level(self) -> int:
-        raise NotImplementedError
-
     def sup_mass(self, word: Bits) -> Fraction:
         """Upper bound on mu(word) over measures consistent with the ball."""
-        raise NotImplementedError
-
-    def size_upper(self, depth: int) -> Fraction:
-        """Upper bound on sup{d(mu,nu)} accurate to the 2^-depth tail."""
         raise NotImplementedError
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
@@ -359,14 +290,12 @@ NODE_BUDGET = 1 << 15
 class ExplicitBall(MeasureBall):
     constraint_list: tuple[tuple[Bits, Interval], ...]
 
-    def constraints(self) -> Iterator[tuple[Bits, Interval]]:
-        return iter(self.constraint_list)
-
-    def max_constraint_level(self) -> int:
+    @property
+    def _depth(self) -> int:
         return max((len(w) for w, _ in self.constraint_list), default=0)
 
-    def _propagate(self, depth: int) -> dict[Bits, Interval]:
-        depth = max(depth, self.max_constraint_level())
+    def _propagate(self) -> dict[Bits, Interval]:
+        depth = self._depth
         if (1 << (depth + 1)) > NODE_BUDGET:
             raise BudgetExceeded(
                 f"propagation to depth {depth} exceeds the node budget"
@@ -388,8 +317,6 @@ class ExplicitBall(MeasureBall):
             return False
 
         for w, iv in self.constraint_list:
-            if len(w) > depth:
-                continue
             clip(w, Interval(iv.lo, iv.hi))
 
         for _ in range(2 * depth + 4):
@@ -409,16 +336,7 @@ class ExplicitBall(MeasureBall):
         return box
 
     def sup_mass(self, word: Bits) -> Fraction:
-        depth = self.max_constraint_level()
-        return self._propagate(depth)[word[:depth]].hi
-
-    def size_upper(self, depth: int) -> Fraction:
-        box = self._propagate(depth)
-        total = ZERO
-        for n in range(1, depth + 1):
-            w_max = max(box[w].width for w in _words(n))
-            total += Fraction(1, 1 << n) * w_max
-        return total + Fraction(1, 1 << depth)
+        return self._propagate()[word[: self._depth]].hi
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
         verdict = Verdict.YES
@@ -472,9 +390,6 @@ class BernoulliCylinderBall(MeasureBall):
             for w in _words(n):
                 yield w, bernoulli_image(self.param, w.count("0"), n - w.count("0"))
 
-    def max_constraint_level(self) -> int:
-        return self.level
-
     def sup_mass(self, word: Bits) -> Fraction:
         probe = word[: self.level]
         a = probe.count("0")
@@ -485,24 +400,6 @@ class BernoulliCylinderBall(MeasureBall):
             return ZERO
         a = word.count("0")
         return bernoulli_image(self.param, a, len(word) - a).lo
-
-    def size_upper(self, depth: int) -> Fraction:
-        total = ZERO
-        h_cap = ONE
-        for n in range(1, depth + 1):
-            if n <= self.level:
-                w_max = ZERO
-                h_lvl = ZERO
-                for a in range(n + 1):
-                    img = bernoulli_image(self.param, a, n - a)
-                    w_max = max(w_max, img.width)
-                    h_lvl = max(h_lvl, img.hi)
-                if n == self.level:
-                    h_cap = h_lvl
-            else:
-                w_max = min(ONE, h_cap)
-            total += Fraction(1, 1 << n) * w_max
-        return total + Fraction(1, 1 << depth)
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
         p = view.param_interval(stage)
@@ -557,32 +454,15 @@ class InterleaveCylinderBall(MeasureBall):
                 hi /= 2
         return Interval(ZERO if free else hi, hi)
 
-    def constraints(self) -> Iterator[tuple[Bits, Interval]]:
-        for n in range(1, self.max_constraint_level() + 1):
-            for w in _words(n):
-                yield w, self._value_range(w)
-
-    def max_constraint_level(self) -> int:
-        return 2 * len(self.pattern)
-
     def sup_mass(self, word: Bits) -> Fraction:
         return self._value_range(word).hi
-
-    def size_upper(self, depth: int) -> Fraction:
-        total = ZERO
-        pinned = self.max_constraint_level()
-        h_cap = Fraction(1, 1 << len(self.pattern))
-        for n in range(1, depth + 1):
-            w_max = ZERO if n <= pinned else min(ONE, h_cap)
-            total += Fraction(1, 1 << n) * w_max
-        return total + Fraction(1, 1 << depth)
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
         verdict = Verdict.YES
         nodes = 0
         frontier: list[Bits] = [""]
         # walk only the ball's own support plus its dead single-step exits
-        for n in range(self.max_constraint_level()):
+        for n in range(2 * len(self.pattern)):
             nxt: list[Bits] = []
             for w in frontier:
                 for ch in "01":

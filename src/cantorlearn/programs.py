@@ -2,12 +2,13 @@
 computable measures and reals.
 
 The table is a finite list of entries plus an arithmetic padding scheme that
-mints unboundedly many alias indices for each entry.  Every evaluation is
-stage-bounded and monotone: knowledge intervals only shrink as the stage
-grows, defined real bits never change (except an inverse lift's, when its
-domain reveals a forbidden prefix late), and disjointness verdicts never
-retract.  Ground-truth totality flags and configurable flip schedules simulate
-the limit-computable totality oracle.
+mints unboundedly many alias indices for each entry.  It answers a measure
+entry's stage knowledge, a real entry's bits, the lifts between the two, and
+a limit-computable totality oracle (ground-truth flags with configurable flip
+schedules).  Every evaluation is stage-bounded and monotone: knowledge
+intervals only shrink as the stage grows, defined real bits never change
+(except an inverse lift's, when its domain reveals a forbidden prefix late),
+and disjointness verdicts never retract.
 Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
 so a manifest reloads to the same ``manifest_hash()``, except for param and
 inverse lifts: their specs name a map and a domain only by name.
@@ -95,10 +96,6 @@ class Entry:
         """Bernoulli parameter knowledge when the entry is product-structured."""
         return None
 
-    def defined_length(self, table: "ProgramTable", stage: int) -> int:
-        """Largest m <= stage with knowledge width <= 2^-m on all strings of length <= m."""
-        return 0
-
     # real entries
     def real_bit(self, table: "ProgramTable", j: int, stage: int) -> Optional[int]:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
@@ -132,9 +129,6 @@ class ExactMeasureEntry(Entry):
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
 
-    def defined_length(self, table, stage):
-        return max(0, stage - self.delay)
-
 
 @dataclass
 class EnumeratedMeasureEntry(Entry):
@@ -152,20 +146,6 @@ class EnumeratedMeasureEntry(Entry):
     def knowledge(self, table, word, stage):
         return self.measure.knowledge(word, stage)
 
-    def defined_length(self, table, stage):
-        m = 0
-        while m + 1 <= stage:
-            lvl = m + 1
-            ok = all(
-                self.measure.knowledge(w, stage).width <= Fraction(1, 1 << lvl)
-                for n in range(lvl + 1)
-                for w in _words(n)
-            )
-            if not ok or (1 << lvl) > 4096:
-                break
-            m += 1
-        return m
-
 
 @dataclass
 class StubEntry(Entry):
@@ -173,6 +153,10 @@ class StubEntry(Entry):
 
     kind: str = "measure"  # or "real"
     total = False
+
+    def __post_init__(self):
+        if self.kind not in ("measure", "real"):
+            raise ValueError(f"stub kind must be 'measure' or 'real', got {self.kind!r}")
 
     def spec(self) -> dict:
         return {"entry": "stub", "kind": self.kind}
@@ -277,9 +261,6 @@ class BernoulliLiftEntry(Entry):
             yield _max_ratio((lo_num, lo_den), (hi_num, hi_den), inner)
         yield from repeat((1, 1), len(x) - len(known))
 
-    def defined_length(self, table, stage):
-        return _param_defined_length(self._param(table, stage), stage)
-
     def resolved_total(self, table: "ProgramTable") -> bool:
         return bool(table.entry(self.real).total)
 
@@ -315,10 +296,6 @@ class ParamLiftEntry(Entry):
         ball = self._ball(table, stage)
         return ball.param if isinstance(ball, BernoulliCylinderBall) else None
 
-    def defined_length(self, table, stage):
-        p = self.param_interval(table, stage)
-        return 0 if p is None else _param_defined_length(p, stage)
-
 
 def _max_ratio(*pairs: tuple[int, int]) -> tuple[int, int]:
     """The (numerator, denominator) pair of largest ratio, denominators positive."""
@@ -327,19 +304,6 @@ def _max_ratio(*pairs: tuple[int, int]) -> tuple[int, int]:
         if num * best[1] > best[0] * den:
             best = num, den
     return best
-
-
-def _param_defined_length(p: Interval, stage: int) -> int:
-    """Largest m <= stage such that on every level lvl <= m the Bernoulli
-    images over the parameter interval p are at most 2^-lvl wide."""
-    m = 0
-    while m + 1 <= stage:
-        lvl = m + 1
-        wmax = max(bernoulli_image(p, a, lvl - a).width for a in range(lvl + 1))
-        if wmax > Fraction(1, 1 << lvl):
-            break
-        m += 1
-    return m
 
 
 class ParamMapLike:
@@ -358,36 +322,21 @@ class InverseLiftEntry(Entry):
     candidates not yet pruned against a measure entry's knowledge.
 
     The search walks candidates level by level from "", to depth
-    min(stage, INVERSE_DEPTH_CAP).  A candidate survives while the domain
-    class does not forbid it at the stage (its parent survived, so only the
-    candidate itself is checked) and its star ball is not provably disjoint
-    from the measure's stage knowledge (verdict NO).  The search stops at that
+    min(stage, INVERSE_DEPTH_CAP).  A candidate survives while the domain does
+    not forbid it at the stage and its star ball is not provably disjoint from
+    the measure's stage knowledge (verdict NO).  The search stops at that
     depth, at more than INVERSE_FRONTIER_CAP survivors on one level, when no
     candidate survives, or at once when "" is forbidden; it emits the common
-    prefix of the last full level's survivors, and ``stop_reason`` says which
-    of the four stops it took.  Pruning by the measure only shrinks the
-    survivor cone, but a domain that reveals a forbidden prefix late can empty
-    a level and so retract emitted bits.
+    prefix of the last full level's survivors, and ``stop_reason`` names the
+    stop.  Both are kept for the latest stage asked only.  A domain that
+    reveals a forbidden prefix late can empty a level and so retract bits.
 
-    The prefix and stop reason are kept for the latest stage asked only.  One
-    search reads each (word, stage) knowledge and each stage's parameter
-    interval once, through a view made for it.
-
-    Verdict record: a search keeps every verdict it met, YES, NO and UNKNOWN,
-    with its stage and its view, whose memo is the search's read log: each
-    answer the measure gave it.  A search at that stage or a later one takes a
-    recorded YES or NO instead of testing the ball again, since the measure's
-    knowledge nests as the stage grows and so a ball's YES or NO is never
-    retracted.  It takes a recorded UNKNOWN only if the view asked now gives
-    every logged answer again: a ball's verdict is a function of the answers
-    it reads, whatever the stage (see ``MeasureBall``), so the ball would read
-    the same answers and say UNKNOWN again.  That check is made once per
-    search, on the first recorded UNKNOWN the walk meets, and its reads join
-    the new log; if it fails, every recorded UNKNOWN is tested again.  The
-    domain is checked on every candidate at the current stage.  Each search
-    replaces the record with the verdicts it met, so it holds at most
-    2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1) candidates, and a search
-    at an earlier stage than the record's starts from an empty one.
+    A search records the verdicts it met (at most 2 * INVERSE_DEPTH_CAP *
+    (INVERSE_FRONTIER_CAP + 1)), and a search at a later stage reuses them.
+    That is sound because a recorded YES or NO is never retracted, the
+    measure's knowledge only shrinking, and a recorded UNKNOWN is reused only
+    while the measure gives every answer the recording search read
+    (``EntryView.replays``): a ball's verdict is a function of those answers.
     """
 
     param_map: ParamMapLike
@@ -556,9 +505,6 @@ class ProgramTable:
                 break
             bits.append(str(b))
         return "".join(bits)
-
-    def defined_length(self, e: int, stage: int) -> int:
-        return self.entry(e).defined_length(self, stage)
 
     def view(self, e: int) -> "EntryView":
         return EntryView(self, e)

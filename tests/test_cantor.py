@@ -13,9 +13,7 @@ from cantorlearn.cantor import (
     deinterleave,
     hat_decode,
     hat_encode,
-    hat_value,
     interleave,
-    is_hat_prefix,
 )
 
 
@@ -93,10 +91,17 @@ class TestHat:
                 for i in range(0, len(img), 2):
                     assert img[i : i + 2] in ("01", "10")
 
-    def test_is_hat_prefix(self):
-        assert is_hat_prefix("0110")
-        assert is_hat_prefix("011")
-        assert not is_hat_prefix("11")
+    def test_hat_image_decides_hat_prefixes(self):
+        # a word is a prefix of a hat-encoded real iff it decodes
+        d = ClosedClass.hat_image()
+        for n in range(9):
+            for w in all_words(n):
+                try:
+                    hat_decode(w)
+                    decodes = True
+                except HatDecodeError:
+                    decodes = False
+                assert d.alive(w, 0) == decodes, w
 
 
 class TestBitSource:
@@ -140,6 +145,10 @@ class TestBitSource:
     def test_hat_rational(self):
         assert BitSource.hat_rational(Fraction(1, 3)).prefix(8) == "01100110"
 
+    def test_hat_rational_is_the_hat_of_the_expansion(self):
+        for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
+            assert BitSource.hat_rational(v).prefix(48) == hat_encode(BitSource.rational(v).prefix(24))
+
     def test_periodic(self):
         s = BitSource.periodic("10", head="0")
         assert s.prefix(7) == "0101010"
@@ -148,22 +157,6 @@ class TestBitSource:
         s = BitSource.rational(Fraction(5, 7))
         assert s.prefix(40) == s.prefix(40)
         assert s.bit(17) == BitSource.rational(Fraction(5, 7)).bit(17)
-
-
-class TestHatValue:
-    def test_known_values(self):
-        # expansions of 1/3, 2/5, 2/3 hat to 2/5, 7/17, 3/5
-        assert hat_value(Fraction(1, 3)) == Fraction(2, 5)
-        assert hat_value(Fraction(2, 5)) == Fraction(7, 17)
-        assert hat_value(Fraction(2, 3)) == Fraction(3, 5)
-        # 1 expands as 111..., whose hat image is 101010... = 2/3
-        assert hat_value(Fraction(1)) == Fraction(2, 3)
-
-    def test_matches_source_prefix(self):
-        for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
-            got = hat_value(v)
-            src = BitSource.hat_rational(v)
-            assert BitSource.rational(got).prefix(48) == src.prefix(48)
 
 
 class TestClosedClass:
@@ -183,6 +176,13 @@ class TestClosedClass:
         assert d.alive("01", 2)
         assert not d.alive("01", 3)
         assert not d.alive("01", 7)
+
+    def test_stage_set_names_tell_classes_apart(self):
+        name = lambda sets: ClosedClass.from_stage_sets(sets).name
+        assert name({0: {"0"}}) != name({0: {"1"}})
+        assert name({0: {"0"}}) != name({1: {"0"}})
+        # a word forbidden again later is still forbidden from its first stage
+        assert name({1: {"0"}, 3: {"0", "1"}}) == name({3: {"1"}, 1: {"0"}})
 
     def test_liveness_prefix_monotone(self):
         d = ClosedClass.from_stage_sets({0: {"010"}, 2: {"11"}})

@@ -256,12 +256,13 @@ class TestLifts:
         assert t.eval_real(e, 0, 500) is None
 
     def test_inverse_lift_respects_the_domain(self):
-        # hat real of 1/3 starts 011001100110; answers recorded with whole-word liveness checks
+        # hat real of 1/3 starts 011001100110; answers recorded with whole-word liveness checks.
+        # Both domains share one table and one measure, so each needs a lift of its own
         pinned = {"": ["", "", "", ""], "011001": ["01", "01100", "01100", "01100"]}
+        t = ProgramTable()
+        m = t.add(ExactMeasureEntry(bernoulli(F(2, 5))))
         for word, want in pinned.items():
-            t = ProgramTable()
-            d = ClosedClass.from_stage_sets({0: {word}})
-            e = t.inverse_lift(FbMap(), d, t.add(ExactMeasureEntry(bernoulli(F(2, 5)))))
+            e = t.inverse_lift(FbMap(), ClosedClass.from_stage_sets({0: {word}}), m)
             assert [t.real_prefix(e, 12, s) for s in (2, 8, 16, 64)] == want
 
     def test_inverse_lift_stalls_on_ambiguity(self):
@@ -536,12 +537,6 @@ class TestStageMonotonicity:
                     if prev is not None:
                         assert width <= prev
                     prev = width
-
-    def test_defined_length_growth(self):
-        t = basic_table()
-        assert t.defined_length(0, 0) == 0
-        assert t.defined_length(0, 5) == 5
-        assert t.defined_length(3, 100) == 0  # stub never defines
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(measure_entries(), st.text("01", max_size=12), st.integers(0, 40), st.integers(1, 60))

@@ -130,7 +130,6 @@ def answers(x) -> list:
     t = base_table()
     e = t.add(x)
     out = [outcome(t.is_total, e)]
-    out += [outcome(t.defined_length, e, s) for s in STAGES]
     out += [outcome(t.view(e).param_interval, s) for s in STAGES]
     if t.entry(e).kind == "measure":
         return out + [outcome(t.eval_measure, e, w, s) for w in WORDS for s in STAGES]
@@ -209,6 +208,8 @@ class TestBadSpecs:
             from_spec({"kind": "gaussian"})
         with pytest.raises(ValueError):
             from_spec({"q": "1/2"})
+        with pytest.raises(ValueError, match="meausre"):
+            from_spec({"entry": "stub", "kind": "meausre"})
 
     @pytest.mark.parametrize(
         "spec",
