@@ -1,16 +1,20 @@
 """Exact measures on Cantor space, their stage-bounded knowledge, and basic open balls.
 
 All masses are ``fractions.Fraction`` values, so additivity and every ball
-computation are exact.
+computation are exact.  Prefix walks take ceil(-log2) of masses and sups from
+floats where an error bound, assuming ``math.log2`` within 2 ulps, certifies
+them, and from integers otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cantor import BitSource, Bits, check_bits
@@ -18,6 +22,7 @@ from .cantor import BitSource, Bits, check_bits
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+_FORCED = (ONE, ZERO)  # p0 of a bit forced to 0 or to 1
 
 PRNG_NAME = "python-random-mt19937-v1"
 
@@ -42,6 +47,34 @@ class Verdict(Enum):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _ceil_log2_ratio(num: int, den: int) -> int:
+    """Smallest k >= 0 with num * 2^k >= den, for positive integers."""
+    k = max(0, den.bit_length() - num.bit_length() - 1)
+    while (num << k) < den:
+        k += 1
+    return k
+
+
+def ceil_neg_log2(u: Fraction) -> int:
+    """Exact ceil(-log2 u) for rational u in (0, 1]; 0 for u >= 1."""
+    if u <= 0:
+        raise ValueError("u must be positive")
+    return _ceil_log2_ratio(u.numerator, u.denominator)
+
+
+def _neg_log2(num: int, den: int) -> Optional[tuple[int, float, float]]:
+    """-log2(num/den) for 0 <= num <= den as (exact integer, float, bound on
+    the float's error), None at 0.  Each log2 of L is within 2^-51 L + 2^-52
+    (2 ulps and the int's rounding), so log2 den - log2 num is within
+    (log2 den + log2 num + 1) 2^-50; the bound is twice that, to spare."""
+    if not num:
+        return None
+    if not (num & (num - 1) or den & (den - 1)):
+        return den.bit_length() - num.bit_length(), 0.0, 0.0
+    high, low = math.log2(den), math.log2(num)
+    return 0, high - low, (high + low + 1) * 2**-49
 
 
 @dataclass(frozen=True, order=False)
@@ -143,9 +176,9 @@ class Measure(MeasureView):
     """A measure on Cantor space: exact product rule or stage-indexed enumeration.
 
     An exact measure is one rule, ``p0(j)``: the probability that bit j is 0
-    after any prefix of positive mass.  ``prefix_masses`` is its running
-    product along a word, kept as an integer numerator and denominator with
-    no gcd, one step per bit; ``mass`` is the last value as one ``Fraction``.
+    after any prefix of positive mass.  ``mass`` is the product of its
+    factors along a word, one ``Fraction``; ``mass_bits`` walks ceil(-log2)
+    of the mass of every prefix of a word, one float step per bit.
     An enumerated measure (``p0`` None) only reveals interval knowledge per stage.
     Both answer ``knowledge(word, stage)``, a Bernoulli measure also its
     exact ``param_interval``, and a measure is its own view for ball
@@ -164,25 +197,49 @@ class Measure(MeasureView):
         self.p0 = p0
         self._tuples = tuple(tuples) if tuples is not None else None
 
-    def prefix_masses(self, word: Bits) -> Iterator[tuple[int, int]]:
-        """The mass of "" and of each prefix of word as a ``(numerator,
-        denominator)`` pair of ints, not in lowest terms: two integer multiplies
-        per bit and no gcd, and no further reads of the rule once the mass is 0."""
+    def mass(self, word: Bits) -> Fraction:
         if self.p0 is None:
             raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        num = den = 1
-        yield num, den
-        for j, ch in enumerate(word):
-            if num:
-                p = self.p0(j)
-                num *= p.numerator if ch == "0" else p.denominator - p.numerator
-                den *= p.denominator
-            yield num, den
+        return Fraction(*_times_rule(self.p0, word, 0, len(word), 1, 1))
 
-    def mass(self, word: Bits) -> Fraction:
-        for num, den in self.prefix_masses(word):
-            pass
-        return Fraction(num, den)
+    def mass_bits(self, word: Bits) -> Iterator:
+        """ceil(-log2) of the mass of "" and of each prefix of word, ``math.inf``
+        from a zero mass on, with no more rule reads.  Each bit adds the
+        ``_neg_log2`` term of p or 1 - p, p = p0(j), found once per value
+        object, and 2^-51 s to the bound for the rounding of the sum s and of
+        the check.  A dyadic rule has a zero bound; elsewhere an open ceiling
+        comes from integer products of the rule's factors, extended as needed."""
+        rule, ceil = self.p0, math.ceil
+        if rule is None:
+            raise MalformedMeasureError("enumerated measure has no exact evaluator")
+        terms: dict[int, tuple] = {}  # id(p) -> (p, terms); p is held, so its id is not reused
+        last = zero = one = None  # the last value read and its terms
+        k, s, err = 0, 0.0, 0.0
+        num, den, done = 1, 1, 0  # the exact mass of word[:done]
+        yield 0
+        for j, ch in enumerate(word):
+            p = rule(j)
+            if p is not last:
+                got = terms.get(id(p))
+                if got is None:
+                    n, d = p.numerator, p.denominator
+                    got = terms[id(p)] = (p, _neg_log2(n, d), _neg_log2(d - n, d))
+                last, zero, one = got
+            term = zero if ch == "0" else one
+            if term is None:
+                yield from repeat(math.inf, len(word) - j)
+                return
+            dk, ds, de = term
+            k += dk
+            s += ds
+            err += de + s * 2**-51
+            c = ceil(s + err)
+            if s - err > c - 1:  # as in _power_bits
+                yield k + c
+            else:
+                num, den = _times_rule(rule, word, done, j + 1, num, den)
+                done = j + 1
+                yield _ceil_log2_ratio(num, den)
 
     def tuples_at(self, word: Bits, stage: int) -> list[Interval]:
         """The enumeration's intervals for this string revealed by the stage."""
@@ -209,6 +266,18 @@ class Measure(MeasureView):
         return None
 
 
+def _times_rule(rule: Callable[[int], Fraction], word: Bits, start: int, stop: int, num: int, den: int):
+    """num/den times the rule's factors for word[start:stop], as an int pair
+    not in lowest terms; the rule is not read once the product is 0."""
+    for j in range(start, stop):
+        if not num:
+            break
+        p = rule(j)
+        num *= p.numerator if word[j] == "0" else p.denominator - p.numerator
+        den *= p.denominator
+    return num, den
+
+
 def uniform() -> Measure:
     return Measure({"kind": "uniform"}, p0=lambda j: HALF)
 
@@ -224,12 +293,12 @@ def interleave_measure(z: BitSource) -> Measure:
     """The measure that forces bit z(n) at even-length prefixes and splits at odd ones."""
 
     spec = {"kind": "interleave", "z": z.spec}
-    return Measure(spec, p0=lambda j: HALF if j % 2 else ONE - z.bit(j // 2))
+    return Measure(spec, p0=lambda j: HALF if j % 2 else _FORCED[z.bit(j // 2)])
 
 
 def dirac(z: BitSource) -> Measure:
     """Point mass on the single real produced by the source."""
-    return Measure({"kind": "dirac", "z": z.spec}, p0=lambda j: ONE - z.bit(j))
+    return Measure({"kind": "dirac", "z": z.spec}, p0=lambda j: _FORCED[z.bit(j)])
 
 
 def enumerated(tuples: Iterable[tuple[Bits, Interval, int]]) -> Measure:
@@ -373,6 +442,42 @@ def bernoulli_image(param: Interval, zeros: int, ones: int) -> Interval:
     return Interval(min(vals), max(vals))
 
 
+def bernoulli_sup_bits(param: Interval, word: Bits) -> Iterator:
+    """ceil(-log2 bernoulli_image(param, a, b).hi) for "" and each prefix of
+    word, with a zeros and b ones, in O(1) float operations per prefix; param
+    has positive width, as a lift's always has.
+
+    q^a (1-q)^b rises up to q = a/n and falls after it (n = a + b), so its
+    sup is at lo when a/n <= lo, at hi when a/n >= hi, and else at a/n."""
+    # so a zero factor, q = 0 at lo or 1 - q = 0 at hi, is only raised to the power 0
+    ends = (lo_n, lo_d), (hi_n, hi_d) = [(q.numerator, q.denominator) for q in (param.lo, param.hi)]
+    lo, hi = ((n, d, _neg_log2(n, d) or (0, 0.0, 0.0), _neg_log2(d - n, d) or (0, 0.0, 0.0)) for n, d in ends)
+    a = 0
+    yield 0
+    for n, ch in enumerate(word, 1):
+        if ch == "0":
+            a += 1
+        if a * lo_d <= lo_n * n:
+            yield _power_bits(*lo, a, n - a)
+        elif a * hi_d >= hi_n * n:
+            yield _power_bits(*hi, a, n - a)
+        else:
+            yield _power_bits(a, n, _neg_log2(a, n), _neg_log2(n - a, n), a, n - a)
+
+
+def _power_bits(num: int, den: int, zero: tuple, one: tuple, a: int, b: int) -> int:
+    """ceil(-log2 q^a (1-q)^b) for q = num/den, given the ``_neg_log2`` terms
+    of q and 1 - q.  The float a t0 + b t1 is within a e0 + b e1, plus 2^-52 s
+    for its rounding and 2^-53 (s + err) for the check's; where the bound
+    leaves the ceiling open, it comes from pow in O(log n) multiplications."""
+    s = a * zero[1] + b * one[1]
+    err = a * zero[2] + b * one[2] + s * 2**-50
+    c = math.ceil(s + err)
+    if s - err > c - 1:  # [s - err, s + err] lies in (c - 1, c]
+        return a * zero[0] + b * one[0] + c
+    return _ceil_log2_ratio(num**a * (den - num) ** b, den ** (a + b))
+
+
 @dataclass(frozen=True)
 class BernoulliCylinderBall(MeasureBall):
     """Ball of all measures pinned, on every string down to a level, to the
@@ -503,8 +608,8 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
     out: list[str] = []
     for j in range(n):
         p0 = mu.p0(j)
-        if p0 == 1 or p0 == 0:
-            out.append("0" if p0 == 1 else "1")
+        if p0.denominator == 1:  # p0 is 0 or 1
+            out.append("0" if p0.numerator else "1")
         else:
             a, b = rng.random().as_integer_ratio()  # the draw, exactly
             out.append("0" if a * p0.denominator < p0.numerator * b else "1")

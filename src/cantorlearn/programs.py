@@ -39,6 +39,8 @@ from .measures import (
     _words,
     bernoulli,
     bernoulli_image,
+    bernoulli_sup_bits,
+    ceil_neg_log2,
     dirac,
     enumerated_from_rows,
     interleave_measure,
@@ -75,7 +77,9 @@ class _StageSlot:
 
 
 class Entry:
-    """Base class for table entries; subclasses document their definedness schedule."""
+    """Base class for table entries; subclasses document their definedness
+    schedule.  Exact measures and Bernoulli lifts walk ``prefix_sup_bits`` in
+    O(1) steps per bit; other measure entries read each prefix's knowledge."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -87,10 +91,12 @@ class Entry:
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
 
-    def prefix_sups(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator[tuple[int, int]]:
-        """Sup of the stage knowledge on "" and on every prefix of x, each as a
-        ``(numerator, denominator)`` pair of ints, not necessarily in lowest terms."""
-        return (self.knowledge(table, x[:n], stage).hi.as_integer_ratio() for n in range(len(x) + 1))
+    def prefix_sup_bits(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator:
+        """ceil(-log2) of the sup of the stage knowledge on "" and on every
+        prefix of x, ``math.inf`` where the sup is 0."""
+        for n in range(len(x) + 1):
+            sup = self.knowledge(table, x[:n], stage).hi
+            yield ceil_neg_log2(sup) if sup else math.inf
 
     def param_interval(self, table: "ProgramTable", stage: int) -> Optional[Interval]:
         """Bernoulli parameter knowledge when the entry is product-structured."""
@@ -121,10 +127,10 @@ class ExactMeasureEntry(Entry):
             return Interval.exact(self.measure.mass(word))
         return Interval.unit()
 
-    def prefix_sups(self, table, x, stage):
+    def prefix_sup_bits(self, table, x, stage):
         known = stage - self.delay
-        masses = self.measure.prefix_masses(x[:known]) if known >= 0 else ()
-        return chain(masses, repeat((1, 1), len(x) - max(known, -1)))
+        masses = self.measure.mass_bits(x[:known]) if known >= 0 else ()
+        return chain(masses, repeat(0, len(x) - max(known, -1)))
 
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
@@ -240,26 +246,9 @@ class BernoulliLiftEntry(Entry):
         a = word.count("0")
         return bernoulli_image(p, a, len(word) - a)
 
-    def prefix_sups(self, table, x, stage):
-        # bernoulli_image(p, a, b).hi along x: q^a (1-q)^b as running products, each an
-        # int pair, at both ends of p; the interior maximum at q = a/n counts only when
-        # a/n is inside p
-        p = self._param(table, stage)
-        (lo_n, lo_d), (hi_n, hi_d) = p.lo.as_integer_ratio(), p.hi.as_integer_ratio()
+    def prefix_sup_bits(self, table, x, stage):
         known = x[: max(stage, 0)]
-        lo_num = lo_den = hi_num = hi_den = 1
-        a = 0
-        yield 1, 1
-        for n, ch in enumerate(known, 1):
-            if ch == "0":
-                a, lo_num, hi_num = a + 1, lo_num * lo_n, hi_num * hi_n
-            else:
-                lo_num, hi_num = lo_num * (lo_d - lo_n), hi_num * (hi_d - hi_n)
-            lo_den, hi_den = lo_den * lo_d, hi_den * hi_d
-            inside = lo_n * n < a * lo_d and a * hi_d < hi_n * n
-            inner = (a**a * (n - a) ** (n - a), n**n) if inside else (0, 1)
-            yield _max_ratio((lo_num, lo_den), (hi_num, hi_den), inner)
-        yield from repeat((1, 1), len(x) - len(known))
+        return chain(bernoulli_sup_bits(self._param(table, stage), known), repeat(0, len(x) - len(known)))
 
     def resolved_total(self, table: "ProgramTable") -> bool:
         return bool(table.entry(self.real).total)
@@ -295,15 +284,6 @@ class ParamLiftEntry(Entry):
     def param_interval(self, table, stage):
         ball = self._ball(table, stage)
         return ball.param if isinstance(ball, BernoulliCylinderBall) else None
-
-
-def _max_ratio(*pairs: tuple[int, int]) -> tuple[int, int]:
-    """The (numerator, denominator) pair of largest ratio, denominators positive."""
-    best = pairs[0]
-    for num, den in pairs[1:]:
-        if num * best[1] > best[0] * den:
-            best = num, den
-    return best
 
 
 class ParamMapLike:
@@ -485,11 +465,11 @@ class ProgramTable:
         check_bits(word)
         return self.entry(e).knowledge(self, word, stage)
 
-    def prefix_sups(self, e: int, x: Bits, stage: int) -> Iterator[tuple[int, int]]:
-        """Sup of entry e's stage knowledge on "" and each prefix of x (x checked
-        once), as ``(numerator, denominator)`` int pairs; see ``Entry.prefix_sups``."""
+    def prefix_sup_bits(self, e: int, x: Bits, stage: int) -> Iterator:
+        """ceil(-log2) of the sup of entry e's stage knowledge on "" and each
+        prefix of x, x checked once; see ``Entry.prefix_sup_bits``."""
         check_bits(x)
-        return self.entry(e).prefix_sups(self, x, stage)
+        return self.entry(e).prefix_sup_bits(self, x, stage)
 
     def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
         entry = self.entry(e)

@@ -6,19 +6,16 @@ The estimate is a min over a fixed codec family (literal first, so the
 consume deficiencies through comparisons and thresholds only; nothing here
 claims calibration against a universal machine.
 
-A prefix walk takes O(1) steps per bit.  A codec's ``push`` takes a word of
-any length and consumes it in one call, at C speed (``len``, ``str.count``,
-``lstrip``, ``int(..., 2)``) where it can; only the pattern codec still steps
-through the word bit by bit, in one local loop.  ``EstimatorTracker`` checks
-each bit as it is pushed and buffers it, and hands the buffer to every codec
-once, when the estimate is read (or when it is full), so a walk that reads
-every k bits makes one codec push per read, not k.  The masses of an exact
-measure come from ``ProgramTable.prefix_sups`` as a running product kept as an
-integer numerator and denominator, with no gcd per bit, and ceil(-log2) of each
-comes from their bit lengths.  The KT codec keeps only its two counts and reads
-its exact length from a closed form, through a float fast path that is used
-only when it is certified and an exact integer fallback otherwise.  The zlib
-codec feeds one shared compressor per tracker with the complete blocks of each
+A prefix walk takes O(1) steps per bit: the entry yields ceil(-log2 sup) of
+each prefix (``ProgramTable.prefix_sup_bits``), certified in floats for exact
+measures and Bernoulli lifts.  A codec's ``push`` takes a word of any length
+and consumes it in one call, at C speed (``len``, ``str.count``, ``lstrip``,
+``int(..., 2)``) where it can; only the pattern codec steps through it bit by
+bit.  ``EstimatorTracker`` buffers its pushes and hands them to every codec
+when the estimate is read (or when the buffer is full).  The KT codec keeps
+only its two counts and reads its exact length from a closed form, through a
+certified float fast path with an exact integer fallback.  The zlib codec
+feeds one shared compressor per tracker with the complete blocks of each
 push, and reads the length of a copy flushed after them.
 
 Every codec also states a floor: a lower bound on its length that holds after
@@ -26,9 +23,9 @@ any further pushes (the zlib codec's only until its open block completes), each
 with a one-line proof in the codec's docstring.  At each read the tracker folds
 the floors, with the id penalties, into a bound on every later estimate, so
 ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the whole
-word's deficiency) read the estimate only at the prefixes where that bound
-leaves their answer open, and still give exactly the answer a read at every
-prefix would.
+word's deficiency) hand the tracker the walked bits and read the estimate only
+at the prefixes where that bound leaves their answer open, and still give
+exactly the answer a read at every prefix would.
 """
 
 from __future__ import annotations
@@ -38,10 +35,10 @@ import zlib
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cantor import BadWordError, Bits, check_bits
-from .measures import MeasureBall
+from .measures import MeasureBall, _ceil_log2_ratio, ceil_neg_log2
 
 INFINITE_DEFICIENCY = math.inf
 
@@ -56,21 +53,6 @@ TRACKER_BUFFER_BITS = 4096
 # from an integer; see KTCodec
 KT_FLOAT_MARGIN = 1e-12
 _LN2 = math.log(2)
-
-
-def _ceil_log2_ratio(num: int, den: int) -> int:
-    """Smallest k >= 0 with num * 2^k >= den, for positive integers."""
-    k = max(0, den.bit_length() - num.bit_length() - 1)
-    while (num << k) < den:
-        k += 1
-    return k
-
-
-def ceil_neg_log2(u: Fraction) -> int:
-    """Exact ceil(-log2 u) for rational u in (0, 1]; 0 for u >= 1."""
-    if u <= 0:
-        raise ValueError("u must be positive")
-    return _ceil_log2_ratio(u.numerator, u.denominator)
 
 
 def elias_gamma_bits(n: int) -> int:
@@ -112,8 +94,8 @@ class Codec:
     one push.  Pushing a word in pieces gives the same cost as pushing it whole.
 
     Each push consumes its word in one call; only the pattern codec still steps
-    through it bit by bit.  ``EstimatorTracker`` buffers single bits and pushes
-    them to its codecs when its estimate is read.
+    through it bit by bit.  ``EstimatorTracker`` buffers what it is pushed and
+    pushes it to its codecs when its estimate is read.
 
     ``_floors(length)``, given the current length, returns ``(near, room, far)``:
     whatever bits are pushed next, the length stays at least ``near`` while
@@ -374,11 +356,11 @@ class ComplexityEstimator:
 class EstimatorTracker:
     """Incremental estimate along a growing word.
 
-    ``push`` checks one bit and buffers it; ``upper`` first hands the buffer
-    to every codec in one push.  The buffer is also handed over once it holds
-    TRACKER_BUFFER_BITS bits.  Each ``upper`` also folds the codecs' floors
-    with their id penalties, so ``floor`` bounds every later estimate in O(1)
-    without reading a codec.
+    ``push`` checks a word of any length and buffers it; ``upper`` first hands
+    the buffer to every codec in one push.  The buffer is also handed over
+    once it holds TRACKER_BUFFER_BITS bits.  Each ``upper`` also folds the
+    codecs' floors with their id penalties, so ``floor`` bounds every later
+    estimate in O(1) without reading a codec.
     """
 
     def __init__(self, est: ComplexityEstimator):
@@ -388,10 +370,11 @@ class EstimatorTracker:
         self._penalties = range(0, 2 * len(self.trackers), 2)
         self._fold_floors([t._length() for t in self.trackers])
 
-    def push(self, ch: str) -> None:
-        if ch != "0" and ch != "1":
-            raise BadWordError(f"not a bit: {ch!r}")
-        self._pending += ch
+    def push(self, bits: Bits) -> None:
+        # one bit takes the comparisons alone
+        if bits != "0" and bits != "1" and (not isinstance(bits, str) or bits.strip("01")):
+            raise BadWordError(f"not a 0/1 word: {bits!r}")
+        self._pending += bits
         if len(self._pending) >= TRACKER_BUFFER_BITS:
             self._flush()
 
@@ -455,65 +438,65 @@ def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, sta
     return _deficiency(ball.sup_mass(word), partial(est.upper, word, max(1, stage)))
 
 
-def _sup_bits(table, e: int, x: Bits, stage: int) -> Iterator:
-    """ceil(-log2 sup) of entry e's stage knowledge on "" and each prefix of x,
-    infinite where the sup is 0; on exact measures, one integer mass step per bit."""
-    for num, den in table.prefix_sups(e, x, stage):
-        yield _ceil_log2_ratio(num, den) if num else INFINITE_DEFICIENCY
-
-
-def _pushed(tracker: EstimatorTracker, x: Bits, values: Iterable) -> Iterator:
-    """The values of "" and each prefix of x, each bit of x pushed to the
-    tracker before the value of the prefix it ends."""
-    values = iter(values)
-    yield next(values)
-    for ch, value in zip(x, values):
-        tracker.push(ch)
-        yield value
-
-
 def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
     """The deficiency of each prefix of x at stage |x|, empty prefix first;
     the estimate is read at every prefix of positive sup."""
     stage = max(1, len(x))
-    tracker = est.tracker()
-    for k in _pushed(tracker, x, _sup_bits(table, e, x, stage)):
-        yield k if k == INFINITE_DEFICIENCY else k - tracker.upper(stage)
+    tracker, handed = est.tracker(), 0
+    for i, k in enumerate(table.prefix_sup_bits(e, x, stage)):
+        if k == INFINITE_DEFICIENCY:
+            yield k
+        else:
+            tracker.push(x[handed:i])
+            handed = i
+            yield k - tracker.upper(stage)
+
+
+def _largest_read(est, x: Bits, sup_bits, stage: int, best, stop):
+    """max(best, the deficiencies read along x), returned as soon as it
+    exceeds stop.  The estimate is read only at prefixes where ceil(-log2 sup)
+    minus the tracker's floor, which bounds the deficiency, exceeds the
+    running maximum.  The floor is kept in a local, and the tracker is handed
+    the bits walked since its last hand-over only where the floor is refreshed:
+    at a read, and where the floors of the last read lapse (``_horizon``)."""
+    tracker, handed = est.tracker(), 0
+    floor, horizon = tracker.floor(stage), tracker._horizon
+    for i, k in enumerate(sup_bits):
+        if i >= horizon:
+            tracker.push(x[handed:i])
+            handed, floor, horizon = i, tracker.floor(stage), math.inf
+        if k - floor > best:
+            tracker.push(x[handed:i])
+            handed = i
+            best = max(best, k - tracker.upper(stage))
+            if best > stop:
+                return best
+            floor, horizon = tracker.floor(stage), tracker._horizon
+    return best
 
 
 def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     """Finite-horizon randomness surrogate: every prefix deficiency stays <= c.
 
-    A deficiency is at most ceil(-log2 sup) minus the tracker's floor, so the
-    estimate is read only at prefixes where that bound exceeds c; the answer
-    is ``all(d <= c for d in prefix_deficiencies(...))`` exactly."""
+    The walk reads the estimate only where its floor leaves that open, and
+    stops at the first deficiency above c; the answer is
+    ``all(d <= c for d in prefix_deficiencies(...))`` exactly, False for a
+    NaN c too, which no comparison passes."""
     check_bits(x)
     if c == INFINITE_DEFICIENCY:
         return True
     stage = max(1, len(x))
-    tracker = est.tracker()
-    for k in _pushed(tracker, x, _sup_bits(table, e, x, stage)):
-        # "not <=", so that a NaN c rejects, as all(d <= c) does
-        if not k - tracker.floor(stage) <= c and not k - tracker.upper(stage) <= c:
-            return False
-    return True
+    return _largest_read(est, x, table.prefix_sup_bits(e, x, stage), stage, c, c) <= c
 
 
 def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
     """Largest prefix deficiency along x at stage |x| (reporting helper).
 
-    The whole word's deficiency comes first, from one whole-word estimate.
-    Then the prefixes are walked, and the estimate is read only where
-    ceil(-log2 sup) minus the tracker's floor, a bound on the deficiency,
-    exceeds the largest deficiency so far; the answer is
-    ``max(prefix_deficiencies(...))`` exactly."""
+    The whole word's deficiency comes first, from one whole-word estimate,
+    then the walk reads the estimate only where its floor leaves a larger
+    deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly."""
     stage = max(1, len(x))
-    sup_bits = list(_sup_bits(table, e, x, stage))
+    sup_bits = list(table.prefix_sup_bits(e, x, stage))
     if sup_bits[-1] == INFINITE_DEFICIENCY:
         return INFINITE_DEFICIENCY
-    best = sup_bits[-1] - est.upper(x, stage)
-    tracker = est.tracker()
-    for k in _pushed(tracker, x, sup_bits):
-        if k - tracker.floor(stage) > best:
-            best = max(best, k - tracker.upper(stage))
-    return best
+    return _largest_read(est, x, sup_bits, stage, sup_bits[-1] - est.upper(x, stage), INFINITE_DEFICIENCY)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlearn import measures
 from cantorlearn.cantor import BitSource, ClosedClass
 from cantorlearn.measures import (
     BernoulliCylinderBall,
@@ -15,6 +17,7 @@ from cantorlearn.measures import (
     Verdict,
     ball as explicit_ball,
     bernoulli,
+    ceil_neg_log2,
     dirac,
     enumerated,
     interleave_measure,
@@ -48,6 +51,11 @@ class FbMap:
         return BernoulliCylinderBall(
             Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3
         )
+
+
+def sup_bits(sup):
+    """What a prefix walk yields for a knowledge sup: ceil(-log2 sup), infinite at 0."""
+    return ceil_neg_log2(sup) if sup else math.inf
 
 
 def basic_table():
@@ -107,8 +115,8 @@ class TestEvaluation:
         t.add(ExactMeasureEntry(dirac(BitSource.literal("01"))))
         for e, x in ((0, "0111100110"), (1, "1000")):
             for stage in range(16):
-                want = [t.eval_measure(e, x[:n], stage).hi for n in range(len(x) + 1)]
-                assert [F(*pair) for pair in t.prefix_sups(e, x, stage)] == want
+                want = [sup_bits(t.eval_measure(e, x[:n], stage).hi) for n in range(len(x) + 1)]
+                assert list(t.prefix_sup_bits(e, x, stage)) == want
 
     def test_negative_delays_raise(self):
         # a negative delay would reveal exact masses beyond the stage
@@ -407,8 +415,79 @@ class TestLifts:
     def test_bernoulli_lift_prefix_sups_match_knowledge(self, x, stage, q, diverge_from):
         t = ProgramTable()
         lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q), diverge_from=diverge_from)))
-        want = [t.eval_measure(lift, x[:n], stage).hi for n in range(len(x) + 1)]
-        assert [F(*pair) for pair in t.prefix_sups(lift, x, stage)] == want
+        want = [sup_bits(t.eval_measure(lift, x[:n], stage).hi) for n in range(len(x) + 1)]
+        assert list(t.prefix_sup_bits(lift, x, stage)) == want
+
+
+@st.composite
+def near_dyadic(draw):
+    """A parameter q in (0, 1) with -log2 q or -log2(1 - q) within about
+    2^-(m+j) of an integer, so that prefix walks meet near-integer sums."""
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        q = F(1 << m, (1 << m) + 1)  # -log2 q is about 1.44 * 2^-m
+    else:
+        i = draw(st.integers(0, m - 1))
+        k = 1 << i if draw(st.booleans()) else (1 << m) - (1 << i)
+        q = F(k, 1 << m) + draw(st.sampled_from([-1, 1])) * F(1, 1 << (m + draw(st.integers(1, 60))))
+    return 1 - q if draw(st.booleans()) else q
+
+
+# words of one repeated bit keep the near-integer terms together
+WALK_WORDS = st.one_of(
+    st.text("01", max_size=64),
+    st.builds(lambda ch, n: ch * n, st.sampled_from("01"), st.integers(0, 64)),
+)
+
+
+class TestCertifiedSupBits:
+    """Exact measures and Bernoulli lifts yield ceil(-log2 sup) from floats
+    only where an error bound certifies it, and exactly otherwise."""
+
+    def test_certified_equals_exact(self, monkeypatch):
+        fallbacks = []
+
+        def counted(num, den, real=measures._ceil_log2_ratio):
+            fallbacks.append((num, den))
+            return real(num, den)
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(near_dyadic(), WALK_WORDS, st.booleans(), st.data())
+        def certified_equals_exact(q, x, lift, data):
+            t = ProgramTable()
+            if lift:
+                e = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q))))
+                # from the stage where q's binary digits are all read, q is the lower end
+                stage = data.draw(st.integers(-1, 120) | st.integers(q.denominator.bit_length(), 120))
+            else:
+                e = t.add(ExactMeasureEntry(bernoulli(q)))
+                stage = data.draw(st.integers(-1, 80))
+            want = [sup_bits(t.eval_measure(e, x[:n], stage).hi) for n in range(len(x) + 1)]
+            with monkeypatch.context() as patched:
+                # in the walks, only the exact fallbacks call it
+                patched.setattr(measures, "_ceil_log2_ratio", counted)
+                got = list(t.prefix_sup_bits(e, x, stage))
+            assert got == want
+
+        certified_equals_exact()
+        assert fallbacks  # the near-integer cases reach the exact fallback
+
+    @pytest.mark.parametrize(
+        "mu",
+        [uniform(), bernoulli(F(1, 2)), interleave_measure(BitSource.hat_rational(F(2, 5))), dirac(BitSource.periodic("011"))],
+        ids=["uniform", "bernoulli-1/2", "interleave", "dirac"],
+    )
+    def test_dyadic_rules_never_fall_back(self, monkeypatch, mu):
+        def no_fallback(num, den):
+            raise AssertionError("a dyadic walk fell back to integers")
+
+        monkeypatch.setattr(measures, "_ceil_log2_ratio", no_fallback)
+        t = ProgramTable()
+        e = t.add(ExactMeasureEntry(mu))
+        x = measures.sample_stream(mu, 0, 4096)
+        got = list(t.prefix_sup_bits(e, x, len(x)))
+        assert len(got) == 4097 and got == sorted(got)
+        assert got[-1] == {"dirac": 0, "interleave": 2048}.get(mu.spec["kind"], 4096)
 
 
 class TestTotalityOracle:

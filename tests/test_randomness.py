@@ -151,10 +151,14 @@ class TestCodecs:
         tr = EST.tracker()
         tr.push("0")
         before = tr.upper(9)
-        for bad in ("x", "", "01", 0):
+        for bad in ("x", "0x1", "012", " 01", 0, None):
             with pytest.raises(BadWordError):
                 tr.push(bad)
         assert tr.upper(9) == before
+        # a word of any length is a push, the empty one too
+        tr.push("")
+        tr.push("01")
+        assert tr.upper(9) == EST.upper("001", 9)
 
     @pytest.mark.parametrize("stage", [0, -1])
     def test_tracker_upper_rejects_bad_stage(self, stage):
@@ -601,23 +605,27 @@ class TestVerdictShortcuts:
                 assert random_verdict(t, EST, e, x, c) == all(d <= c for d in defs), (x, c)
 
     def test_walks_read_the_estimate_rarely(self, monkeypatch):
-        counts = {"push": 0, "upper": 0}
-        for method in counts:
-            real = getattr(randomness.EstimatorTracker, method)
+        counts = {"bits": 0, "upper": 0}
+        real_push, real_upper = randomness.EstimatorTracker.push, randomness.EstimatorTracker.upper
 
-            def counted(self, arg, real=real, method=method):
-                counts[method] += 1
-                return real(self, arg)
+        def push(self, bits):
+            counts["bits"] += len(bits)
+            return real_push(self, bits)
 
-            monkeypatch.setattr(randomness.EstimatorTracker, method, counted)
+        def upper(self, stage):
+            counts["upper"] += 1
+            return real_upper(self, stage)
+
+        monkeypatch.setattr(randomness.EstimatorTracker, "push", push)
+        monkeypatch.setattr(randomness.EstimatorTracker, "upper", upper)
         x = sample_stream(bernoulli(F(1, 3)), 0, 2048)
         t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
         assert random_verdict(t, EST, 0, x, 48)
-        # every bit goes through the tracker, but few reads follow
-        assert counts["push"] == 2048 and counts["upper"] <= 128
-        counts.update(push=0, upper=0)
+        # every bit is handed to the tracker once, but few reads follow
+        assert counts["bits"] == 2048 and counts["upper"] <= 128
+        counts.update(bits=0, upper=0)
         assert max_prefix_deficiency(t, EST, 1, x) > 64
-        assert counts["push"] == 2048 and counts["upper"] <= 128
+        assert counts["bits"] == 2048 and counts["upper"] <= 128
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word
