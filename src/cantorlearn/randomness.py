@@ -9,8 +9,8 @@ claims calibration against a universal machine.
 A prefix walk takes O(1) steps per bit: the entry yields ceil(-log2 sup) of
 each prefix (``ProgramTable.prefix_sup_bits``), certified in floats for exact
 measures and Bernoulli lifts.  A codec's ``push`` takes a word of any length
-and consumes it in one call, at C speed (``len``, ``str.count``, ``lstrip``,
-``int(..., 2)``) where it can; only the pattern codec steps through it bit by
+and consumes it in a few calls at C speed (``len``, ``str.count``, ``lstrip``,
+``str.find``, bit operations on ``int(..., 2)``); none steps through it bit by
 bit.  ``EstimatorTracker`` buffers its pushes and hands them to every codec
 when the estimate is read (or when the buffer is full).  The KT codec keeps
 only its two counts and reads its exact length from a closed form, through a
@@ -72,30 +72,34 @@ def _gamma_sum_of_runs(word: Bits) -> int:
     """Elias-gamma bits of the runs after the first bit of word, each taken as
     complete: a run of length r costs 2 * floor(log2 r) + 1.
 
-    Each such run of r bits b is preceded by the other bit, and for every
-    2^k <= r exactly one match of (other bit + 2^k copies of b) starts on that
-    bit and ends inside the run, so ``str.count`` finds it once.  The counts
-    over k = 0, 1, ... add floor(log2 r) + 1 per run; the k = 0 term is the
-    number of runs.  Once no run reaches 2^k, none reaches 2^(k+1), so the
-    counts stop there.
+    In x = int(word, 2), bit i of e = ~(x ^ (x >> 1)) is set when bits i and
+    i + 1 are equal, so a run of r bits after the first leaves a block of
+    r - 1 set bits in e, and blocks are apart.  ANDing windows of e that
+    double leaves, in round k, one block of set bits for each run of 2^k or
+    more bits, and block ends count them: they add floor(log2 r) per run.
     """
-    runs = word.count("01") + word.count("10")
-    total, width, longer = runs, 2, runs
-    while longer and width < len(word):
-        longer = word.count("1" + "0" * width) + word.count("0" + "1" * width)
-        total += longer
-        width *= 2
-    return 2 * total - runs
+    x = int(word, 2)
+    mask = (1 << len(word) - 1) - 1
+    change = (x ^ (x >> 1)) & mask
+    runs = change.bit_count()
+    same = window = change ^ mask  # window: bits i whose next 2^k - 1 bits are all set in same
+    total, width = runs, 1
+    while window:
+        total += 2 * (window & ~(window >> 1)).bit_count()
+        window &= (window >> width + 1) & (same >> width)
+        width = 2 * width + 1
+    return total
 
 
 class Codec:
     """An incremental coder: ``push`` a word of any length and read ``cost()``
-    at any point; ``cost(word)`` codes a word from a fresh start instead, with
-    one push.  Pushing a word in pieces gives the same cost as pushing it whole.
+    at any point; ``cost(word)`` checks a word (``BadWordError`` unless it is
+    a 0/1 string) and codes it from a fresh start instead, with one push.
+    Pushing a word in pieces gives the same cost as pushing it whole.
 
-    Each push consumes its word in one call; only the pattern codec still steps
-    through it bit by bit.  ``EstimatorTracker`` buffers what it is pushed and
-    pushes it to its codecs when its estimate is read.
+    Each push consumes its word in a few calls at C speed; none steps through
+    it bit by bit.  ``EstimatorTracker`` buffers what it is pushed and pushes
+    it to its codecs when its estimate is read.
 
     ``_floors(length)``, given the current length, returns ``(near, room, far)``:
     whatever bits are pushed next, the length stays at least ``near`` while
@@ -115,6 +119,10 @@ class Codec:
     def cost(self, word: Optional[Bits] = None) -> int:
         if word is None:
             return self._length()
+        return self._cost(check_bits(word))
+
+    def _cost(self, word: Bits) -> int:
+        """``cost`` of a word already checked."""
         fresh = self.tracker()
         fresh.push(word)
         return fresh._length()
@@ -194,43 +202,123 @@ class RunLengthCodec(Codec):
     _floors = staticmethod(_lasting)
 
 
+def _break(w: Bits, j: int, h: int) -> int:
+    """The first t >= h with w[t] != w[t - j], or len(w), in O(t - h) time:
+    the slices compared double from 64 bits."""
+    step = 64
+    while h < len(w):
+        a = w[h : h + step]
+        b = w[h - j : h - j + len(a)]
+        if a != b:
+            return h + len(a) - (int(a, 2) ^ int(b, 2)).bit_length()
+        h, step = h + step, 2 * step
+    return len(w)
+
+
+def _far_period(w: Bits, j: int, h: int) -> int:
+    """The smallest period of w, or a shift within 64 of len(w) below which
+    w has none, given that j is a period of w[:h] and w has none below j.
+    ``PatternCodec`` proves each skip."""
+    m = len(w)
+    while m - j > 64:
+        t = _break(w, j, h)
+        if t == m:
+            return j
+        f = t - j
+        r = w.find(w[: f // 2], 1, f)
+        if r < 1 or w[r:f] != w[: f - r]:
+            skip = j + f // 2 + 1
+        elif w[f] == w[f - r]:
+            skip = t - r + 1
+        else:
+            skip = min(_break(w, r, t + 1) - f, t - r + 1)
+        j = max(skip, t + 2 - j)
+        if m - j > 64:  # str.find skips the shifts where w[:32] does not recur
+            i = w.find(w[:32], j)
+            j, h = (i, i + 32) if i >= 0 else (m - 31, m - 31)
+    return j
+
+
 class PatternCodec(Codec):
     """Smallest-period coder: period bits verbatim plus two gamma lengths.
 
-    Floor: gamma(p) + p + 1 + header for the smallest period p, since the
-    smallest period never shrinks as the word grows and a repeat count costs
-    at least 1 (only the header before any bit).
+    The word w is kept as one string with its smallest period p, which never
+    shrinks as w grows: a period of w is one of each prefix, or longer.  A
+    push checks that p holds on the new bits.  If not, it tries larger
+    shifts in order, skipping only shifts proved not to be periods.  Where a
+    prefix w[:k] does not recur, ``str.find`` skips.  A shift j that breaks
+    at t, with f = t - j (so w[j:t] == w[:f], w[t] != w[f]), gives the
+    skips below, by Fine and Wilf's lemma: if j and q are periods of a word
+    at least j + q - gcd(j, q) long, so is gcd(j, q).
+
+    - If w has no period <= j, it has none below t + 2 - j: a smaller one q
+      has t >= j + q - 1, so g = gcd(j, q) is a period of w[:t], so of w[:q]
+      and, as g divides q, of w; but g <= j.  For p breaking at i, the
+      search starts at max(p + 1, i + 2 - p).
+    - A period q of w in (j, t) makes d = q - j a period of w[:f] with
+      w[f - d] == w[t].  Let r be the smallest period of w[:f]; by the
+      lemma, r divides every period d <= f - r.  The lemma also makes
+      r <= f // 2 exactly when the first recurrence of w[:f // 2] in w[:f]
+      is a period of w[:f], and then that recurrence is r.  If r > f // 2,
+      then q > j + f // 2.  If w[f] == w[f - r], each multiple d of r has
+      w[f - d] == w[f], so q > t - r.  If not, w[t] == w[t - r] (two
+      letters), w[j:T] has period r up to the first T > t with
+      w[T] != w[T - r], and a multiple d needs w[q + f] == w[f], so
+      q + f >= T: q >= min(T - f, t - r + 1).
+
+    Floor: gamma(p) + p + 1 + header, since p never shrinks and a repeat
+    count costs at least 1 (only the header before any bit).
     """
 
     name = "pattern"
 
     def __init__(self):
-        self.word: list[str] = []
-        self.border = [0]  # KMP failure function
+        self.word = ""
+        self.period = 1  # the smallest period; 1 also before any bit
 
     def push(self, bits):
-        w, border = self.word, self.border
-        k = border[-1]
-        for ch in bits:
-            while k and w[k] != ch:
-                k = border[k]
-            if w and w[k] == ch:
-                k += 1
-            w.append(ch)
-            border.append(k)
+        n, j = len(self.word), self.period
+        w, self.word = self.word, ""
+        w += bits  # with its other reference gone, CPython extends w in place
+        self.word = w
+        # whether j still holds; at n = 0 (j = 1) this reads w[-1:], which
+        # starts with bits only when they are at most one bit
+        if w.startswith(bits, n - j):
+            return
+        m = len(w)
+        if m - j > 64:
+            j = _far_period(w, j, n or 1)
+        elif n:
+            j += 1
+        # the last 64 shifts: str.find of w[:k], the longest power-of-two
+        # prefix that fits, skips to the next shift where it recurs, and that
+        # shift is checked whole
+        while 0 < m - j <= 64:
+            k = 1 << (m - j).bit_length() - 1
+            i = w.find(w[:k], j)
+            while i < 0 and k > 1:
+                j, k = m - k + 1, k >> 1
+                i = w.find(w[:k], j)
+            if i < 0:
+                j = m
+            elif w.startswith(w[i:]):
+                j = i
+                break
+            else:
+                j = i + 1
+        self.period = j
 
     def _length(self):
-        n = len(self.word)
+        n, period = len(self.word), self.period
         if n == 0:
             return CODEC_HEADER
-        period = n - self.border[n]
-        reps = -(-n // period)
-        return elias_gamma_bits(period) + period + elias_gamma_bits(reps) + CODEC_HEADER
+        # gamma(period) + period + gamma(repeats) + header, with the gamma
+        # lengths inline: a read follows every short push
+        return 2 * (period.bit_length() + (-(-n // period)).bit_length()) + period + CODEC_HEADER - 2
 
     def _floors(self, length):
-        n = len(self.word)
-        period = n - self.border[n]
-        floor = elias_gamma_bits(period) + period + 1 + CODEC_HEADER if n else CODEC_HEADER
+        period = self.period
+        floor = elias_gamma_bits(period) + period + 1 + CODEC_HEADER if self.word else CODEC_HEADER
         return floor, math.inf, floor
 
 
@@ -347,7 +435,7 @@ class ComplexityEstimator:
             raise ValueError("stage must be >= 1")
         check_bits(word)
         avail = min(stage, len(self.codecs))
-        return min(self.codecs[i].cost(word) + 2 * i for i in range(avail))
+        return min(self.codecs[i]._cost(word) + 2 * i for i in range(avail))
 
     def tracker(self) -> "EstimatorTracker":
         return EstimatorTracker(self)

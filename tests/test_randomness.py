@@ -121,8 +121,7 @@ class TestCodecs:
         t = pc.tracker()
         for ch in "0110" * 5:
             t.push(ch)
-        n = len(t.word)
-        assert n - t.border[n] == 4
+        assert (t.word, t.period) == ("0110" * 5, 4)
 
     def test_kt_matches_direct_product(self):
         kt = KTCodec()
@@ -159,6 +158,20 @@ class TestCodecs:
         tr.push("")
         tr.push("01")
         assert tr.upper(9) == EST.upper("001", 9)
+
+    def test_cost_rejects_non_bits(self, monkeypatch):
+        # each codec coded "0a1" before: run-length in 11 bits, pattern in 15
+        for codec in DEFAULT_CODECS:
+            for bad in ("0a1", "x", "012", " 01", 0, b"01"):
+                with pytest.raises(BadWordError):
+                    codec.cost(bad)
+        with pytest.raises(BadWordError):
+            EST.upper("0a1", 9)
+        # the estimate checks its word once, not once per codec
+        checked = []
+        monkeypatch.setattr(randomness, "check_bits", lambda w: checked.append(w) or check_bits(w))
+        assert EST.upper("0110", 9) == min(c.cost("0110") + 2 * i for i, c in enumerate(DEFAULT_CODECS))
+        assert checked == ["0110"] * (1 + len(DEFAULT_CODECS))
 
     @pytest.mark.parametrize("stage", [0, -1])
     def test_tracker_upper_rejects_bad_stage(self, stage):
@@ -355,6 +368,18 @@ def chunk_ends(draw, n: int) -> list[int]:
     return sorted({c for c in cuts if c < n} | {n})
 
 
+def assert_chunks_match_reference(codec, word: str, ends) -> None:
+    """word pushed to a fresh codec in chunks ending at ends (the last one
+    len(word)) costs what its reference says at every chunk end, and whole."""
+    ref = CODEC_REFS[codec.name]
+    t, start = codec.tracker(), 0
+    for end in ends:
+        t.push(word[start:end])
+        start = end
+        assert t.cost() == ref(word[:end]), (codec.name, end)
+    assert codec.cost(word) == ref(word), codec.name
+
+
 class TestChunkedPushes:
     """A word pushed in any chunks costs what a brute-force coder says at
     every chunk boundary."""
@@ -364,13 +389,36 @@ class TestChunkedPushes:
     def test_codecs_match_references(self, word, data):
         ends = chunk_ends(data.draw, len(word))
         for codec in DEFAULT_CODECS:
-            ref = CODEC_REFS[codec.name]
-            t, start = codec.tracker(), 0
-            for end in ends:
-                t.push(word[start:end])
-                start = end
-                assert t.cost() == ref(word[:end]), (codec.name, end)
-            assert codec.cost(word) == ref(word), codec.name
+            assert_chunks_match_reference(codec, word, ends)
+
+    @PROPERTY
+    @given(st.text("01", min_size=1, max_size=70), st.integers(1, 1500), st.data())
+    def test_period_search_on_late_breaks(self, period, n, data):
+        # a periodic word with one or two late flips, the first pushed alone:
+        # where the pattern codec's search skips most shifts
+        word = (period * n)[:n]
+        i = data.draw(st.integers(n // 2, n - 1))
+        word = with_break(data.draw, word[:i] + "10"[int(word[i])] + word[i + 1 :], i)
+        single = data.draw(st.integers(0, n - 1))
+        ends = set(chunk_ends(data.draw, n)) | {i, i + 1, single, single + 1}
+        assert_chunks_match_reference(PatternCodec(), word, sorted(ends - {0}))
+
+    @PROPERTY
+    @given(st.text("01", min_size=1, max_size=4), st.integers(1, 90), st.integers(1, 90), st.data())
+    def test_period_search_on_stretched_repeats(self, unit, reps, extra, data):
+        # head = unit^reps + a break, then a longer run of unit and head again:
+        # shifts inside the longer run match up to head's break, or end first
+        head = unit * reps + data.draw(st.text("01", min_size=1, max_size=40))
+        word = head + unit * extra + head[: data.draw(st.integers(0, len(head)))]
+        assert_chunks_match_reference(PatternCodec(), word, chunk_ends(data.draw, len(word)))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 1)), min_size=1, max_size=12), st.data())
+    def test_runs_around_powers_of_two(self, runs, data):
+        # runs of 2^k - 1, 2^k and 2^k + 1 bits, where a gamma length steps
+        first = data.draw(st.sampled_from("01"))
+        word = "".join("01"[(i + int(first)) % 2] * max(1, 2**k + d) for i, (k, d) in enumerate(runs))
+        assert_chunks_match_reference(RunLengthCodec(), word, chunk_ends(data.draw, len(word)))
 
     @PROPERTY
     @given(words(), st.data(), st.integers(1, 7))
