@@ -357,6 +357,16 @@ NODE_BUDGET = 1 << 15
 
 @dataclass(frozen=True)
 class ExplicitBall(MeasureBall):
+    """Ball given by (word, interval) constraints, bounded through a box: one
+    closed interval per word down to the deepest constraint (open ends are
+    dropped; the closed hull is enough for bounds).
+
+    The words form a binary tree coupled only by mu(w) = mu(w0) + mu(w1), so
+    two passes make the box exact.  Upward, each word keeps what its
+    children's subtrees can sum to.  Downward from the root, pinned at 1, each
+    child keeps what its parent allows less some value of its sibling's
+    subtree; so a value survives iff some measure in the ball gives it."""
+
     constraint_list: tuple[tuple[Bits, Interval], ...]
 
     @property
@@ -366,42 +376,27 @@ class ExplicitBall(MeasureBall):
     def _propagate(self) -> dict[Bits, Interval]:
         depth = self._depth
         if (1 << (depth + 1)) > NODE_BUDGET:
-            raise BudgetExceeded(
-                f"propagation to depth {depth} exceeds the node budget"
-            )
-        box: dict[Bits, Interval] = {"": Interval.exact(ONE)}
-        for n in range(1, depth + 1):
-            for w in _words(n):
-                box[w] = Interval.unit()
+            raise BudgetExceeded(f"propagation to depth {depth} exceeds the node budget")
+        box = {w: _UNIT if w else Interval.exact(ONE) for n in range(depth + 1) for w in _words(n)}
 
-        def clip(w: Bits, iv: Interval) -> bool:
+        def clip(w: Bits, lo: Fraction, hi: Fraction) -> None:
             cur = box[w]
-            nxt = cur.intersect(iv)
-            if nxt is None:
+            lo, hi = max(cur.lo, lo), min(cur.hi, hi)
+            if lo > hi:
                 raise InconsistentBallError(f"constraints incompatible at {w!r}")
-            nxt = Interval(nxt.lo, nxt.hi)  # closed hull is enough for bounds
-            if nxt != cur:
-                box[w] = nxt
-                return True
-            return False
+            box[w] = Interval(lo, hi)
 
         for w, iv in self.constraint_list:
-            clip(w, Interval(iv.lo, iv.hi))
-
-        for _ in range(2 * depth + 4):
-            changed = False
-            for n in range(depth):  # downward
-                for w in _words(n):
-                    p, c0, c1 = box[w], box[w + "0"], box[w + "1"]
-                    changed |= clip(w + "0", Interval(max(ZERO, p.lo - c1.hi), min(ONE, p.hi - c1.lo)))
-                    p, c0 = box[w], box[w + "0"]
-                    changed |= clip(w + "1", Interval(max(ZERO, p.lo - c0.hi), min(ONE, p.hi - c0.lo)))
-            for n in range(depth - 1, -1, -1):  # upward
-                for w in _words(n):
-                    c0, c1 = box[w + "0"], box[w + "1"]
-                    changed |= clip(w, Interval(c0.lo + c1.lo, min(ONE, c0.hi + c1.hi)))
-            if not changed:
-                break
+            clip(w, iv.lo, iv.hi)
+        for n in range(depth - 1, -1, -1):  # upward: what the children can sum to
+            for w in _words(n):
+                c0, c1 = box[w + "0"], box[w + "1"]
+                clip(w, c0.lo + c1.lo, c0.hi + c1.hi)
+        for n in range(depth):  # downward: the parent less the sibling
+            for w in _words(n):
+                p, c0, c1 = box[w], box[w + "0"], box[w + "1"]
+                clip(w + "0", p.lo - c1.hi, p.hi - c1.lo)
+                clip(w + "1", p.lo - c0.hi, p.hi - c0.lo)
         return box
 
     def sup_mass(self, word: Bits) -> Fraction:
@@ -544,20 +539,17 @@ class InterleaveCylinderBall(MeasureBall):
 
     pattern: Bits
 
+    def __post_init__(self):
+        check_bits(self.pattern)
+
     def _value_range(self, word: Bits) -> Interval:
-        hi = ONE
-        free = False
-        for j, ch in enumerate(word):
-            if j % 2 == 0:
-                t = j // 2
-                if t < len(self.pattern):
-                    if int(ch) != int(self.pattern[t]):
-                        return Interval.exact(ZERO)
-                else:
-                    free = True
-            else:
-                hi /= 2
-        return Interval(ZERO if free else hi, hi)
+        """Range of mu(word) over the ball: 0 where an even bit leaves the
+        pattern, else 2^-(|word|//2), down to 0 once the even bits outrun it."""
+        forced, k = word[0::2], len(self.pattern)
+        if forced[:k] != self.pattern[: len(forced)]:
+            return Interval.exact(ZERO)
+        hi = Fraction(1, 1 << (len(word) // 2))
+        return Interval(ZERO if len(forced) > k else hi, hi)
 
     def sup_mass(self, word: Bits) -> Fraction:
         return self._value_range(word).hi

@@ -102,6 +102,10 @@ class Entry:
         """Bernoulli parameter knowledge when the entry is product-structured."""
         return None
 
+    def resolved_total(self, table: "ProgramTable") -> bool:
+        """Ground-truth totality; a lift reads its real's flag."""
+        return bool(self.total)
+
     # real entries
     def real_bit(self, table: "ProgramTable", j: int, stage: int) -> Optional[int]:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
@@ -226,15 +230,9 @@ class BernoulliLiftEntry(Entry):
         return {"entry": "bernoulli-lift", "real": self.real}
 
     def _read_param(self, table: "ProgramTable", stage: int) -> Interval:
-        k = 0
-        val = ZERO
-        while k < min(stage, LIFT_PARAM_BITS):
-            b = table.eval_real(self.real, k, stage)
-            if b is None:
-                break
-            val += Fraction(b, 1 << (k + 1))
-            k += 1
-        return Interval(val, min(ONE, val + Fraction(1, 1 << k)))
+        bits = table.real_prefix(self.real, min(stage, LIFT_PARAM_BITS), stage)
+        val = Fraction(int(bits or "0", 2), 1 << len(bits))
+        return Interval(val, min(ONE, val + Fraction(1, 1 << len(bits))))
 
     def param_interval(self, table, stage):
         return self._param(table, stage)
@@ -285,12 +283,14 @@ class ParamLiftEntry(Entry):
         ball = self._ball(table, stage)
         return ball.param if isinstance(ball, BernoulliCylinderBall) else None
 
+    def resolved_total(self, table: "ProgramTable") -> bool:
+        return bool(table.entry(self.real_index).total)
+
 
 class ParamMapLike:
     """Minimal protocol the table needs from a parametrization map."""
 
     name: str
-    domain: ClosedClass
 
     def star(self, word: Bits) -> MeasureBall:
         raise NotImplementedError
@@ -490,10 +490,7 @@ class ProgramTable:
         return EntryView(self, e)
 
     def is_total(self, e: int) -> bool:
-        entry = self.entry(e)
-        if isinstance(entry, BernoulliLiftEntry):
-            return entry.resolved_total(self)
-        return bool(entry.total)
+        return self.entry(e).resolved_total(self)
 
     # -- lifts (one entry per lift) ------------------------------------------
 

@@ -2,8 +2,10 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorlearn.cantor import BitSource
+from cantorlearn.cantor import BadWordError, BitSource
 from cantorlearn.measures import (
     dirac,
     BernoulliCylinderBall,
@@ -27,6 +29,97 @@ from cantorlearn.programs import from_spec
 
 def words(n):
     return ("".join(p) for p in product("01", repeat=n))
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def propagate_ref(c):
+    """The fixpoint loop ExplicitBall._propagate replaced: downward and upward
+    passes over the box until nothing changes, at most 2 * depth + 4 rounds."""
+    depth = max((len(w) for w, _ in c.constraint_list), default=0)
+    box = {"": Interval.exact(F(1))}
+    for n in range(1, depth + 1):
+        for w in words(n):
+            box[w] = Interval.unit()
+
+    def clip(w, iv):
+        nxt = box[w].intersect(iv)
+        if nxt is None:
+            raise InconsistentBallError(f"constraints incompatible at {w!r}")
+        nxt = Interval(nxt.lo, nxt.hi)
+        changed, box[w] = nxt != box[w], nxt
+        return changed
+
+    for w, iv in c.constraint_list:
+        clip(w, Interval(iv.lo, iv.hi))
+    for _ in range(2 * depth + 4):
+        changed = False
+        for n in range(depth):
+            for w in words(n):
+                p, c1 = box[w], box[w + "1"]
+                changed |= clip(w + "0", Interval(max(F(0), p.lo - c1.hi), min(F(1), p.hi - c1.lo)))
+                p, c0 = box[w], box[w + "0"]
+                changed |= clip(w + "1", Interval(max(F(0), p.lo - c0.hi), min(F(1), p.hi - c0.lo)))
+        for n in range(depth - 1, -1, -1):
+            for w in words(n):
+                c0, c1 = box[w + "0"], box[w + "1"]
+                changed |= clip(w, Interval(c0.lo + c1.lo, min(F(1), c0.hi + c1.hi)))
+        if not changed:
+            break
+    return box
+
+
+def value_range_ref(pattern, word):
+    """InterleaveCylinderBall's range of mu(word), bit by bit: a mismatched
+    even bit gives 0, each odd bit halves the top, an even bit past the
+    pattern frees the bottom."""
+    hi, free = F(1), False
+    for j, ch in enumerate(word):
+        if j % 2:
+            hi /= 2
+        elif j // 2 >= len(pattern):
+            free = True
+        elif ch != pattern[j // 2]:
+            return Interval.exact(F(0))
+    return Interval(F(0) if free else hi, hi)
+
+
+EIGHTHS = st.sampled_from([F(k, 8) for k in range(9)])
+
+
+@st.composite
+def measure_constraints(draw):
+    """A random measure to depth <= 5, with eighths as split ratios, and
+    closed, open and exact constraints that hold for it: (masses, ball)."""
+    depth = draw(st.integers(0, 5))
+    mass = {"": F(1)}
+    for n in range(depth):
+        for w in words(n):
+            mass[w + "0"] = mass[w] * draw(EIGHTHS)
+            mass[w + "1"] = mass[w] - mass[w + "0"]
+    constraints = []
+    for w in draw(st.lists(st.sampled_from(sorted(mass)), min_size=1, max_size=8)):
+        m, kind = mass[w], draw(st.sampled_from(["exact", "closed", "open"]))
+        if kind == "exact":
+            constraints.append((w, Interval.exact(m)))
+            continue
+        lo, hi = max(F(0), m - draw(EIGHTHS) / 2), min(F(1), m + draw(EIGHTHS) / 2)
+        constraints.append((w, Interval(lo, hi, kind == "open" and lo < m, kind == "open" and m < hi)))
+    return mass, ball(constraints)
+
+
+@st.composite
+def arbitrary_constraints(draw):
+    """Up to 8 constraints on words of <= 5 bits, any closed, open or exact
+    interval with ends in eighths: mostly inconsistent, some not."""
+    constraints = []
+    for _ in range(draw(st.integers(0, 8))):
+        w = draw(st.text("01", max_size=5))
+        lo, hi = sorted((draw(EIGHTHS), draw(EIGHTHS)))
+        flags = (draw(st.booleans()), draw(st.booleans())) if lo < hi else (False, False)
+        constraints.append((w, Interval(lo, hi, *flags)))
+    return ball(constraints)
 
 
 class TestInterval:
@@ -220,6 +313,37 @@ class TestBalls:
         img = bernoulli_image(Interval.closed(F(1, 4), F(3, 4)), 1, 1)
         assert img.hi == F(1, 4)  # attained at q=1/2
         assert img.lo == F(3, 16)
+
+    @PROPERTY
+    @given(measure_constraints())
+    def test_propagate_matches_reference_around_a_measure(self, drawn):
+        mass, c = drawn
+        box = c._propagate()
+        assert box == propagate_ref(c)
+        assert all(box[w].contains(m) for w, m in mass.items() if w in box)
+
+    @PROPERTY
+    @given(arbitrary_constraints())
+    def test_propagate_matches_reference_on_arbitrary_constraints(self, c):
+        try:
+            want = propagate_ref(c)
+        except InconsistentBallError:
+            with pytest.raises(InconsistentBallError):
+                c._propagate()
+        else:
+            assert c._propagate() == want
+
+    def test_interleave_cylinder_matches_bitwise_reference(self):
+        for pattern in (p for k in range(5) for p in words(k)):
+            c = InterleaveCylinderBall(pattern)
+            for word in (w for n in range(11) for w in words(n)):
+                want = value_range_ref(pattern, word)
+                assert (c._value_range(word), c.sup_mass(word)) == (want, want.hi)
+
+    def test_interleave_cylinder_checks_its_pattern(self):
+        for pattern in ("0x", "2", "01 "):
+            with pytest.raises(BadWordError):
+                InterleaveCylinderBall(pattern)
 
     def test_interleave_cylinder(self):
         c = InterleaveCylinderBall("01")

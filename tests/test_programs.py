@@ -31,6 +31,7 @@ from cantorlearn.programs import (
     AliasEntry,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
+    ParamLiftEntry,
     ProgramTable,
     RealEntry,
     StubEntry,
@@ -512,6 +513,24 @@ class TestTotalityOracle:
         t.add(RealEntry(BitSource.rational(F(1, 3)), diverge_from=3))
         e_par = t.bernoulli_lift(len(t) - 1)
         assert not t.is_total(e_par)
+
+    def test_param_lift_totality_follows_real(self):
+        t = ProgramTable()
+        total = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
+        partial_real = t.add(RealEntry(BitSource.hat_rational(F(1, 3)), diverge_from=4))
+        for real, truth in ((total, 1), (partial_real, 0)):
+            alias = t.add(AliasEntry(base=real))
+            # param_lift would reuse the first lift for an alias, so the others are added as they are
+            over_alias = [t.add(ParamLiftEntry(FbMap(), e)) for e in (alias, t.pad(alias, 2))]
+            for lift in [t.param_lift(FbMap(), real), *over_alias]:
+                for e in (lift, t.add(AliasEntry(base=lift)), t.pad(lift, 3)):
+                    assert t.is_total(e) is bool(truth)
+                    assert {t.totality_oracle(e, s) for s in (0, 1, 9)} == {truth}
+
+    def test_lift_over_itself_reads_partial(self):
+        # a lift's totality reads its real's flag, not is_total, so a self-reference cannot recurse
+        t = ProgramTable()
+        assert not t.is_total(t.add(ParamLiftEntry(FbMap(), real_index=0)))
 
 
 class TestMeasuresEqual:
