@@ -28,8 +28,11 @@ class EndOfWordError(IndexError):
     """A literal bit source was read past its end."""
 
 
+_DROP_BITS = str.maketrans("", "", "01")  # translate drops bits several times faster than strip
+
+
 def check_bits(word: str) -> Bits:
-    if not isinstance(word, str) or word.strip("01"):
+    if not isinstance(word, str) or word.translate(_DROP_BITS):
         raise BadWordError(f"not a 0/1 word: {word!r}")
     return word
 

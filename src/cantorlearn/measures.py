@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -43,10 +43,6 @@ class Verdict(Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _ceil_log2_ratio(num: int, den: int) -> int:
@@ -87,23 +83,26 @@ class Interval:
     hi_open: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            object.__setattr__(self, "lo", lo := Fraction(lo))
+        if not isinstance(hi, Fraction):
+            object.__setattr__(self, "hi", hi := Fraction(hi))
+        gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator  # the sign of hi - lo
+        if gap < 0 or (not gap and (self.lo_open or self.hi_open)):
             raise InconsistentBallError(f"empty interval {self!r}")
 
     @classmethod
     def exact(cls, v) -> "Interval":
-        v = _frac(v)
         return cls(v, v)
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
-        return cls(_frac(lo), _frac(hi))
+        return cls(lo, hi)
 
     @classmethod
     def open(cls, lo, hi) -> "Interval":
-        return cls(_frac(lo), _frac(hi), True, True)
+        return cls(lo, hi, True, True)
 
     @classmethod
     def unit(cls) -> "Interval":
@@ -119,7 +118,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
-        x = _frac(x)
+        x = Fraction(x)
         if x < self.lo or (x == self.lo and self.lo_open):
             return False
         if x > self.hi or (x == self.hi and self.hi_open):
@@ -163,6 +162,8 @@ class MeasureView:
 
     ``param_interval`` reports a Bernoulli parameter interval when the viewed
     measure is known to be a product measure, enabling per-level checks.
+    ``screen(stage)`` is the non-unit knowledge of the words of levels 1 to 3,
+    as (zeros, ones, knowledge), read through ``knowledge``; a view may keep it.
     """
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
@@ -170,6 +171,9 @@ class MeasureView:
 
     def param_interval(self, stage: int) -> Optional[Interval]:
         return None
+
+    def screen(self, stage: int) -> tuple[tuple[int, int, Interval], ...]:
+        return tuple((a, b, iv) for w, a, b in _SCREEN_WORDS if (iv := self.knowledge(w, stage)) != _UNIT)
 
 
 class Measure(MeasureView):
@@ -241,22 +245,19 @@ class Measure(MeasureView):
                 done = j + 1
                 yield _ceil_log2_ratio(num, den)
 
-    def tuples_at(self, word: Bits, stage: int) -> list[Interval]:
-        """The enumeration's intervals for this string revealed by the stage."""
-        if self.p0 is not None:
-            return [Interval.exact(self.mass(word))]
-        return [iv for (w, iv, s) in self._tuples if w == word and s <= stage]
-
     def knowledge(self, word: Bits, stage: int) -> Interval:
-        """Stage-bounded knowledge interval for mu(word)."""
+        """Stage-bounded knowledge interval for mu(word): the unit interval cut by
+        the exact mass, or by the enumeration's intervals revealed by the stage."""
         check_bits(word)
+        if self.p0 is not None:
+            revealed = [Interval.exact(self.mass(word))]
+        else:
+            revealed = [iv for (w, iv, s) in self._tuples if w == word and s <= stage]
         out = Interval.unit()
-        for iv in self.tuples_at(word, stage):
+        for iv in revealed:
             nxt = out.intersect(iv)
             if nxt is None:
-                raise MalformedMeasureError(
-                    f"enumeration inconsistent at {word!r} by stage {stage}"
-                )
+                raise MalformedMeasureError(f"enumeration inconsistent at {word!r} by stage {stage}")
             out = nxt
         return out
 
@@ -283,7 +284,7 @@ def uniform() -> Measure:
 
 
 def bernoulli(q) -> Measure:
-    q = _frac(q)
+    q = Fraction(q)
     if not ZERO <= q <= ONE:
         raise ValueError(f"parameter must be in [0,1], got {q}")
     return Measure({"kind": "bernoulli", "q": f"{q.numerator}/{q.denominator}"}, p0=lambda j: q)
@@ -336,11 +337,11 @@ class MeasureBall:
     mass of a word over the ball, and ``contains``.
 
     ``contains(view, stage)`` reads the view only through ``knowledge(word,
-    stage)`` and ``param_interval(stage)``, passing on the stage it was given,
-    and its verdict is a function of the answers alone: a view that gives the
-    same answers under another stage argument gets the same verdict (the
-    inverse lift's verdict record rests on this).  Yes/no verdicts are stable
-    as the stage grows, since the knowledge they read only shrinks.
+    stage)``, ``param_interval(stage)`` and ``screen(stage)``, passing on the
+    stage it was given, and its verdict is a function of the answers alone: a
+    view that gives the same answers under another stage argument gets the same
+    verdict (the inverse lift's verdict record rests on this).  Yes/no verdicts
+    are stable as the stage grows, since the knowledge they read only shrinks.
     """
 
     def sup_mass(self, word: Bits) -> Fraction:
@@ -399,8 +400,12 @@ class ExplicitBall(MeasureBall):
                 clip(w + "1", p.lo - c0.hi, p.hi - c0.lo)
         return box
 
+    @cached_property
+    def _box(self) -> dict[Bits, Interval]:  # kept on the frozen ball: k reads propagate once
+        return self._propagate()
+
     def sup_mass(self, word: Bits) -> Fraction:
-        return self._propagate()[word[: self._depth]].hi
+        return self._box[word[: self._depth]].hi
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
         verdict = Verdict.YES
@@ -482,7 +487,7 @@ class BernoulliCylinderBall(MeasureBall):
     level: int
 
     def __post_init__(self):
-        if self.param.lo < ZERO or self.param.hi > ONE:
+        if self.param.lo.numerator < 0 or self.param.hi.numerator > self.param.hi.denominator:
             raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
 
     def constraints(self) -> Iterator[tuple[Bits, Interval]]:
@@ -513,13 +518,17 @@ class BernoulliCylinderBall(MeasureBall):
             if self.param.contains_interval(p):
                 return Verdict.YES
             return Verdict.UNKNOWN
-        # generic fallback: shallow exhaustive screen; sound but may stay UNKNOWN.  Images lie
-        # in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides nothing,
-        # and the images are computed only for words that can decide
-        screen = min(self.level, 3)
-        verdict = Verdict.YES if screen == self.level else Verdict.UNKNOWN
+        # generic fallback: shallow exhaustive screen of levels 1 to 3; sound but may stay UNKNOWN.
+        # Images lie in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides
+        # nothing: past level 3 only the view's screen is read, and images only where they can decide
+        if self.level > 3:
+            for zeros, ones, known in view.screen(stage):
+                if bernoulli_image(self.param, zeros, ones).disjoint(known):
+                    return Verdict.NO
+            return Verdict.UNKNOWN
+        verdict = Verdict.YES
         image = None
-        for w, zeros, ones in _SCREEN_WORDS[: (2 << screen) - 2]:
+        for w, zeros, ones in _SCREEN_WORDS[: (2 << self.level) - 2]:
             known = view.knowledge(w, stage)
             if verdict is Verdict.UNKNOWN and (known is _UNIT or known == _UNIT):
                 continue

@@ -301,10 +301,11 @@ class InverseLiftEntry(Entry):
     """Real entry emitting the longest common prefix of the parameter
     candidates not yet pruned against a measure entry's knowledge.
 
-    The search walks candidates level by level from "", to depth
-    min(stage, INVERSE_DEPTH_CAP).  A candidate survives while the domain does
-    not forbid it at the stage and its star ball is not provably disjoint from
-    the measure's stage knowledge (verdict NO).  The search stops at that
+    The search walks candidates level by level from "", to depth min(stage,
+    INVERSE_DEPTH_CAP).  A candidate survives while the domain does not forbid
+    it at the stage and its star ball is not provably disjoint from the
+    measure's stage knowledge (verdict NO), read through one view, so that the
+    screen of the balls is read once per stage.  The search stops at that
     depth, at more than INVERSE_FRONTIER_CAP survivors on one level, when no
     candidate survives, or at once when "" is forbidden; it emits the common
     prefix of the last full level's survivors, and ``stop_reason`` names the
@@ -564,17 +565,18 @@ class EntryView(MeasureView):
     """Adapter exposing a table entry's stage knowledge to ball membership checks.
 
     A view resolves its index once, when it is built, and evaluates each
-    (word, stage) knowledge and each stage's parameter interval once, keeping
-    the answers while it lives; ``ProgramTable.view`` returns a fresh view on
-    every call.  The kept answers are the view's read log: an inverse-lift
-    search asks one view at one stage, and ``replays`` tells whether a later
-    view gives every answer a logged one gave."""
+    (word, stage) knowledge and each stage's parameter interval and screen
+    once, keeping the answers while it lives; ``ProgramTable.view`` returns a
+    fresh view on every call.  The kept answers are the view's read log: an
+    inverse-lift search asks one view at one stage, and ``replays`` tells
+    whether a later view gives every answer a logged one gave."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
         self.index = table.resolve(index)
         self._known: dict[tuple[Bits, int], Interval] = {}
         self._params: dict[int, Optional[Interval]] = {}
+        self._screens: dict[int, tuple] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
         known = self._known.get((word, stage))
@@ -586,6 +588,11 @@ class EntryView(MeasureView):
         if stage not in self._params:
             self._params[stage] = self.table.entry(self.index).param_interval(self.table, stage)
         return self._params[stage]
+
+    def screen(self, stage: int) -> tuple[tuple[int, int, Interval], ...]:
+        if stage not in self._screens:
+            self._screens[stage] = super().screen(stage)
+        return self._screens[stage]
 
     def replays(self, log: "EntryView", stage: int) -> bool:
         """Whether this view, asked at this stage, gives every answer the log

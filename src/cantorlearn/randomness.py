@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 import zlib
 from fractions import Fraction
-from functools import partial
 from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .cantor import BadWordError, Bits, check_bits
+from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
 from .measures import MeasureBall, _ceil_log2_ratio, ceil_neg_log2
 
 INFINITE_DEFICIENCY = math.inf
@@ -356,7 +355,7 @@ class KTCodec(Codec):
 
     def push(self, bits):
         self.t += len(bits)
-        self.zeros += bits.count("0")
+        self.zeros += len(bits) - int(bits or "0", 2).bit_count()
 
     def _length(self):
         n, a = self.t, self.zeros
@@ -431,9 +430,11 @@ class ComplexityEstimator:
         self.codecs = tuple(codecs)
 
     def upper(self, word: Bits, stage: int) -> int:
+        return self._upper(check_bits(word), stage)
+
+    def _upper(self, word: Bits, stage: int) -> int:  # of a word already checked
         if stage < 1:
             raise ValueError("stage must be >= 1")
-        check_bits(word)
         avail = min(stage, len(self.codecs))
         return min(self.codecs[i]._cost(word) + 2 * i for i in range(avail))
 
@@ -460,7 +461,7 @@ class EstimatorTracker:
 
     def push(self, bits: Bits) -> None:
         # one bit takes the comparisons alone
-        if bits != "0" and bits != "1" and (not isinstance(bits, str) or bits.strip("01")):
+        if bits != "0" and bits != "1" and (not isinstance(bits, str) or bits.translate(_DROP_BITS)):
             raise BadWordError(f"not a 0/1 word: {bits!r}")
         self._pending += bits
         if len(self._pending) >= TRACKER_BUFFER_BITS:
@@ -508,22 +509,22 @@ class EstimatorTracker:
         return floors[min(stage, len(floors)) - 1]
 
 
-def _deficiency(u: Fraction, upper: Callable[[], int]):
-    """ceil(-log2 u) minus the estimate, which is read only when u > 0."""
+def _deficiency(u: Fraction, est: ComplexityEstimator, word: Bits, stage: int):
+    """ceil(-log2 u) minus the estimate of a word already checked, read only when u > 0."""
     if u == 0:
         return INFINITE_DEFICIENCY
-    return ceil_neg_log2(u) - upper()
+    return ceil_neg_log2(u) - est._upper(word, max(1, stage))
 
 
 def deficiency(table, est: ComplexityEstimator, e: int, word: Bits, stage: int):
     """ceil(-log2 of the stage-knowledge sup of the entry's mass) minus the estimate."""
-    u = table.eval_measure(e, word, stage).hi
-    return _deficiency(u, partial(est.upper, word, max(1, stage)))
+    u = table.eval_measure(e, word, stage).hi  # checks the word
+    return _deficiency(u, est, word, stage)
 
 
 def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, stage: int):
     """Deficiency against the sup of the mass over all measures in a ball."""
-    return _deficiency(ball.sup_mass(word), partial(est.upper, word, max(1, stage)))
+    return _deficiency(ball.sup_mass(check_bits(word)), est, word, stage)
 
 
 def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
@@ -587,4 +588,4 @@ def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
     sup_bits = list(table.prefix_sup_bits(e, x, stage))
     if sup_bits[-1] == INFINITE_DEFICIENCY:
         return INFINITE_DEFICIENCY
-    return _largest_read(est, x, sup_bits, stage, sup_bits[-1] - est.upper(x, stage), INFINITE_DEFICIENCY)
+    return _largest_read(est, x, sup_bits, stage, sup_bits[-1] - est._upper(x, stage), INFINITE_DEFICIENCY)

@@ -10,6 +10,7 @@ from cantorlearn.measures import (
     dirac,
     BernoulliCylinderBall,
     BudgetExceeded,
+    ExplicitBall,
     InconsistentBallError,
     Interval,
     InterleaveCylinderBall,
@@ -264,6 +265,22 @@ class TestBalls:
         assert c.sup_mass("0") == F(1, 2)
         assert c.sup_mass("00") == F(1, 2)  # children may inherit all parent mass
         assert c.sup_mass("1") == F(3, 4)
+
+    def test_box_is_propagated_once(self, monkeypatch):
+        constraints = [("0", Interval.closed(F(1, 4), F(1, 2))), ("101", Interval.closed(F(0), F(1, 8)))]
+        words = ("0", "00", "1", "101", "1111", "")
+        want = [ball(constraints).sup_mass(w) for w in words]
+        calls = [0]
+        propagate = ExplicitBall._propagate
+
+        def counting_propagate(self):
+            calls[0] += 1
+            return propagate(self)
+
+        monkeypatch.setattr(ExplicitBall, "_propagate", counting_propagate)
+        c = ball(constraints)
+        assert [c.sup_mass(w) for w in words] == want
+        assert calls[0] == 1
 
     def test_contains_verdicts(self):
         lam = uniform()

@@ -1,12 +1,25 @@
-"""Interval disjointness and the Bernoulli-ball screen against their plain definitions."""
+"""Interval validation and disjointness, and the Bernoulli-ball screen, against their plain definitions."""
 
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorlearn.measures import BernoulliCylinderBall, Interval, Verdict, bernoulli_image, enumerated
+from cantorlearn.cantor import BitSource
+from cantorlearn.measures import (
+    BernoulliCylinderBall,
+    InconsistentBallError,
+    Interval,
+    Verdict,
+    bernoulli_image,
+    dirac,
+    enumerated,
+    interleave_measure,
+    uniform,
+)
+from cantorlearn.programs import EnumeratedMeasureEntry, ExactMeasureEntry, ProgramTable, StubEntry
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -59,6 +72,38 @@ def enumerated_views(draw):
     return enumerated(tuples)
 
 
+@st.composite
+def screened_entries(draw):
+    """A table and a measure entry in it with no parameter interval, so that balls screen it:
+    enumerated, exact with a delay, or a stub."""
+    t = ProgramTable()
+    kind = draw(st.sampled_from(("enumerated", "exact", "stub")))
+    if kind == "enumerated":
+        return t, t.add(EnumeratedMeasureEntry(draw(enumerated_views())))
+    if kind == "stub":
+        return t, t.add(StubEntry("measure"))
+    mus = (uniform(), interleave_measure(BitSource.hat_rational(F(1, 3))), dirac(BitSource.rational(F(2, 5))))
+    return t, t.add(ExactMeasureEntry(draw(st.sampled_from(mus)), draw(st.integers(0, 3))))
+
+
+# int, float and Fraction ends, some of them outside [0,1]
+ends = st.one_of(st.integers(-1, 2), st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), grid)
+
+
+class TestIntervalValidation:
+    @PROPERTY
+    @given(ends, ends, st.booleans(), st.booleans())
+    def test_empty_exactly_when_the_reference_is(self, lo, hi, lo_open, hi_open):
+        a, b = F(lo), F(hi)
+        if a > b or (a == b and (lo_open or hi_open)):
+            with pytest.raises(InconsistentBallError):
+                Interval(lo, hi, lo_open, hi_open)
+        else:
+            iv = Interval(lo, hi, lo_open, hi_open)
+            assert (type(iv.lo), type(iv.hi)) == (F, F)
+            assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == (a, b, lo_open, hi_open)
+
+
 class TestDisjoint:
     @PROPERTY
     @given(intervals(), intervals())
@@ -76,3 +121,13 @@ class TestBernoulliScreen:
     def test_matches_full_screen(self, param, level, view, stage):
         ball = BernoulliCylinderBall(param, level)
         assert ball.contains(view, stage) == full_screen(ball, view, stage)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(intervals(), st.integers(0, 5), screened_entries(), st.integers(0, 4), st.integers(0, 4))
+    def test_matches_full_screen_through_views(self, param, level, table_entry, stage, other):
+        # one view asked at two stages, and again at the first, keeps one screen per stage
+        t, e = table_entry
+        ball = BernoulliCylinderBall(param, level)
+        view = t.view(e)
+        for s in (stage, other, stage):
+            assert ball.contains(view, s) == full_screen(ball, t.view(e), s)

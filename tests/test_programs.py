@@ -29,6 +29,7 @@ from cantorlearn.programs import (
     INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
+    EntryView,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
     ParamLiftEntry,
@@ -52,6 +53,17 @@ class FbMap:
         return BernoulliCylinderBall(
             Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3
         )
+
+
+class CountingMap(FbMap):
+    """FbMap counting the balls it builds, one per candidate a search tests."""
+
+    def __init__(self):
+        self.built = 0
+
+    def star(self, word):
+        self.built += 1
+        return super().star(word)
 
 
 def sup_bits(sup):
@@ -366,14 +378,6 @@ class TestLifts:
                 assert len(t.entry(e)._verdicts) <= self.RECORD_BOUND
 
     def test_rising_sweep_builds_each_ball_once(self):
-        class CountingMap(FbMap):
-            def __init__(self):
-                self.built = 0
-
-            def star(self, word):
-                self.built += 1
-                return super().star(word)
-
         # 121 of the sweep's candidates ever need a test; without the record it builds 2000 balls
         f = CountingMap()
         t = ProgramTable()
@@ -392,6 +396,48 @@ class TestLifts:
             assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
             assert len(t.entry(stalled)._verdicts) <= self.RECORD_BOUND
         assert f.built <= 2557
+
+    def test_first_stall_reads_each_screen_once(self, monkeypatch):
+        # past level 3 a ball reads the view's screen, kept per stage; reading its 14 words in
+        # every ball took 35230 knowledge calls for these 2557 candidates
+        calls = [0]
+        knowledge = EntryView.knowledge
+
+        def counting_knowledge(self, word, stage):
+            calls[0] += 1
+            return knowledge(self, word, stage)
+
+        monkeypatch.setattr(EntryView, "knowledge", counting_knowledge)
+        f = CountingMap()
+        t = ProgramTable()
+        stalled = t.inverse_lift(f, ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        assert t.eval_real(stalled, 0, 64) is None
+        assert f.built == 2557
+        assert calls[0] < f.built
+
+    def test_screened_unknowns_are_dropped_once_the_screen_narrows(self):
+        # every ball is past level 3, so the search reads the measure only through its screen, and
+        # "0" is pinned to 1/3 at stage 11; the stage-10 search stops at the frontier cap after
+        # recording 513 UNKNOWNs at depth 10, which reused at stage 11 would stop it there again
+        class DeepMap(FbMap):
+            def star(self, word):
+                return BernoulliCylinderBall(super().star(word).param, 4)
+
+        def build():
+            t = ProgramTable()
+            m = t.add(EnumeratedMeasureEntry(enumerated([("0", Interval.exact(F(1, 3)), 11)])))
+            return t, m, t.inverse_lift(DeepMap(), ClosedClass.full(), m)
+
+        t, m, e = build()
+        assert t.real_prefix(e, 16, 10) == ""
+        assert t.entry(e).stop_reason(t, 10) == "frontier-cap"
+        log = t.entry(e)._read_log
+        assert t.view(m).replays(log, 10) and not t.view(m).replays(log, 11)
+        want = BitSource.rational(F(1, 3)).prefix(11)
+        assert t.real_prefix(e, 16, 11) == want
+        assert t.entry(e).stop_reason(t, 11) == "depth"
+        fresh, _, f = build()
+        assert fresh.real_prefix(f, 16, 11) == want
 
     def test_stop_reasons(self):
         t = ProgramTable()

@@ -13,8 +13,10 @@ from cantorlearn import cantor, measures, programs, randomness
 from cantorlearn.cantor import BadWordError, BitSource, check_bits
 from cantorlearn.measures import (
     BernoulliCylinderBall,
+    InterleaveCylinderBall,
     Interval,
     Measure,
+    ball,
     bernoulli,
     dirac,
     enumerated,
@@ -569,6 +571,33 @@ class TestDeficiency:
         pinned = BernoulliCylinderBall(Interval.exact(F(1, 2)), 6)
         d = deficiency_ball(pinned, EST, "010101", 9)
         assert d == 6 - EST.upper("010101", 9)
+
+    def test_ball_deficiency_checks_its_word_once(self, monkeypatch):
+        # the sup was read first: the interleave ball gave "a0" an infinite deficiency, the
+        # Bernoulli ball read "0a" as one zero, and the explicit ball raised a bare KeyError on "a"
+        balls = (
+            InterleaveCylinderBall("01"),
+            BernoulliCylinderBall(Interval.closed(F(1, 4), F(1, 2)), 2),
+            ball([("0", Interval.closed(F(1, 4), F(1, 2)))]),
+        )
+        for b in balls:
+            for bad in ("a0", "0a", "a", " 01", 0, None):
+                with pytest.raises(BadWordError):
+                    deficiency_ball(b, EST, bad, 9)
+        calls = [0]
+
+        def counting_check_bits(word):
+            calls[0] += 1
+            return check_bits(word)
+
+        word = sample_stream(bernoulli(F(1, 3)), 0, 4096)
+        want = [deficiency_ball(b, EST, word, 9) for b in balls]
+        for mod in (cantor, measures, randomness):
+            monkeypatch.setattr(mod, "check_bits", counting_check_bits)
+        for b, d in zip(balls, want):
+            calls[0] = 0
+            assert deficiency_ball(b, EST, word, 9) == d
+            assert calls[0] == 1
 
     def test_tighter_ball_never_decreases(self):
         wide = BernoulliCylinderBall(Interval.closed(F(1, 4), F(3, 4)), 6)
