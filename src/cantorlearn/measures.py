@@ -490,11 +490,6 @@ class BernoulliCylinderBall(MeasureBall):
         if self.param.lo.numerator < 0 or self.param.hi.numerator > self.param.hi.denominator:
             raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
 
-    def constraints(self) -> Iterator[tuple[Bits, Interval]]:
-        for n in range(1, self.level + 1):
-            for w in _words(n):
-                yield w, bernoulli_image(self.param, w.count("0"), n - w.count("0"))
-
     def sup_mass(self, word: Bits) -> Fraction:
         probe = word[: self.level]
         a = probe.count("0")
@@ -526,11 +521,16 @@ class BernoulliCylinderBall(MeasureBall):
                 if bernoulli_image(self.param, zeros, ones).disjoint(known):
                     return Verdict.NO
             return Verdict.UNKNOWN
+        # Unless the parameter's ends are 0 and 1, no word's image is all of [0,1]: a one-letter word's
+        # is [lo^n, hi^n] or [(1-hi)^n, (1-lo)^n], and a mixed word's sup is below 1. So a unit word,
+        # which no image misses, then makes the verdict UNKNOWN with no image built
+        unit_param = self.param.lo.numerator == 0 and self.param.hi.numerator == self.param.hi.denominator
         verdict = Verdict.YES
         image = None
         for w, zeros, ones in _SCREEN_WORDS[: (2 << self.level) - 2]:
             known = view.knowledge(w, stage)
-            if verdict is Verdict.UNKNOWN and (known is _UNIT or known == _UNIT):
+            if (known is _UNIT or known == _UNIT) and (verdict is Verdict.UNKNOWN or not unit_param):
+                verdict = Verdict.UNKNOWN
                 continue
             if image is None:
                 image = cache(partial(bernoulli_image, self.param))

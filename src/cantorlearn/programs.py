@@ -110,6 +110,15 @@ class Entry:
     def real_bit(self, table: "ProgramTable", j: int, stage: int) -> Optional[int]:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
 
+    def real_prefix(self, table: "ProgramTable", n: int, stage: int) -> Bits:
+        """The first n bits, cut at the first undefined one."""
+        bits = []
+        for j in range(n):
+            if (b := self.real_bit(table, j, stage)) is None:
+                break
+            bits.append(str(b))
+        return "".join(bits)
+
 
 @dataclass
 class ExactMeasureEntry(Entry):
@@ -312,12 +321,21 @@ class InverseLiftEntry(Entry):
     stop.  Both are kept for the latest stage asked only.  A domain that
     reveals a forbidden prefix late can empty a level and so retract bits.
 
-    A search records the verdicts it met (at most 2 * INVERSE_DEPTH_CAP *
-    (INVERSE_FRONTIER_CAP + 1)), and a search at a later stage reuses them.
-    That is sound because a recorded YES or NO is never retracted, the
-    measure's knowledge only shrinking, and a recorded UNKNOWN is reused only
-    while the measure gives every answer the recording search read
-    (``EntryView.replays``): a ball's verdict is a function of those answers.
+    A search at the latest search's stage or later resumes from its deepest
+    settled level (its depth and survivors in order, at most
+    INVERSE_FRONTIER_CAP words): level 0 when "" is never forbidden, and a
+    deeper level whose parent is settled and whose every candidate is
+    forbidden by the stage, NO, or YES and never forbidden.  YES and NO are
+    never retracted, the measure's knowledge only shrinking, and
+    ``forbid_time`` is a function of the word alone, so every later stage
+    meets those levels' candidates with the same outcomes and expands the
+    same survivors in the same order: the deeper levels, the stop and the
+    emitted prefix are a fresh search's.  A search also records the verdicts
+    it met (at most 2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1)) for
+    later stages to reuse; a recorded UNKNOWN is reused only while the
+    measure gives every answer the recording search read
+    (``EntryView.replays``), a ball's verdict being a function of those
+    answers.  Both records are dropped when a search runs at a lower stage.
     """
 
     param_map: ParamMapLike
@@ -330,6 +348,7 @@ class InverseLiftEntry(Entry):
         self._verdicts: dict[Bits, Verdict] = {}
         self._record_stage = -1
         self._read_log: Optional[EntryView] = None
+        self._settled: tuple[int, list[Bits]] = (0, [""])
 
     def spec(self) -> dict:
         return {
@@ -341,20 +360,25 @@ class InverseLiftEntry(Entry):
 
     def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
         view = table.view(self.measure_index)
-        known = self._verdicts if stage >= self._record_stage else {}
+        resume = stage >= self._record_stage
+        known = self._verdicts if resume else {}
         log = self._read_log
         unknown_holds: Optional[bool] = None  # whether recorded UNKNOWNs hold, once asked
         verdicts: dict[Bits, Verdict] = {}
         self._verdicts, self._record_stage, self._read_log = verdicts, stage, view
-        if self.domain.forbidden("", stage):
+        start, frontier = self._settled = self._settled if resume else (0, [""])
+        forbid_time = self.domain.forbid_time
+        t = forbid_time("")
+        if t is not None and t <= stage:
             return "", "dead-domain"
-        frontier: list[Bits] = [""]
-        for _ in range(min(stage, INVERSE_DEPTH_CAP)):
+        settled = t is None
+        for depth in range(start + 1, min(stage, INVERSE_DEPTH_CAP) + 1):
             nxt: list[Bits] = []
             for w in frontier:
                 for ch in "01":
                     cand = w + ch
-                    if self.domain.forbidden(cand, stage):
+                    t = forbid_time(cand)
+                    if t is not None and t <= stage:
                         continue
                     verdict = known.get(cand)
                     if verdict is Verdict.UNKNOWN:
@@ -367,12 +391,15 @@ class InverseLiftEntry(Entry):
                     verdicts[cand] = verdict
                     if verdict is Verdict.NO:
                         continue
+                    settled = settled and verdict is Verdict.YES and t is None
                     nxt.append(cand)
                     if len(nxt) > INVERSE_FRONTIER_CAP:
                         return os.path.commonprefix(frontier), "frontier-cap"
             if not nxt:
                 return os.path.commonprefix(frontier), "no-survivors"
             frontier = nxt
+            if settled:
+                self._settled = (depth, frontier)
         return os.path.commonprefix(frontier), "depth"  # character-wise, so exact on words
 
     def stop_reason(self, table: "ProgramTable", stage: int) -> str:
@@ -383,6 +410,9 @@ class InverseLiftEntry(Entry):
     def real_bit(self, table, j, stage):
         lcp = self._lcp(table, stage)[0]
         return int(lcp[j]) if j < len(lcp) else None
+
+    def real_prefix(self, table, n, stage):
+        return self._lcp(table, stage)[0][: max(n, 0)]
 
 
 @dataclass
@@ -472,20 +502,18 @@ class ProgramTable:
         check_bits(x)
         return self.entry(e).prefix_sup_bits(self, x, stage)
 
-    def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
+    def _real(self, e: int) -> Entry:
         entry = self.entry(e)
         if entry.kind != "real":
             raise WrongKindError(f"entry {e} is not a real")
-        return entry.real_bit(self, j, stage)
+        return entry
+
+    def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
+        return self._real(e).real_bit(self, j, stage)
 
     def real_prefix(self, e: int, n: int, stage: int) -> Bits:
-        bits = []
-        for j in range(n):
-            b = self.eval_real(e, j, stage)
-            if b is None:
-                break
-            bits.append(str(b))
-        return "".join(bits)
+        """The first n bits of real e, resolved once; see ``Entry.real_prefix``."""
+        return self._real(e).real_prefix(self, n, stage)
 
     def view(self, e: int) -> "EntryView":
         return EntryView(self, e)

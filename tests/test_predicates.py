@@ -62,6 +62,10 @@ revealed = st.one_of(
 )
 
 
+# every word's knowledge is the unit interval, "01"'s revealed as such
+UNIT_VIEW = enumerated([("01", Interval.unit(), 0)])
+
+
 @st.composite
 def enumerated_views(draw):
     tuples = []
@@ -118,9 +122,27 @@ class TestBernoulliScreen:
     @example(Interval.closed(F(1, 4), F(1, 2)), 4, enumerated([("1", Interval.exact(0), 0)]), 0)
     # an open unit is not skipped: the image [0,0] of q = 0 misses it
     @example(Interval.exact(0), 4, enumerated([("0", Interval.open(0, 1), 0)]), 0)
+    # unit views: only a parameter with ends 0 and 1 has a word whose image is all of [0,1]
+    @example(Interval.unit(), 1, UNIT_VIEW, 0)
+    @example(Interval.unit(), 2, UNIT_VIEW, 0)
+    @example(Interval.unit(), 3, UNIT_VIEW, 0)
+    @example(Interval.closed(0, F(1, 2)), 1, UNIT_VIEW, 0)
+    @example(Interval.closed(0, F(1, 2)), 2, UNIT_VIEW, 0)
+    @example(Interval.closed(0, F(1, 2)), 3, UNIT_VIEW, 0)
     def test_matches_full_screen(self, param, level, view, stage):
         ball = BernoulliCylinderBall(param, level)
         assert ball.contains(view, stage) == full_screen(ball, view, stage)
+
+    def test_unit_views_pinned(self):
+        # under [0,1] the one-letter words' images are [0,1], so level 1 stays YES, and "01" (image
+        # [0, 1/4]) is the first word whose unit knowledge the image misses; under [0, 1/2] every
+        # word's image misses it, so a unit word decides UNKNOWN with no image built
+        yes, unknown = Verdict.YES, Verdict.UNKNOWN
+        pins = ((Interval.unit(), [yes, unknown, unknown]), (Interval.closed(0, F(1, 2)), [unknown] * 3))
+        for param, want in pins:
+            balls = [BernoulliCylinderBall(param, level) for level in (1, 2, 3)]
+            assert [b.contains(UNIT_VIEW, 0) for b in balls] == want
+            assert [full_screen(b, UNIT_VIEW, 0) for b in balls] == want
 
     @settings(PROPERTY, max_examples=100)
     @given(intervals(), st.integers(0, 5), screened_entries(), st.integers(0, 4), st.integers(0, 4))

@@ -32,6 +32,7 @@ from cantorlearn.programs import (
     EntryView,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
+    InverseLiftEntry,
     ParamLiftEntry,
     ProgramTable,
     RealEntry,
@@ -46,7 +47,6 @@ class FbMap:
     """Parameter interval [0.w, 0.w + 2^-|w|] pinned to level |w|//3."""
 
     name = "fb-hat"
-    domain = ClosedClass.hat_image()
 
     def star(self, word):
         lo = F(int(word, 2) if word else 0, 1 << len(word)) if word else F(0)
@@ -102,6 +102,23 @@ class TestEvaluation:
             t.eval_real(0, 0, 10)
         with pytest.raises(WrongKindError):
             t.eval_measure(4, "0", 10)
+
+    def test_real_prefix_edges(self):
+        # every real kind gives "" for n <= 0; the inverse lift slices its common prefix, which is
+        # nonempty here; a measure index raises whatever n is; aliases read the base entry's bits
+        t = basic_table()
+        inverse = t.inverse_lift(FbMap(), ClosedClass.hat_image(), 1)  # 7, over bernoulli(1/3)
+        third = BitSource.rational(F(1, 3)).prefix(12)  # 0.0101..., in the hat image
+        assert t.real_prefix(inverse, 12, 64) == third
+        for e in (4, 5, inverse):
+            assert [t.real_prefix(e, n, 64) for n in (0, -1, -12)] == ["", "", ""]
+        for e in (0, 3, 6, t.pad(1, 2)):
+            for n in (0, 4):
+                with pytest.raises(WrongKindError):
+                    t.real_prefix(e, n, 64)
+        for e, want in ((4, third), (5, ""), (inverse, third)):
+            for alias in (t.pad(e, 3), t.add(AliasEntry(e)), t.pad(t.add(AliasEntry(e)), 1)):
+                assert t.real_prefix(alias, 12, 64) == want
 
     def test_real_expansion(self):
         t = basic_table()
@@ -396,6 +413,19 @@ class TestLifts:
             assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
             assert len(t.entry(stalled)._verdicts) <= self.RECORD_BOUND
         assert f.built <= 2557
+
+    def test_rising_sweep_resumes_from_settled_levels(self):
+        # below the last two levels each level holds one YES and one NO or forbidden word, so each
+        # search resumes where the last one's levels settled; restarting from "" read 2664
+        reads = []
+        hat = ClosedClass.hat_image()
+        counting = ClosedClass(hat.name, lambda w: reads.append(w) or hat.forbid_time(w))
+        t = ProgramTable()
+        real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
+        back = t.inverse_lift(FbMap(), counting, t.param_lift(FbMap(), real))
+        got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
+        assert [len(p) for p in got] == [6, 14, 22, 30] + [32] * 20
+        assert len(reads) == 200
 
     def test_first_stall_reads_each_screen_once(self, monkeypatch):
         # past level 3 a ball reads the view's screen, kept per stage; reading its 14 words in
@@ -704,6 +734,64 @@ class TestVerdictsReadOnlyAnswers:
         verdict = ball.contains(view, stage)
         for s in (other, stage + 1, stage + 100):
             assert ball.contains(ReplayView(view, stage), s) is verdict
+
+
+@st.composite
+def inverse_lift_cases(draw):
+    """A table, a measure entry in it, a domain for its inverse lift and the stages to ask it at
+    (from 1 to 300, in any order).  The measure is exact (with a delay), enumerated (bernoulli(q)'s
+    masses on short words, revealed at drawn stages), a stub, or a param lift of a partial hat real
+    (with a delay).  The domain is full, the hat image, or forbids, each from a drawn stage, a
+    prefix of the full-domain answer (up to 24 bits) or that prefix's sibling."""
+    t = ProgramTable()
+    q = draw(st.fractions(0, 1, max_denominator=12))
+    delay = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("bernoulli", "interleave", "enumerated", "stub", "param-lift")))
+    if kind == "bernoulli":
+        m = t.add(ExactMeasureEntry(bernoulli(q), delay))
+    elif kind == "interleave":
+        m = t.add(ExactMeasureEntry(interleave_measure(BitSource.hat_rational(q)), delay))
+    elif kind == "enumerated":
+        words = draw(st.lists(st.text("01", min_size=1, max_size=3), max_size=5, unique=True))
+        rows = [(w, Interval.exact(bernoulli(q).mass(w)), draw(st.integers(0, 40))) for w in words]
+        m = t.add(EnumeratedMeasureEntry(enumerated(rows)))
+    elif kind == "stub":
+        m = t.add(StubEntry("measure"))
+    else:
+        diverge = draw(st.one_of(st.none(), st.integers(0, 40)))
+        m = t.param_lift(FbMap(), t.add(RealEntry(BitSource.hat_rational(q), delay, diverge)))
+    shape = draw(st.sampled_from(("full", "hat", "late", "late")))
+    near = {delay, delay + 1}
+    if shape != "late":
+        domain = ClosedClass.full() if shape == "full" else ClosedClass.hat_image()
+    else:
+        answer = t.real_prefix(t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m)), 64, 300)
+        sets: dict[int, set] = {}
+        for _ in range(draw(st.integers(1, 3))):
+            k, at = draw(st.integers(0, min(len(answer), 24))), draw(st.integers(0, 48))
+            word = answer[:k] if k == 0 or draw(st.booleans()) else answer[: k - 1] + "10"[int(answer[k - 1])]
+            sets.setdefault(at, set()).add(word)
+            near |= {k, at - 1, at}
+        domain = ClosedClass.from_stage_sets(sets)
+    # stages around the delay, the reveals and the forbidden words' lengths, and any others
+    near_stage = st.sampled_from(sorted(s for s in near if s >= 1))
+    stage = st.one_of(near_stage, near_stage, st.integers(1, 70), st.integers(1, 300))
+    return t, m, domain, draw(st.lists(stage, min_size=1, max_size=6))
+
+
+class TestInverseLiftResumes:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inverse_lift_cases())
+    def test_any_stage_sequence_equals_fresh_searches(self, case):
+        # rising, falling and repeated stages: each search, resumed from the settled level and the
+        # verdict record or restarted when the stage falls, answers as a lift with neither does
+        t, m, domain, stages = case
+        e = t.add(InverseLiftEntry(FbMap(), domain, m))
+        for s in stages:
+            fresh = t.add(InverseLiftEntry(FbMap(), domain, m))
+            assert t.real_prefix(e, 64, s) == t.real_prefix(fresh, 64, s)
+            assert t.entry(e).stop_reason(t, s) == t.entry(fresh).stop_reason(t, s)
+            assert len(t.entry(e)._settled[1]) <= INVERSE_FRONTIER_CAP
 
 
 def every_kind_table():
