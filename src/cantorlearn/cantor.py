@@ -29,6 +29,7 @@ class EndOfWordError(IndexError):
 
 
 _DROP_BITS = str.maketrans("", "", "01")  # translate drops bits several times faster than strip
+_HAT = str.maketrans({"0": "01", "1": "10"})
 
 
 def check_bits(word: str) -> Bits:
@@ -62,7 +63,7 @@ def deinterleave(x: Bits) -> tuple[Bits, Bits]:
 def hat_encode(word: Bits) -> Bits:
     """Digit replacement 0 -> 01, 1 -> 10."""
     check_bits(word)
-    return word.translate(str.maketrans({"0": "01", "1": "10"}))
+    return word.translate(_HAT)
 
 
 def hat_decode(word: Bits) -> Bits:
@@ -90,6 +91,7 @@ class BitSource:
 
     spec: dict
     _bit: Callable[[int], int] = field(repr=False, compare=False)
+    _prefix: Optional[Callable[[int], Bits]] = field(default=None, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -104,7 +106,11 @@ class BitSource:
         return b
 
     def prefix(self, n: int) -> Bits:
-        return "".join(str(self.bit(i)) for i in range(n))
+        """The first n bits: in one step (``_prefix``, asked for n >= 1) for a
+        rational or hat-rational, bit by bit for every other source."""
+        if self._prefix is None or n <= 0:
+            return "".join(str(self.bit(i)) for i in range(n))
+        return self._prefix(n)
 
     @classmethod
     def literal(cls, word: Bits) -> "BitSource":
@@ -145,7 +151,8 @@ class BitSource:
         Dyadic rationals get the terminating expansion (trailing zeros);
         the value 1 is the all-ones sequence by convention.  Bit i is
         floor(p 2^(i+1) / q) mod 2, read from p 2^(i+1) mod 2q, so it costs
-        O(log i) products of numbers below 2q, not one (i+1)-bit product.
+        O(log i) products of numbers below 2q, not one (i+1)-bit product.  The
+        n-bit prefix is floor(p 2^n / q), one big-int division.
         """
         value = Fraction(value)
         if not 0 <= value <= 1:
@@ -157,7 +164,10 @@ class BitSource:
                 return 1
             return p * pow(2, i + 1, 2 * q) % (2 * q) // q
 
-        return cls({"kind": "rational", "value": f"{p}/{q}"}, bit)
+        def prefix(n: int) -> Bits:
+            return "1" * n if p == q else f"{(p << n) // q:0{n}b}"
+
+        return cls({"kind": "rational", "value": f"{p}/{q}"}, bit, prefix)
 
     @classmethod
     def hat_rational(cls, value: Fraction) -> "BitSource":
@@ -168,7 +178,10 @@ class BitSource:
             z = base.bit(i // 2)
             return z if i % 2 == 0 else 1 - z
 
-        return cls({**base.spec, "kind": "hat-rational"}, bit)
+        def prefix(n: int) -> Bits:
+            return base.prefix((n + 1) // 2).translate(_HAT)[:n]
+
+        return cls({**base.spec, "kind": "hat-rational"}, bit, prefix)
 
 
 @dataclass(frozen=True)

@@ -73,22 +73,29 @@ def _neg_log2(num: int, den: int) -> Optional[tuple[int, float, float]]:
     return 0, high - low, (high + low + 1) * 2**-49
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, init=False)
 class Interval:
-    """A nonempty rational subinterval of [0,1], with open/closed endpoints."""
+    """A nonempty rational subinterval of [0,1], with open/closed endpoints.
+
+    The ends are ``Fraction``s, also kept as the integer pairs lo = _ln/_ld and
+    hi = _hn/_hd (positive denominators), which are not fields, so ==, hash
+    and repr never read them.  Every comparison is the sign of an integer
+    cross-product; construction sets all of it in one step."""
 
     lo: Fraction
     hi: Fraction
     lo_open: bool = False
     hi_open: bool = False
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if not isinstance(lo, Fraction):
-            object.__setattr__(self, "lo", lo := Fraction(lo))
-        if not isinstance(hi, Fraction):
-            object.__setattr__(self, "hi", hi := Fraction(hi))
-        gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator  # the sign of hi - lo
+    def __init__(self, lo, hi, lo_open: bool = False, hi_open: bool = False):
+        lo = lo if isinstance(lo, Fraction) else Fraction(lo)
+        hi = hi if isinstance(hi, Fraction) else Fraction(hi)
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        self.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, _ln=ln, _ld=ld, _hn=hn, _hd=hd)
+        self.__post_init__()
+
+    def __post_init__(self):  # once per construction, where perfbench counts them
+        gap = self._hn * self._ld - self._ln * self._hd  # the sign of hi - lo
         if gap < 0 or (not gap and (self.lo_open or self.hi_open)):
             raise InconsistentBallError(f"empty interval {self!r}")
 
@@ -118,39 +125,33 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        if x < self.lo or (x == self.lo and self.lo_open):
-            return False
-        if x > self.hi or (x == self.hi and self.hi_open):
-            return False
-        return True
+        xn, xd = Fraction(x).as_integer_ratio()
+        lo, hi = xn * self._ld - self._ln * xd, self._hn * xd - xn * self._hd  # signs of x - lo, hi - x
+        return (lo > 0 or (not lo and not self.lo_open)) and (hi > 0 or (not hi and not self.hi_open))
 
     def contains_interval(self, other: "Interval") -> bool:
-        lo_ok = other.lo > self.lo or (
-            other.lo == self.lo and (not self.lo_open or other.lo_open)
+        lo = other._ln * self._ld - self._ln * other._ld  # the sign of other.lo - self.lo
+        hi = self._hn * other._hd - other._hn * self._hd  # the sign of self.hi - other.hi
+        return (lo > 0 or (not lo and (not self.lo_open or other.lo_open))) and (
+            hi > 0 or (not hi and (not self.hi_open or other.hi_open))
         )
-        hi_ok = other.hi < self.hi or (
-            other.hi == self.hi and (not self.hi_open or other.hi_open)
-        )
-        return lo_ok and hi_ok
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+        lo = self._ln * other._ld - other._ln * self._ld  # the sign of self.lo - other.lo
+        a = self if lo > 0 or (not lo and self.lo_open) else other  # owns the later lo
+        hi = other._hn * self._hd - self._hn * other._hd  # the sign of other.hi - self.hi
+        b = self if hi > 0 or (not hi and self.hi_open) else other  # owns the earlier hi
+        gap = b._hn * a._ld - a._ln * b._hd
+        if gap < 0 or (not gap and (a.lo_open or b.hi_open)):
             return None
-        return Interval(lo, hi, lo_open, hi_open)
+        return Interval(a.lo, b.hi, a.lo_open, b.hi_open)
 
     def disjoint(self, other: "Interval") -> bool:
         """No common point: one interval ends at or before the other starts."""
-        return (self.hi < other.lo or (self.hi == other.lo and (self.hi_open or other.lo_open))) or (
-            other.hi < self.lo or (other.hi == self.lo and (other.hi_open or self.lo_open))
+        a = other._ln * self._hd - self._hn * other._ld  # the sign of other.lo - self.hi
+        b = self._ln * other._hd - other._hn * self._ld  # the sign of self.lo - other.hi
+        return (a > 0 or (not a and (self.hi_open or other.lo_open))) or (
+            b > 0 or (not b and (other.hi_open or self.lo_open))
         )
 
 
@@ -487,7 +488,7 @@ class BernoulliCylinderBall(MeasureBall):
     level: int
 
     def __post_init__(self):
-        if self.param.lo.numerator < 0 or self.param.hi.numerator > self.param.hi.denominator:
+        if self.param._ln < 0 or self.param._hn > self.param._hd:
             raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
 
     def sup_mass(self, word: Bits) -> Fraction:
@@ -524,7 +525,7 @@ class BernoulliCylinderBall(MeasureBall):
         # Unless the parameter's ends are 0 and 1, no word's image is all of [0,1]: a one-letter word's
         # is [lo^n, hi^n] or [(1-hi)^n, (1-lo)^n], and a mixed word's sup is below 1. So a unit word,
         # which no image misses, then makes the verdict UNKNOWN with no image built
-        unit_param = self.param.lo.numerator == 0 and self.param.hi.numerator == self.param.hi.denominator
+        unit_param = self.param._ln == 0 and self.param._hn == self.param._hd
         verdict = Verdict.YES
         image = None
         for w, zeros, ones in _SCREEN_WORDS[: (2 << self.level) - 2]:

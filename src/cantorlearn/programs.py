@@ -111,7 +111,9 @@ class Entry:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
 
     def real_prefix(self, table: "ProgramTable", n: int, stage: int) -> Bits:
-        """The first n bits, cut at the first undefined one."""
+        """The first n bits, cut at the first undefined one ("" for n <= 0).
+        This default asks ``real_bit`` once per bit; real entries and inverse
+        lifts override it to hand the prefix over in one step."""
         bits = []
         for j in range(n):
             if (b := self.real_bit(table, j, stage)) is None:
@@ -193,7 +195,9 @@ class StubEntry(Entry):
 
 @dataclass
 class RealEntry(Entry):
-    """Total or partial computable real: bit j defined once stage >= j + delay."""
+    """Total or partial computable real: bit j defined once stage >= j + delay,
+    and never from ``diverge_from`` on.  A prefix is one ``BitSource.prefix``
+    call, cut to the defined length."""
 
     source: BitSource
     delay: int = 0
@@ -217,6 +221,11 @@ class RealEntry(Entry):
         if stage >= j + self.delay:
             return self.source.bit(j)
         return None
+
+    def real_prefix(self, table, n, stage):
+        # bit j is defined exactly when j <= stage - delay and j < diverge_from
+        n = min(n, stage - self.delay + 1, n if self.diverge_from is None else self.diverge_from)
+        return self.source.prefix(n)
 
 
 @dataclass
@@ -266,8 +275,10 @@ class ParamLiftEntry(Entry):
     """Measure entry whose stage knowledge is the param map's ball at the
     longest defined prefix of a real entry.
 
-    The ball is built once per stage and kept for the latest stage asked only,
-    so the real's bits are read once per stage, not once per query."""
+    The ball is built once per stage and kept for the latest stage asked only;
+    each stage reads the real's prefix in one ``real_prefix`` call, which an
+    inverse lift, or a real entry over a rational or hat-rational source,
+    answers without a per-bit loop."""
 
     param_map: "ParamMapLike"
     real_index: int

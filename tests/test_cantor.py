@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlearn.cantor import (
     BadWordError,
@@ -19,6 +22,24 @@ from cantorlearn.cantor import (
 
 def all_words(n):
     return ("".join(p) for p in product("01", repeat=n))
+
+
+def bit_loop(source, n):
+    """The first n bits read one by one, as a source with no one-step prefix gives them."""
+    return "".join(str(source.bit(i)) for i in range(n))
+
+
+# 0, 1, dyadic and periodic expansions, then any rational in [0,1]
+rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 1024), Fraction(1, 3), Fraction(5, 7)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+
+# the kinds with a one-step prefix, as factories, so that the prefix and the bit loop each read a fresh source
+one_step_sources = st.one_of(
+    rationals.map(lambda v: partial(BitSource.rational, v)),
+    rationals.map(lambda v: partial(BitSource.hat_rational, v)),
+)
 
 
 class TestInterleave:
@@ -107,9 +128,12 @@ class TestHat:
 class TestBitSource:
     def test_literal_errors_past_end(self):
         s = BitSource.literal("010")
-        assert s.prefix(3) == "010"
+        assert [s.prefix(n) for n in (-1, 0, 2, 3)] == ["", "", "01", "010"]
         with pytest.raises(EndOfWordError):
             s.bit(3)
+        for n in (4, 40):
+            with pytest.raises(EndOfWordError, match="length 3 read at 3"):
+                s.prefix(n)
 
     def test_rational_third(self):
         s = BitSource.rational(Fraction(1, 3))
@@ -146,8 +170,10 @@ class TestBitSource:
         assert BitSource.hat_rational(Fraction(1, 3)).prefix(8) == "01100110"
 
     def test_hat_rational_is_the_hat_of_the_expansion(self):
+        # against the bit loop: the one-step prefix is itself the hat of the expansion's prefix
         for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
-            assert BitSource.hat_rational(v).prefix(48) == hat_encode(BitSource.rational(v).prefix(24))
+            want = hat_encode(bit_loop(BitSource.rational(v), 24))
+            assert BitSource.hat_rational(v).prefix(48) == bit_loop(BitSource.hat_rational(v), 48) == want
 
     def test_periodic(self):
         s = BitSource.periodic("10", head="0")
@@ -157,6 +183,19 @@ class TestBitSource:
         s = BitSource.rational(Fraction(5, 7))
         assert s.prefix(40) == s.prefix(40)
         assert s.bit(17) == BitSource.rational(Fraction(5, 7)).bit(17)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(one_step_sources, st.integers(-3, 300))
+    def test_one_step_prefix_is_the_bit_loop(self, make, n):
+        source = make()
+        assert source._prefix is not None
+        assert source.prefix(n) == bit_loop(make(), n)
+
+    def test_bare_bit_function_reads_bit_by_bit(self):
+        reads = []
+        s = BitSource({"kind": "custom"}, lambda i: reads.append(i) or i % 2)
+        assert s.prefix(5) == "01010"
+        assert reads == [0, 1, 2, 3, 4]
 
 
 class TestClosedClass:

@@ -1,5 +1,6 @@
-"""Interval validation and disjointness, and the Bernoulli-ball screen, against their plain definitions."""
+"""Interval validation and comparisons, and the Bernoulli-ball screen, against their plain definitions."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import product
 
@@ -113,6 +114,83 @@ class TestDisjoint:
     @given(intervals(), intervals())
     def test_matches_empty_intersection(self, a, b):
         assert a.disjoint(b) == (a.intersect(b) is None) == b.disjoint(a)
+
+
+# the comparisons written with Fraction comparisons, as plain definitions
+
+
+def contains_ref(a, x):
+    return (a.lo < x or (a.lo == x and not a.lo_open)) and (x < a.hi or (x == a.hi and not a.hi_open))
+
+
+def contains_interval_ref(a, b):
+    lo_ok = b.lo > a.lo or (b.lo == a.lo and (not a.lo_open or b.lo_open))
+    hi_ok = b.hi < a.hi or (b.hi == a.hi and (not a.hi_open or b.hi_open))
+    return lo_ok and hi_ok
+
+
+def intersect_ref(a, b):
+    if a.lo > b.lo or (a.lo == b.lo and a.lo_open):
+        lo, lo_open = a.lo, a.lo_open
+    else:
+        lo, lo_open = b.lo, b.lo_open
+    if a.hi < b.hi or (a.hi == b.hi and a.hi_open):
+        hi, hi_open = a.hi, a.hi_open
+    else:
+        hi, hi_open = b.hi, b.hi_open
+    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        return None
+    return lo, hi, lo_open, hi_open
+
+
+def disjoint_ref(a, b):
+    return (a.hi < b.lo or (a.hi == b.lo and (a.hi_open or b.lo_open))) or (
+        b.hi < a.lo or (b.hi == a.lo and (b.hi_open or a.lo_open))
+    )
+
+
+# any rational in [0,1], the ends of 0.w for 96-bit words w among them
+rationals = st.one_of(
+    grid,
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.integers(0, 1 << 96).map(lambda k: F(k, 1 << 96)),
+)
+
+
+@st.composite
+def shared_ends(draw):
+    """Two intervals and a point drawn from one pool of at most three rationals, so that equal
+    ends are common, with either flag on each end wherever the ends differ."""
+    pool = st.sampled_from(draw(st.lists(rationals, min_size=1, max_size=3)))
+
+    def interval():
+        lo, hi = sorted((draw(pool), draw(pool)))
+        return Interval(lo, hi, *((draw(st.booleans()), draw(st.booleans())) if lo < hi else (False, False)))
+
+    return interval(), interval(), draw(pool)
+
+
+class TestIntegerComparisons:
+    @settings(PROPERTY, max_examples=500)
+    @given(shared_ends())
+    def test_match_the_fraction_comparisons(self, case):
+        a, b, x = case
+        assert a.contains(x) == contains_ref(a, x)
+        assert a.contains_interval(b) == contains_interval_ref(a, b)
+        assert a.disjoint(b) == disjoint_ref(a, b)
+        got = a.intersect(b)
+        assert (got and (got.lo, got.hi, got.lo_open, got.hi_open)) == intersect_ref(a, b)
+
+    @PROPERTY
+    @given(rationals, rationals, st.booleans(), st.booleans())
+    def test_equal_intervals_compare_hash_and_print_by_their_fields(self, lo, hi, lo_open, hi_open):
+        lo, hi = sorted((lo, hi))
+        flags = (lo_open, hi_open) if lo < hi else (False, False)
+        a = Interval(lo, hi, *flags)
+        b = Interval(str(lo), str(hi), *flags)  # the same ends, spelled as strings
+        assert [f.name for f in fields(Interval)] == ["lo", "hi", "lo_open", "hi_open"]
+        assert a == b and hash(a) == hash(b) == hash((lo, hi, *flags))
+        assert repr(a) == repr(b) == f"Interval(lo={lo!r}, hi={hi!r}, lo_open={flags[0]}, hi_open={flags[1]})"
 
 
 class TestBernoulliScreen:

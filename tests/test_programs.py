@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlearn import measures
-from cantorlearn.cantor import BitSource, ClosedClass
+from cantorlearn.cantor import BitSource, ClosedClass, EndOfWordError
 from cantorlearn.measures import (
     BernoulliCylinderBall,
     InterleaveCylinderBall,
@@ -29,6 +29,7 @@ from cantorlearn.programs import (
     INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
+    Entry,
     EntryView,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
@@ -64,6 +65,23 @@ class CountingMap(FbMap):
     def star(self, word):
         self.built += 1
         return super().star(word)
+
+
+def read_or_end(read):
+    """A read's result, or EndOfWordError where it reads a literal source past its end."""
+    try:
+        return read()
+    except EndOfWordError:
+        return EndOfWordError
+
+
+@pytest.fixture
+def bit_calls(monkeypatch):
+    """A list whose length counts the ``BitSource.bit`` calls made while the test runs."""
+    calls = []
+    bit = BitSource.bit
+    monkeypatch.setattr(BitSource, "bit", lambda self, i: calls.append(i) or bit(self, i))
+    return calls
 
 
 def sup_bits(sup):
@@ -161,6 +179,53 @@ class TestEvaluation:
         e = len(t) - 1
         assert t.eval_real(e, 4, 1000) is not None
         assert t.eval_real(e, 5, 10**6) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(
+            [
+                BitSource.rational(F(1, 3)),
+                BitSource.hat_rational(F(2, 5)),
+                BitSource.periodic("110", head="0"),
+                BitSource.constant(1),
+                BitSource.literal("0110100"),
+                sampled_source(bernoulli(F(1, 3)), 4),
+            ]
+        ),
+        st.integers(0, 6),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(-3, 48),
+        st.lists(st.integers(-2, 60), min_size=1, max_size=5),
+    )
+    def test_real_prefix_is_the_bit_loop(self, source, delay, diverge_from, n, stages):
+        # the source's one-step prefix, cut to the defined length, is what the default loop over
+        # real_bit reads, under a delay, a divergence point, n <= 0 and n past the defined length
+        t = ProgramTable()
+        e = t.add(RealEntry(source, delay, diverge_from))
+        entry, prev = t.entry(e), ""
+        for stage in sorted(stages):
+            got = read_or_end(lambda: t.real_prefix(e, n, stage))
+            assert got == read_or_end(lambda: Entry.real_prefix(entry, t, n, stage))
+            if got is not EndOfWordError:
+                assert got.startswith(prev)  # only grows as the stage rises
+                prev = got
+
+    def test_lift_sweeps_read_no_single_bits(self, bit_calls):
+        # both lifts read their real's prefix in one step per stage; bit by bit, the param lift's
+        # sweep under this inverse lift made 720 BitSource.bit calls, and the Bernoulli lift's 1776
+        t = ProgramTable()
+        real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
+        back = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.param_lift(FbMap(), real))
+        got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
+        assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
+        assert len(bit_calls) == 0
+        third = t.add(RealEntry(BitSource.rational(F(1, 3))))
+        known = [t.eval_measure(t.bernoulli_lift(third), "0", s) for s in range(8, 193, 8)]
+        assert known[-1].contains(F(1, 3)) and known[-1].width < F(1, 1 << 90)
+        assert len(bit_calls) == 0
+        # the count sees the default loop's reads
+        assert Entry.real_prefix(t.entry(third), t, 8, 8) == "01010101"
+        assert len(bit_calls) == 8
 
 
 class TestPadding:
