@@ -11,8 +11,9 @@ each prefix (``ProgramTable.prefix_sup_bits``), certified in floats for exact
 measures and Bernoulli lifts.  A codec's ``push`` takes a word of any length
 and consumes it in a few calls at C speed (``len``, ``str.count``, ``lstrip``,
 ``str.find``, bit operations on ``int(..., 2)``); none steps through it bit by
-bit.  ``EstimatorTracker`` buffers its pushes and hands them to every codec
-when the estimate is read (or when the buffer is full).  The KT codec keeps
+bit.  ``EstimatorTracker`` appends its pushes to a list, and at a read hands
+each codec the bits it has not seen only if that codec's floor could beat the
+estimate; the other codecs fall behind and catch up later.  The KT codec keeps
 only its two counts and reads its exact length from a closed form, through a
 certified float fast path with an exact integer fallback.  The zlib codec
 feeds one shared compressor per tracker with the complete blocks of each
@@ -20,8 +21,9 @@ push, and reads the length of a copy flushed after them.
 
 Every codec also states a floor: a lower bound on its length that holds after
 any further pushes (the zlib codec's only until its open block completes), each
-with a one-line proof in the codec's docstring.  At each read the tracker folds
-the floors, with the id penalties, into a bound on every later estimate, so
+with a one-line proof in the codec's docstring.  A read skips each codec whose
+floor cannot beat the estimate, and folds the floors of each codec's own last
+read, with the id penalties, into a bound on every later estimate, so
 ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the whole
 word's deficiency) hand the tracker the walked bits and read the estimate only
 at the prefixes where that bound leaves their answer open, and still give
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import zlib
 from fractions import Fraction
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
@@ -44,10 +45,6 @@ INFINITE_DEFICIENCY = math.inf
 LITERAL_HEADER = 32
 CODEC_HEADER = 8
 ZLIB_BLOCK_BITS = 256
-# bits an EstimatorTracker buffers, at most, before the codecs see them: the
-# buffer is an immutable string copied on every push, so an unread tracker
-# would otherwise copy quadratically many characters
-TRACKER_BUFFER_BITS = 4096
 # KT lengths come from floats only when more than this times (n + 1) bits
 # from an integer; see KTCodec
 KT_FLOAT_MARGIN = 1e-12
@@ -97,8 +94,8 @@ class Codec:
     Pushing a word in pieces gives the same cost as pushing it whole.
 
     Each push consumes its word in a few calls at C speed; none steps through
-    it bit by bit.  ``EstimatorTracker`` buffers what it is pushed and pushes
-    it to its codecs when its estimate is read.
+    it bit by bit.  ``EstimatorTracker`` pushes a codec only at a read whose
+    minimum its far floor could beat, with every bit it has not seen yet.
 
     ``_floors(length)``, given the current length, returns ``(near, room, far)``:
     whatever bits are pushed next, the length stays at least ``near`` while
@@ -443,69 +440,92 @@ class ComplexityEstimator:
 
 
 class EstimatorTracker:
-    """Incremental estimate along a growing word.
+    """Incremental estimate along a growing word, read lazily.
 
-    ``push`` checks a word of any length and buffers it; ``upper`` first hands
-    the buffer to every codec in one push.  The buffer is also handed over
-    once it holds TRACKER_BUFFER_BITS bits.  Each ``upper`` also folds the
-    codecs' floors with their id penalties, so ``floor`` bounds every later
-    estimate in O(1) without reading a codec.
+    ``push`` checks a word of any length and appends it to a list of parts.
+    ``upper(stage)`` joins the parts onto the word and reads the codecs below
+    the stage: the last read's winner first, then the others in codec order.
+    A codec is read only when its far floor from its own last read, plus its
+    id penalty, is below the smallest estimate read so far; it is then pushed,
+    in one push, the bits it has not seen.  Skipping is exact: a far floor
+    holds after any further pushes, so a skipped codec's estimate is at least
+    the minimum already read.  Each ``upper`` also folds every codec's floors
+    from its own last read, so ``floor`` bounds every later estimate in O(1)
+    without reading a codec.
     """
 
     def __init__(self, est: ComplexityEstimator):
         self.trackers = [c.tracker() for c in est.codecs]
-        self._pending = ""
-        self._handed = 0  # bits handed to the codecs
-        self._penalties = range(0, 2 * len(self.trackers), 2)
-        self._fold_floors([t._length() for t in self.trackers])
+        self._parts: list[Bits] = []
+        self._word = ""  # the bits joined from the parts so far
+        self._seen = [0] * len(self.trackers)  # bits pushed to each codec
+        self._lead = 0  # the codec that won the last read
+        # (near + penalty, bits until near lapses, far + penalty) of each
+        # codec's last read; trivial before it, so the first read reads all
+        self._codec_floors = [(0, 0, 0)] * len(self.trackers)
+        self._read(range(len(self.trackers)), "")
 
     def push(self, bits: Bits) -> None:
         # one bit takes the comparisons alone
         if bits != "0" and bits != "1" and (not isinstance(bits, str) or bits.translate(_DROP_BITS)):
             raise BadWordError(f"not a 0/1 word: {bits!r}")
-        self._pending += bits
-        if len(self._pending) >= TRACKER_BUFFER_BITS:
-            self._flush()
+        self._parts.append(bits)
 
-    def _flush(self) -> None:
-        for t in self.trackers:
-            t.push(self._pending)
-        self._handed += len(self._pending)
-        self._pending = ""
+    def _join(self) -> Bits:
+        """The word pushed so far, with the parts joined onto it."""
+        if self._parts:
+            word, self._word = self._word, ""
+            word += "".join(self._parts)  # with its other reference gone, CPython extends word in place
+            self._word, self._parts = word, []
+        return self._word
 
-    def _fold_floors(self, lengths: list[int]) -> None:
+    def _read(self, order, word: Bits) -> int:
+        """The smallest estimate of the codecs in order, reading each, caught up
+        on word, only if its far floor is below the smallest so far; fold the floors."""
+        n, floors, seen, best = len(word), self._codec_floors, self._seen, math.inf
+        for i in order:
+            if floors[i][2] < best:
+                t = self.trackers[i]
+                if seen[i] < n:
+                    t.push(word[seen[i] :])
+                    seen[i] = n
+                length = t._length()
+                near, room, far = t._floors(length)
+                floors[i] = (near + 2 * i, n + room, far + 2 * i)
+                if length + 2 * i < best:
+                    best, self._lead = length + 2 * i, i
+        self._fold_floors()
+        return best
+
+    def _fold_floors(self) -> None:
         """Prefix minima, over the codec order, of each codec's near and far
-        floor plus its id penalty; the near ones hold until ``_horizon`` bits."""
-        near = far = room = math.inf
+        floor; the near ones hold until ``_horizon`` bits."""
+        near = far = horizon = math.inf
         self._near, self._far = [], []
-        for t, length, penalty in zip(self.trackers, lengths, self._penalties):
-            n, r, f = t._floors(length)
-            if n + penalty < near:
-                near = n + penalty
-            if f + penalty < far:
-                far = f + penalty
-            if r < room:
-                room = r
+        for n, until, f in self._codec_floors:
+            if n < near:
+                near = n
+            if f < far:
+                far = f
+            if until < horizon:
+                horizon = until
             self._near.append(near)
             self._far.append(far)
-        self._horizon = self._handed + room
+        self._horizon = horizon
 
     def upper(self, stage: int) -> int:
         if stage < 1:
             raise ValueError("stage must be >= 1")
-        if self._pending:
-            self._flush()
-        lengths = [t._length() for t in self.trackers]
-        self._fold_floors(lengths)
-        return min(map(add, lengths[:stage], self._penalties))
+        avail = min(stage, len(self.trackers))
+        lead = self._lead if self._lead < avail else 0
+        return self._read((lead, *range(lead), *range(lead + 1, avail)), self._join())
 
     def floor(self, stage: int) -> int:
         """A lower bound on ``upper(stage)``, now and after any further pushes,
-        from the floors of the latest read."""
+        from the floors of each codec's latest read."""
         if stage < 1:
             raise ValueError("stage must be >= 1")
-        seen = self._handed + len(self._pending)
-        floors = self._near if seen < self._horizon else self._far
+        floors = self._near if len(self._join()) < self._horizon else self._far
         return floors[min(stage, len(floors)) - 1]
 
 

@@ -35,7 +35,6 @@ from cantorlearn.randomness import (
     DEFAULT_CODECS,
     INFINITE_DEFICIENCY,
     LITERAL_HEADER,
-    TRACKER_BUFFER_BITS,
     ZLIB_BLOCK_BITS,
     ComplexityEstimator,
     KTCodec,
@@ -425,13 +424,19 @@ class TestChunkedPushes:
     @PROPERTY
     @given(words(), st.data(), st.integers(1, 7))
     def test_tracker_reads_match_whole_word_estimate(self, word, data, stage):
+        # a stage drawn per read leaves the codecs past a small stage behind,
+        # to catch up at a larger one
         reads = set(chunk_ends(data.draw, len(word)))
         tr = EST.tracker()
         assert tr.upper(stage) == EST.upper("", stage)
         for i, ch in enumerate(word, 1):
             tr.push(ch)
             if i in reads:
+                stage = data.draw(st.integers(1, 7))
                 assert tr.upper(stage) == EST.upper(word[:i], stage), i
+                costs = [c.cost(word[:i]) + 2 * j for j, c in enumerate(DEFAULT_CODECS)]
+                for s in range(1, 8):
+                    assert tr.floor(s) <= min(costs[:s]), (i, s)
 
     @PROPERTY
     @given(st.integers(0, 2**32), st.integers(0, 200), st.integers(1, 7))
@@ -443,7 +448,8 @@ class TestChunkedPushes:
 
 
 class TestOnePushPerRead:
-    """Codecs see a word in one push, and a tracker's bits once per read."""
+    """Codecs see a word in one push, and a tracker's unseen bits in at most
+    one push per read."""
 
     N = 32768
 
@@ -465,22 +471,38 @@ class TestOnePushPerRead:
         assert pushes == {c.name: 1 for c in DEFAULT_CODECS}
 
     def test_tracker_read_every_256_bits(self, pushes):
+        # five eager codecs, each pushed at every read, give the reference
         word = structured_words(self.N, 13)["run-length"]
-        tr = EST.tracker()
+        eager, want = [c.tracker() for c in DEFAULT_CODECS], []
+        for start in range(0, self.N, 256):
+            for t in eager:
+                t.push(word[start : start + 256])
+            want.append(min(t.cost() + 2 * i for i, t in enumerate(eager)))
+        pushes.update(dict.fromkeys(pushes, 0))
+        tr, got = EST.tracker(), []
         for i, ch in enumerate(word, 1):
             tr.push(ch)
             if i % 256 == 0:
-                tr.upper(self.N)
-        assert pushes == {c.name: self.N // 256 for c in DEFAULT_CODECS}
+                before = dict(pushes)
+                got.append(tr.upper(self.N))
+                assert all(pushes[name] - before[name] <= 1 for name in pushes)
+        assert got == want
+        # zlib-block's far floor is its header, so it is read every time; the
+        # losing codecs catch up only when their far floors could win
+        assert pushes == {"literal": 3, "run-length": 128, "pattern": 3, "kt": 4, "zlib-block": 128}
 
-    def test_unread_tracker_buffers_a_bounded_run(self, pushes):
+    def test_unread_tracker_pushes_no_codec(self, pushes):
+        word = structured_words(self.N, 13)["cyclic"]
         tr = EST.tracker()
-        for ch in structured_words(self.N, 13)["cyclic"]:
+        for ch in word:
             tr.push(ch)
-        want = self.N // TRACKER_BUFFER_BITS
-        assert pushes == {c.name: want for c in DEFAULT_CODECS}
-        tr.upper(1)
-        assert pushes == {c.name: want for c in DEFAULT_CODECS}  # nothing was left over
+        assert pushes == {c.name: 0 for c in DEFAULT_CODECS}
+        assert tr.upper(self.N) == EST.upper(word, self.N)
+        # the first read pushes each codec once, all its bits: every codec's
+        # floor is below the literal estimate on a fresh tracker
+        assert pushes == {c.name: 2 for c in DEFAULT_CODECS}  # the tracker's push, then the estimate's
+        for codec, t in zip(DEFAULT_CODECS, tr.trackers):
+            assert t.cost() == codec.cost(word), codec.name
 
 
 def with_break(draw, word: str, start: int) -> str:
