@@ -3,7 +3,8 @@
 All masses are ``fractions.Fraction`` values, so additivity and every ball
 computation are exact.  Prefix walks take ceil(-log2) of masses and sups from
 floats where an error bound, assuming ``math.log2`` within 2 ulps, certifies
-them, and from integers otherwise.
+them, and from integers otherwise.  Sampling needs no bound: each float draw
+is compared with one double cut per rule value, exact for every double.
 """
 
 from __future__ import annotations
@@ -593,28 +594,46 @@ class InterleaveCylinderBall(MeasureBall):
 # sampling
 
 
+def _cut(p0: Fraction):
+    """p0's cut for ``sample_stream``: the forced bit "0" at p0 = 1, "1" at p0 = 0, else a double."""
+    num, den = p0.numerator, p0.denominator
+    if den == 1:
+        return "0" if num else "1"
+    f = num / den
+    a, b = f.as_integer_ratio()
+    return f if a * den >= num * b else math.nextafter(f, math.inf)
+
+
 def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
     """Deterministic stream of n bits sampled from an exact measure.
 
     Bit j is 0 with probability ``mu.p0(j)``, the exact conditional given the
-    prefix so far, so each bit costs one read of the rule; the float draw is
-    compared with it exactly, as integers.  Forced bits
-    (p0 of 0 or 1) consume no randomness, so streams from interleaving
-    measures carry the forced bits exactly.
+    prefix so far, so each bit costs one read of the rule.  Each rule value
+    object gets one ``_cut``, and a draw r gives 0 when r < cut, which holds
+    exactly when r < p0.  The cut starts from f = num / den, p0 correctly
+    rounded (int division, no libm).  If f >= p0, the cut is f: no double
+    lies in [p0, f).  Else it is the next double above f: none lies in
+    (f, p0).  Either would be nearer p0 than f.  This holds for every double
+    r, so no draw needs an exact fallback.  Forced bits (p0 of 0 or 1)
+    consume no randomness, so streams from interleaving measures carry the
+    forced bits exactly.
     """
-    if mu.p0 is None:
+    if (rule := mu.p0) is None:
         raise MalformedMeasureError("sampling needs an exact measure")
     if n < 0:
         raise ValueError(f"stream length must be >= 0, got {n}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    cuts: dict[int, tuple] = {}  # id(p0) -> (p0, cut); p0 is held, so its id is not reused
+    last = cut = None  # the last value read and its cut
     out: list[str] = []
     for j in range(n):
-        p0 = mu.p0(j)
-        if p0.denominator == 1:  # p0 is 0 or 1
-            out.append("0" if p0.numerator else "1")
-        else:
-            a, b = rng.random().as_integer_ratio()  # the draw, exactly
-            out.append("0" if a * p0.denominator < p0.numerator * b else "1")
+        p0 = rule(j)
+        if p0 is not last:
+            got = cuts.get(id(p0))
+            if got is None:
+                got = cuts[id(p0)] = (p0, _cut(p0))
+            last, cut = got
+        out.append(cut if cut.__class__ is str else "0" if draw() < cut else "1")
     return "".join(out)
 
 

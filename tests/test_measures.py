@@ -1,8 +1,11 @@
+import hashlib
+import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorlearn.cantor import BadWordError, BitSource
@@ -15,6 +18,7 @@ from cantorlearn.measures import (
     Interval,
     InterleaveCylinderBall,
     MalformedMeasureError,
+    Measure,
     Verdict,
     ball,
     bernoulli,
@@ -24,6 +28,7 @@ from cantorlearn.measures import (
     sample_stream,
     sampled_source,
     uniform,
+    _cut,
 )
 from cantorlearn.programs import from_spec
 
@@ -121,6 +126,48 @@ def arbitrary_constraints(draw):
         flags = (draw(st.booleans()), draw(st.booleans())) if lo < hi else (False, False)
         constraints.append((w, Interval(lo, hi, *flags)))
     return ball(constraints)
+
+
+@st.composite
+def unit_fractions(draw):
+    """p0 in (0, 1), with denominators from 2 up to 2^400."""
+    den = draw(st.integers(2, 1 << draw(st.sampled_from([4, 53, 64, 200, 400]))))
+    return F(draw(st.integers(1, den - 1)), den)
+
+
+@st.composite
+def rules(draw):
+    """A rule cycling through 1 to 5 values, forced ones among them, and
+    whether it builds a fresh value object on every read."""
+    values = draw(st.lists(st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]), unit_fractions()), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return lambda j: F(values[j % len(values)])
+    return lambda j: values[j % len(values)]
+
+
+def sample_ref(rule, seed, n):
+    """The integer comparison sample_stream replaced: each draw's exact ratio
+    against p0, with no draw for a forced bit."""
+    rng = random.Random(seed)
+    out = []
+    for j in range(n):
+        p0 = rule(j)
+        if p0.denominator == 1:
+            out.append("0" if p0.numerator else "1")
+        else:
+            a, b = rng.random().as_integer_ratio()
+            out.append("0" if a * p0.denominator < p0.numerator * b else "1")
+    return "".join(out)
+
+
+def around(x, k=3):
+    """x and the k doubles on each side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            out.append(y := math.nextafter(y, direction))
+    return out
 
 
 class TestInterval:
@@ -396,8 +443,38 @@ class TestSampling:
         assert c.startswith(a)
 
     def test_pinned_word(self):
-        # frozen after the first run; the determinism is the contract
-        assert sample_stream(bernoulli(F(1, 2)), 7, 8) == sample_stream(bernoulli(F(1, 2)), 7, 8)
+        # sha256 of sample_stream(bernoulli(q), seed, 2048), recorded from the
+        # integer comparison: 1/3 and 2/3 round down to a double, 1/5 up, 1/2 is exact
+        pins = {
+            (F(1, 3), 0): "4c3358976ee36d713fc9fab9be18a12ccb130caf15cadac4ae10877b2c0e1774",
+            (F(1, 3), 1): "f6c8cdf7867c6897b88870bdf98f5c82eb5c85684af61871caea5f99777f3182",
+            (F(2, 3), 0): "ff377ef4708fa332b57b0f7e8aac6805dcd18fafe5a3b883283425b5fd3aff5c",
+            (F(2, 3), 1): "7a04bf19673ecb2e2d06e120bdd230bbf6dcb8b8f56baf92a5c2fc4a189a13ed",
+            (F(1, 5), 0): "b7392c984ca1b219a077799b024c4db5a07dd04e7992962958c62661c4989afc",
+            (F(1, 5), 1): "4f19b434a59a6424b815560d1e4c2fd22e58421eeccd6fc80cc9fd14cedac78a",
+            (F(1, 2), 0): "a4ed86f245699504211cb7c055cbe8d620fd9eb495bf568186314a8468b5e779",
+            (F(1, 2), 1): "98f195e2800911eb2c1380e77363573952f1c287c1666da68cd2fff451e91c45",
+        }
+        for (q, seed), want in pins.items():
+            assert hashlib.sha256(sample_stream(bernoulli(q), seed, 2048).encode()).hexdigest() == want
+
+    @PROPERTY
+    @given(unit_fractions(), st.lists(st.floats(0, 1) | st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    @example(F(1, 10**400), [0.0, 5e-324])  # below the smallest subnormal
+    @example(F(1, 1 << 1100), [0.0])
+    @example(1 - F(1, 1 << 61), [1.0, 1 - 2**-53])  # within 2^-60 of 1
+    @example(1 - F(1, 10**400), [1.0])
+    @example(F(1, 3), [])
+    @example(F(1, 5), [])
+    def test_cut_decides_every_double(self, p0, draws):
+        cut = _cut(p0)
+        for r in draws + around(cut):
+            assert (r < cut) == (F(r) < p0)
+
+    @PROPERTY
+    @given(rules(), st.integers(0, 2**64), st.integers(0, 300))
+    def test_stream_matches_integer_comparison(self, rule, seed, n):
+        assert sample_stream(Measure({"kind": "test"}, p0=rule), seed, n) == sample_ref(rule, seed, n)
 
     def test_law_of_large_numbers(self):
         q = F(1, 3)
@@ -417,3 +494,11 @@ class TestSampling:
         mu = bernoulli(F(2, 5))
         src = sampled_source(mu, 11)
         assert src.prefix(100) == sample_stream(mu, 11, 100)[:100]
+
+    def test_sampled_source_across_doublings(self):
+        at = [i for k in range(3, 11) for i in ((1 << k) - 1, 1 << k)]  # 7, 8, 15, 16, ..., 1023, 1024
+        for mu in (bernoulli(F(1, 3)), interleave_measure(BitSource.rational(F(2, 7)))):
+            want = sample_stream(mu, 5, 1100)
+            for order in (at, at[::-1]):
+                src = sampled_source(mu, 5)
+                assert [src.bit(i) for i in order] == [int(want[i]) for i in order]
