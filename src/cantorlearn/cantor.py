@@ -48,9 +48,8 @@ def interleave(z: Bits, y: Bits) -> Bits:
     check_bits(y)
     if len(z) - len(y) not in (0, 1):
         raise BadWordError(f"interleave needs |z| - |y| in {{0,1}}, got {len(z)}, {len(y)}")
-    out = []
-    for i in range(len(z) + len(y)):
-        out.append(z[i // 2] if i % 2 == 0 else y[i // 2])
+    out = [""] * (len(z) + len(y))
+    out[0::2], out[1::2] = z, y
     return "".join(out)
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -248,19 +248,17 @@ class Measure(MeasureView):
                 yield _ceil_log2_ratio(num, den)
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
-        """Stage-bounded knowledge interval for mu(word): the unit interval cut by
-        the exact mass, or by the enumeration's intervals revealed by the stage."""
+        """Stage-bounded knowledge interval for mu(word): the exact mass, or the
+        unit interval cut by the enumeration's intervals revealed by the stage."""
         check_bits(word)
         if self.p0 is not None:
-            revealed = [Interval.exact(self.mass(word))]
-        else:
-            revealed = [iv for (w, iv, s) in self._tuples if w == word and s <= stage]
+            return Interval.exact(self.mass(word))
         out = Interval.unit()
-        for iv in revealed:
-            nxt = out.intersect(iv)
-            if nxt is None:
-                raise MalformedMeasureError(f"enumeration inconsistent at {word!r} by stage {stage}")
-            out = nxt
+        for w, iv, s in self._tuples:
+            if w == word and s <= stage:
+                out = out.intersect(iv)
+                if out is None:
+                    raise MalformedMeasureError(f"enumeration inconsistent at {word!r} by stage {stage}")
         return out
 
     def param_interval(self, stage: int) -> Optional[Interval]:
@@ -528,15 +526,12 @@ class BernoulliCylinderBall(MeasureBall):
         # which no image misses, then makes the verdict UNKNOWN with no image built
         unit_param = self.param._ln == 0 and self.param._hn == self.param._hd
         verdict = Verdict.YES
-        image = None
         for w, zeros, ones in _SCREEN_WORDS[: (2 << self.level) - 2]:
             known = view.knowledge(w, stage)
             if (known is _UNIT or known == _UNIT) and (verdict is Verdict.UNKNOWN or not unit_param):
                 verdict = Verdict.UNKNOWN
                 continue
-            if image is None:
-                image = cache(partial(bernoulli_image, self.param))
-            img = image(zeros, ones)
+            img = bernoulli_image(self.param, zeros, ones)
             if img.disjoint(known):
                 return Verdict.NO
             if not img.contains_interval(known):

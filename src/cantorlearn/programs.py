@@ -107,19 +107,10 @@ class Entry:
         return bool(self.total)
 
     # real entries
-    def real_bit(self, table: "ProgramTable", j: int, stage: int) -> Optional[int]:
-        raise WrongKindError(f"{type(self).__name__} is not a real entry")
-
     def real_prefix(self, table: "ProgramTable", n: int, stage: int) -> Bits:
-        """The first n bits, cut at the first undefined one ("" for n <= 0).
-        This default asks ``real_bit`` once per bit; real entries and inverse
-        lifts override it to hand the prefix over in one step."""
-        bits = []
-        for j in range(n):
-            if (b := self.real_bit(table, j, stage)) is None:
-                break
-            bits.append(str(b))
-        return "".join(bits)
+        """A real's one read: its first n bits at the stage, cut at the first
+        undefined one ("" for n <= 0), handed over in one step."""
+        raise WrongKindError(f"{type(self).__name__} is not a real entry")
 
 
 @dataclass
@@ -187,10 +178,8 @@ class StubEntry(Entry):
             raise WrongKindError("real stub has no measure knowledge")
         return Interval.unit()
 
-    def real_bit(self, table, j, stage):
-        if self.kind != "real":
-            raise WrongKindError("measure stub has no bits")
-        return None
+    def real_prefix(self, table, n, stage):
+        return ""
 
 
 @dataclass
@@ -214,13 +203,6 @@ class RealEntry(Entry):
         if self.diverge_from is not None:
             out["diverge_from"] = self.diverge_from
         return out
-
-    def real_bit(self, table, j, stage):
-        if self.diverge_from is not None and j >= self.diverge_from:
-            return None
-        if stage >= j + self.delay:
-            return self.source.bit(j)
-        return None
 
     def real_prefix(self, table, n, stage):
         # bit j is defined exactly when j <= stage - delay and j < diverge_from
@@ -418,10 +400,6 @@ class InverseLiftEntry(Entry):
         "no-survivors" or "dead-domain"."""
         return self._lcp(table, stage)[1]
 
-    def real_bit(self, table, j, stage):
-        lcp = self._lcp(table, stage)[0]
-        return int(lcp[j]) if j < len(lcp) else None
-
     def real_prefix(self, table, n, stage):
         return self._lcp(table, stage)[0][: max(n, 0)]
 
@@ -513,18 +491,21 @@ class ProgramTable:
         check_bits(x)
         return self.entry(e).prefix_sup_bits(self, x, stage)
 
-    def _real(self, e: int) -> Entry:
+    def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
+        """Bit j of real e: bit j of ``real_prefix(e, j + 1, stage)``, None where
+        that prefix stops short; IndexError for j < 0, after the kind check."""
+        bits = self.real_prefix(e, j + 1, stage)
+        if j < 0:
+            raise IndexError("negative position")
+        return int(bits[j]) if j < len(bits) else None
+
+    def real_prefix(self, e: int, n: int, stage: int) -> Bits:
+        """The first n bits of real e at the stage, resolved once, cut at the
+        first undefined one ("" for n <= 0); see ``Entry.real_prefix``."""
         entry = self.entry(e)
         if entry.kind != "real":
             raise WrongKindError(f"entry {e} is not a real")
-        return entry
-
-    def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
-        return self._real(e).real_bit(self, j, stage)
-
-    def real_prefix(self, e: int, n: int, stage: int) -> Bits:
-        """The first n bits of real e, resolved once; see ``Entry.real_prefix``."""
-        return self._real(e).real_prefix(self, n, stage)
+        return entry.real_prefix(self, n, stage)
 
     def view(self, e: int) -> "EntryView":
         return EntryView(self, e)

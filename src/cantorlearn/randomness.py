@@ -22,12 +22,12 @@ push, and reads the length of a copy flushed after them.
 Every codec also states a floor: a lower bound on its length that holds after
 any further pushes (the zlib codec's only until its open block completes), each
 with a one-line proof in the codec's docstring.  A read skips each codec whose
-floor cannot beat the estimate, and folds the floors of each codec's own last
-read, with the id penalties, into a bound on every later estimate, so
-``random_verdict`` and ``max_prefix_deficiency`` (which starts from the whole
-word's deficiency) hand the tracker the walked bits and read the estimate only
-at the prefixes where that bound leaves their answer open, and still give
-exactly the answer a read at every prefix would.
+floor cannot beat the estimate, and keeps the floors of each codec's own last
+read, with the id penalties; their minimum, taken when asked, bounds every
+later estimate.  So ``random_verdict`` and ``max_prefix_deficiency`` (which
+starts from the whole word's deficiency) hand the tracker the walked bits and
+read the estimate only at the prefixes where that bound leaves their answer
+open, and still give exactly the answer a read at every prefix would.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import zlib
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
 from .measures import MeasureBall, _ceil_log2_ratio, ceil_neg_log2
@@ -421,10 +421,7 @@ DEFAULT_CODECS: tuple[Codec, ...] = (
 class ComplexityEstimator:
     """min over the stage-available codec prefix of (code length + id penalty 2i)."""
 
-    def __init__(self, codecs: Sequence[Codec] = DEFAULT_CODECS):
-        if not codecs or codecs[0].name != "literal":
-            raise ValueError("codec family must lead with the literal codec")
-        self.codecs = tuple(codecs)
+    codecs = DEFAULT_CODECS
 
     def upper(self, word: Bits, stage: int) -> int:
         return self._upper(check_bits(word), stage)
@@ -449,9 +446,9 @@ class EstimatorTracker:
     id penalty, is below the smallest estimate read so far; it is then pushed,
     in one push, the bits it has not seen.  Skipping is exact: a far floor
     holds after any further pushes, so a skipped codec's estimate is at least
-    the minimum already read.  Each ``upper`` also folds every codec's floors
-    from its own last read, so ``floor`` bounds every later estimate in O(1)
-    without reading a codec.
+    the minimum already read.  Each ``upper`` also keeps every codec's floors
+    from its own last read, and ``floor`` takes their minimum when asked, a
+    bound on every later estimate that reads no codec.
     """
 
     def __init__(self, est: ComplexityEstimator):
@@ -481,7 +478,8 @@ class EstimatorTracker:
 
     def _read(self, order, word: Bits) -> int:
         """The smallest estimate of the codecs in order, reading each, caught up
-        on word, only if its far floor is below the smallest so far; fold the floors."""
+        on word, only if its far floor is below the smallest so far; the near
+        floors hold until ``_horizon`` bits."""
         n, floors, seen, best = len(word), self._codec_floors, self._seen, math.inf
         for i in order:
             if floors[i][2] < best:
@@ -494,24 +492,8 @@ class EstimatorTracker:
                 floors[i] = (near + 2 * i, n + room, far + 2 * i)
                 if length + 2 * i < best:
                     best, self._lead = length + 2 * i, i
-        self._fold_floors()
+        self._horizon = min(until for _, until, _ in floors)
         return best
-
-    def _fold_floors(self) -> None:
-        """Prefix minima, over the codec order, of each codec's near and far
-        floor; the near ones hold until ``_horizon`` bits."""
-        near = far = horizon = math.inf
-        self._near, self._far = [], []
-        for n, until, f in self._codec_floors:
-            if n < near:
-                near = n
-            if f < far:
-                far = f
-            if until < horizon:
-                horizon = until
-            self._near.append(near)
-            self._far.append(far)
-        self._horizon = horizon
 
     def upper(self, stage: int) -> int:
         if stage < 1:
@@ -525,8 +507,8 @@ class EstimatorTracker:
         from the floors of each codec's latest read."""
         if stage < 1:
             raise ValueError("stage must be >= 1")
-        floors = self._near if len(self._join()) < self._horizon else self._far
-        return floors[min(stage, len(floors)) - 1]
+        which = 0 if len(self._join()) < self._horizon else 2  # near, or far
+        return min(f[which] for f in self._codec_floors[:stage])
 
 
 def _deficiency(u: Fraction, est: ComplexityEstimator, word: Bits, stage: int):

@@ -29,7 +29,6 @@ from cantorlearn.programs import (
     INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
-    Entry,
     EntryView,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
@@ -82,6 +81,18 @@ def bit_calls(monkeypatch):
     bit = BitSource.bit
     monkeypatch.setattr(BitSource, "bit", lambda self, i: calls.append(i) or bit(self, i))
     return calls
+
+
+def bit_loop(entry, n, stage):
+    """A real entry's first n bits read one ``source.bit`` at a time: bit j is defined when
+    j <= stage - delay and j < diverge_from, and the prefix stops at the first undefined bit;
+    a literal source read past its end raises EndOfWordError."""
+    bits = []
+    for j in range(n):
+        if j > stage - entry.delay or (entry.diverge_from is not None and j >= entry.diverge_from):
+            break
+        bits.append(str(entry.source.bit(j)))
+    return "".join(bits)
 
 
 def sup_bits(sup):
@@ -137,6 +148,21 @@ class TestEvaluation:
         for e, want in ((4, third), (5, ""), (inverse, third)):
             for alias in (t.pad(e, 3), t.add(AliasEntry(e)), t.pad(t.add(AliasEntry(e)), 1)):
                 assert t.real_prefix(alias, 12, 64) == want
+
+    def test_negative_position_raises(self):
+        # every real kind raises IndexError for j < 0, at every stage and through padding; a
+        # measure index fails the kind check first
+        t = basic_table()
+        delayed = t.add(RealEntry(BitSource.rational(F(1, 3)), delay=5))
+        inverse = t.inverse_lift(FbMap(), ClosedClass.hat_image(), 1)  # over bernoulli(1/3)
+        for e in (4, delayed, 5, inverse, t.pad(delayed, 2), t.pad(inverse, 1)):
+            for j in (-1, -7):
+                for stage in (0, 20):
+                    with pytest.raises(IndexError, match="negative position"):
+                        t.eval_real(e, j, stage)
+        for e in (0, 3, t.pad(1, 2)):
+            with pytest.raises(WrongKindError):
+                t.eval_real(e, -1, 20)
 
     def test_real_expansion(self):
         t = basic_table()
@@ -198,14 +224,14 @@ class TestEvaluation:
         st.lists(st.integers(-2, 60), min_size=1, max_size=5),
     )
     def test_real_prefix_is_the_bit_loop(self, source, delay, diverge_from, n, stages):
-        # the source's one-step prefix, cut to the defined length, is what the default loop over
-        # real_bit reads, under a delay, a divergence point, n <= 0 and n past the defined length
+        # the source's one-step prefix, cut to the defined length, is what a loop over
+        # source.bit reads, under a delay, a divergence point, n <= 0 and n past the defined length
         t = ProgramTable()
         e = t.add(RealEntry(source, delay, diverge_from))
         entry, prev = t.entry(e), ""
         for stage in sorted(stages):
             got = read_or_end(lambda: t.real_prefix(e, n, stage))
-            assert got == read_or_end(lambda: Entry.real_prefix(entry, t, n, stage))
+            assert got == read_or_end(lambda: bit_loop(entry, n, stage))
             if got is not EndOfWordError:
                 assert got.startswith(prev)  # only grows as the stage rises
                 prev = got
@@ -223,8 +249,8 @@ class TestEvaluation:
         known = [t.eval_measure(t.bernoulli_lift(third), "0", s) for s in range(8, 193, 8)]
         assert known[-1].contains(F(1, 3)) and known[-1].width < F(1, 1 << 90)
         assert len(bit_calls) == 0
-        # the count sees the default loop's reads
-        assert Entry.real_prefix(t.entry(third), t, 8, 8) == "01010101"
+        # the count sees a bit loop's reads
+        assert bit_loop(t.entry(third), 8, 8) == "01010101"
         assert len(bit_calls) == 8
 
 

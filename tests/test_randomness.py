@@ -720,11 +720,12 @@ class TestVerdictShortcuts:
         x = sample_stream(bernoulli(F(1, 3)), 0, 2048)
         t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
         assert random_verdict(t, EST, 0, x, 48)
-        # every bit is handed to the tracker once, but few reads follow
-        assert counts["bits"] == 2048 and counts["upper"] <= 128
+        # every bit is handed to the tracker once, but few reads follow; the read counts are
+        # pinned, so a change to the floors that moves a read shows here
+        assert counts["bits"] == 2048 and counts["upper"] == 32
         counts.update(bits=0, upper=0)
         assert max_prefix_deficiency(t, EST, 1, x) > 64
-        assert counts["bits"] == 2048 and counts["upper"] <= 128
+        assert counts["bits"] == 2048 and counts["upper"] == 20
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word
