@@ -261,10 +261,13 @@ class Measure(MeasureView):
                     raise MalformedMeasureError(f"enumeration inconsistent at {word!r} by stage {stage}")
         return out
 
+    @cached_property
+    def constant(self) -> Optional[Interval]:  # a uniform or Bernoulli rule's one value, read once
+        q = {"uniform": HALF, "bernoulli": self.spec.get("q")}.get(self.spec.get("kind"))
+        return None if q is None else Interval.exact(q)
+
     def param_interval(self, stage: int) -> Optional[Interval]:
-        if self.spec.get("kind") == "bernoulli":
-            return Interval.exact(self.spec["q"])
-        return None
+        return self.constant if self.spec.get("kind") == "bernoulli" else None
 
 
 def _times_rule(rule: Callable[[int], Fraction], word: Bits, start: int, stop: int, num: int, den: int):
@@ -442,27 +445,49 @@ def bernoulli_image(param: Interval, zeros: int, ones: int) -> Interval:
     return Interval(min(vals), max(vals))
 
 
-def bernoulli_sup_bits(param: Interval, word: Bits) -> Iterator:
-    """ceil(-log2 bernoulli_image(param, a, b).hi) for "" and each prefix of
-    word, with a zeros and b ones, in O(1) float operations per prefix; param
-    has positive width, as a lift's always has.
+class BernoulliSups:
+    """ceil(-log2 bernoulli_image(param, a, n - a).hi) from the counts alone: a
+    zeros among n bits, in O(1) float operations; param is not the point 0 or
+    1, and the point q gives the Bernoulli(q) mass.  q^a (1-q)^b rises up to
+    q = a/n and falls after it, so its sup is at lo when a/n <= lo, at hi when
+    a/n >= hi, and else at a/n.  ``step`` bounds the rise per bit by
+    ceil(-log2 m), m = min(lo, 1 - hi), inf at m = 0: a bit multiplies the
+    value at the sup's maximiser q* by q* or 1 - q* >= m, and ceil(s + t) <=
+    ceil(s) + ceil(t)."""
 
-    q^a (1-q)^b rises up to q = a/n and falls after it (n = a + b), so its
-    sup is at lo when a/n <= lo, at hi when a/n >= hi, and else at a/n."""
-    # so a zero factor, q = 0 at lo or 1 - q = 0 at hi, is only raised to the power 0
-    ends = (lo_n, lo_d), (hi_n, hi_d) = [(q.numerator, q.denominator) for q in (param.lo, param.hi)]
-    lo, hi = ((n, d, _neg_log2(n, d) or (0, 0.0, 0.0), _neg_log2(d - n, d) or (0, 0.0, 0.0)) for n, d in ends)
-    a = 0
-    yield 0
-    for n, ch in enumerate(word, 1):
-        if ch == "0":
-            a += 1
-        if a * lo_d <= lo_n * n:
-            yield _power_bits(*lo, a, n - a)
-        elif a * hi_d >= hi_n * n:
-            yield _power_bits(*hi, a, n - a)
-        else:
-            yield _power_bits(a, n, _neg_log2(a, n), _neg_log2(n - a, n), a, n - a)
+    def __init__(self, param: Interval):
+        # so a zero factor, q = 0 at lo or 1 - q = 0 at hi, is only raised to the power 0
+        self.param, ends, unit = param, ((param._ln, param._ld), (param._hn, param._hd)), (0, 0.0, 0.0)
+        self.terms = lo, hi = [(n, d, _neg_log2(n, d) or unit, _neg_log2(d - n, d) or unit) for n, d in ends]
+        bounded = lo[0] and hi[0] < hi[1]  # m > 0; its ceil(-log2) is the larger of lo's and 1 - hi's
+        self.step = max(_power_bits(*lo, 1, 0), _power_bits(*hi, 0, 1)) if bounded else math.inf
+
+    def bits(self, a: int, n: int) -> int:
+        lo, hi = self.terms
+        if a * lo[1] <= lo[0] * n:
+            return _power_bits(*lo, a, n - a)
+        if a * hi[1] >= hi[0] * n:
+            return _power_bits(*hi, a, n - a)
+        return _power_bits(a, n, _neg_log2(a, n), _neg_log2(n - a, n), a, n - a)
+
+
+class SupWalk:
+    """``BernoulliSups`` along a word, read lazily: item n is the n-bit prefix's,
+    0 past ``known`` (a sup of 1), its zeros counted on from the last item read."""
+
+    def __init__(self, sups: BernoulliSups, word: Bits, known: int):
+        self.sups, self.word, self.known, self.step, self._n, self._zeros = sups, word, known, sups.step, 0, 0
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(len(self.word) + 1))
+
+    def __getitem__(self, n: int) -> int:
+        if n > self.known:
+            return 0
+        last, word = self._n, self.word
+        a = self._zeros + word.count("0", last, n) if n >= last else word.count("0", 0, n)
+        self._n, self._zeros = n, a
+        return self.sups.bits(a, n)
 
 
 def _power_bits(num: int, den: int, zero: tuple, one: tuple, a: int, b: int) -> int:

@@ -31,15 +31,16 @@ from .measures import (
     PRNG_NAME,
     ZERO,
     BernoulliCylinderBall,
+    BernoulliSups,
     Interval,
     Measure,
     MeasureBall,
     MeasureView,
+    SupWalk,
     Verdict,
     _words,
     bernoulli,
     bernoulli_image,
-    bernoulli_sup_bits,
     ceil_neg_log2,
     dirac,
     enumerated_from_rows,
@@ -78,8 +79,8 @@ class _StageSlot:
 
 class Entry:
     """Base class for table entries; subclasses document their definedness
-    schedule.  Exact measures and Bernoulli lifts walk ``prefix_sup_bits`` in
-    O(1) steps per bit; other measure entries read each prefix's knowledge."""
+    schedule.  Bernoulli lifts and exact entries over a rule constant in (0, 1)
+    walk ``prefix_sup_bits`` as a ``SupWalk``; other measure entries per bit."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -124,6 +125,7 @@ class ExactMeasureEntry(Entry):
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+        self._sups = BernoulliSups(q) if (q := self.measure.constant) and 0 < q.lo < 1 else None
 
     def spec(self) -> dict:
         return {"entry": "exact-measure", "measure": self.measure.spec, "delay": self.delay}
@@ -135,6 +137,8 @@ class ExactMeasureEntry(Entry):
 
     def prefix_sup_bits(self, table, x, stage):
         known = stage - self.delay
+        if self._sups:
+            return SupWalk(self._sups, x, known)
         masses = self.measure.mass_bits(x[:known]) if known >= 0 else ()
         return chain(masses, repeat(0, len(x) - max(known, -1)))
 
@@ -224,29 +228,27 @@ class BernoulliLiftEntry(Entry):
     real: int
 
     def __post_init__(self):
-        self._param = _StageSlot(self._read_param)
+        self._sups = _StageSlot(self._read_sups)
 
     def spec(self) -> dict:
         return {"entry": "bernoulli-lift", "real": self.real}
 
-    def _read_param(self, table: "ProgramTable", stage: int) -> Interval:
+    def _read_sups(self, table: "ProgramTable", stage: int) -> BernoulliSups:
         bits = table.real_prefix(self.real, min(stage, LIFT_PARAM_BITS), stage)
         val = Fraction(int(bits or "0", 2), 1 << len(bits))
-        return Interval(val, min(ONE, val + Fraction(1, 1 << len(bits))))
+        return BernoulliSups(Interval(val, min(ONE, val + Fraction(1, 1 << len(bits)))))
 
     def param_interval(self, table, stage):
-        return self._param(table, stage)
+        return self._sups(table, stage).param
 
     def knowledge(self, table, word, stage):
         if len(word) > stage:
             return Interval.unit()
-        p = self._param(table, stage)
         a = word.count("0")
-        return bernoulli_image(p, a, len(word) - a)
+        return bernoulli_image(self._sups(table, stage).param, a, len(word) - a)
 
     def prefix_sup_bits(self, table, x, stage):
-        known = x[: max(stage, 0)]
-        return chain(bernoulli_sup_bits(self._param(table, stage), known), repeat(0, len(x) - len(known)))
+        return SupWalk(self._sups(table, stage), x, stage)
 
     def resolved_total(self, table: "ProgramTable") -> bool:
         return bool(table.entry(self.real).total)

@@ -6,28 +6,23 @@ The estimate is a min over a fixed codec family (literal first, so the
 consume deficiencies through comparisons and thresholds only; nothing here
 claims calibration against a universal machine.
 
-A prefix walk takes O(1) steps per bit: the entry yields ceil(-log2 sup) of
-each prefix (``ProgramTable.prefix_sup_bits``), certified in floats for exact
-measures and Bernoulli lifts.  A codec's ``push`` takes a word of any length
-and consumes it in a few calls at C speed (``len``, ``str.count``, ``lstrip``,
-``str.find``, bit operations on ``int(..., 2)``); none steps through it bit by
-bit.  ``EstimatorTracker`` appends its pushes to a list, and at a read hands
-each codec the bits it has not seen only if that codec's floor could beat the
-estimate; the other codecs fall behind and catch up later.  The KT codec keeps
-only its two counts and reads its exact length from a closed form, through a
-certified float fast path with an exact integer fallback.  The zlib codec
-feeds one shared compressor per tracker with the complete blocks of each
-push, and reads the length of a copy flushed after them.
+A codec's ``push`` consumes a word of any length in a few calls at C speed
+(``len``, ``str.count``, ``lstrip``, ``str.find``, bit operations on
+``int(..., 2)``), never bit by bit.  Each codec also states a floor, a lower
+bound on its length after any further pushes (the zlib codec's only until
+its open block completes), proved in one line in its docstring.
+``EstimatorTracker`` hands a codec the bits it has not seen only at a read
+whose estimate its floor could beat, and the minimum of its floors, with the
+id penalties, taken when asked, bounds every later estimate.
 
-Every codec also states a floor: a lower bound on its length that holds after
-any further pushes (the zlib codec's only until its open block completes), each
-with a one-line proof in the codec's docstring.  A read skips each codec whose
-floor cannot beat the estimate, and keeps the floors of each codec's own last
-read, with the id penalties; their minimum, taken when asked, bounds every
-later estimate.  So ``random_verdict`` and ``max_prefix_deficiency`` (which
-starts from the whole word's deficiency) hand the tracker the walked bits and
-read the estimate only at the prefixes where that bound leaves their answer
-open, and still give exactly the answer a read at every prefix would.
+So ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the
+whole word's deficiency) read the estimate only at the prefixes where k =
+ceil(-log2 sup) minus that bound leaves their answer open, and still give
+exactly the answer a read at every prefix would.  On a ``SupWalk`` (a
+Bernoulli lift, or an exact entry over a constant rule in (0, 1)), k of any
+prefix comes from its zero count and rises at most a fixed step per bit, so
+the walk visits only the prefixes where a read could happen and jumps over
+the rest; other entries yield k prefix by prefix, in O(1) steps per bit.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
-from .measures import MeasureBall, _ceil_log2_ratio, ceil_neg_log2
+from .measures import MeasureBall, SupWalk, _ceil_log2_ratio, ceil_neg_log2
 
 INFINITE_DEFICIENCY = math.inf
 
@@ -543,16 +538,29 @@ def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Ite
             yield k - tracker.upper(stage)
 
 
-def _largest_read(est, x: Bits, sup_bits, stage: int, best, stop):
+def _largest_read(est, x: Bits, sups, stage: int, best, stop):
     """max(best, the deficiencies read along x), returned as soon as it
-    exceeds stop.  The estimate is read only at prefixes where ceil(-log2 sup)
-    minus the tracker's floor, which bounds the deficiency, exceeds the
-    running maximum.  The floor is kept in a local, and the tracker is handed
-    the bits walked since its last hand-over only where the floor is refreshed:
-    at a read, and where the floors of the last read lapse (``_horizon``)."""
+    exceeds stop.  The estimate is read only where k = ceil(-log2 sup) minus
+    the tracker's floor, a bound on the deficiency, exceeds the running maximum.
+    The tracker is handed the bits walked since its last hand-over only where
+    the floor is refreshed: at a read, and where the last read's floors lapse
+    (``_horizon``).  A ``SupWalk``'s k rises at most ``step`` per bit, so from
+    prefix i no prefix up to i + (best + floor - k_i) // step can read: the
+    walk jumps past them, never past the horizon, and so reads and refreshes
+    exactly where a visit to every prefix would, with the same tracker state."""
     tracker, handed = est.tracker(), 0
     floor, horizon = tracker.floor(stage), tracker._horizon
-    for i, k in enumerate(sup_bits):
+
+    def jumps(step):
+        i = 0
+        while i <= len(x):
+            yield i, (k := sups[i])
+            i += 1  # best, floor and horizon are as the visit to the last i left them
+            gap = best + floor - k
+            if gap >= step and i < horizon:
+                i = min(horizon, i + int(gap // step))
+
+    for i, k in jumps(sups.step) if isinstance(sups, SupWalk) else enumerate(sups):
         if i >= horizon:
             tracker.push(x[handed:i])
             handed, floor, horizon = i, tracker.floor(stage), math.inf
@@ -572,10 +580,10 @@ def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     The walk reads the estimate only where its floor leaves that open, and
     stops at the first deficiency above c; the answer is
     ``all(d <= c for d in prefix_deficiencies(...))`` exactly, False for a
-    NaN c too, which no comparison passes."""
+    NaN c too, which no comparison passes, before any walk starts."""
     check_bits(x)
-    if c == INFINITE_DEFICIENCY:
-        return True
+    if not c < INFINITE_DEFICIENCY:  # every prefix passes an infinite c, none a NaN
+        return c == INFINITE_DEFICIENCY
     stage = max(1, len(x))
     return _largest_read(est, x, table.prefix_sup_bits(e, x, stage), stage, c, c) <= c
 
@@ -587,7 +595,8 @@ def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
     then the walk reads the estimate only where its floor leaves a larger
     deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly."""
     stage = max(1, len(x))
-    sup_bits = list(table.prefix_sup_bits(e, x, stage))
-    if sup_bits[-1] == INFINITE_DEFICIENCY:
+    sups = table.prefix_sup_bits(e, x, stage)
+    sups = sups if isinstance(sups, SupWalk) else list(sups)  # a SupWalk reads only the items asked
+    if (whole := sups[len(x)]) == INFINITE_DEFICIENCY:
         return INFINITE_DEFICIENCY
-    return _largest_read(est, x, sup_bits, stage, sup_bits[-1] - est._upper(x, stage), INFINITE_DEFICIENCY)
+    return _largest_read(est, x, sups, stage, whole - est._upper(x, stage), INFINITE_DEFICIENCY)

@@ -14,6 +14,7 @@ from cantorlearn.measures import (
     InterleaveCylinderBall,
     Interval,
     MeasureView,
+    SupWalk,
     Verdict,
     ball as explicit_ball,
     bernoulli,
@@ -29,6 +30,7 @@ from cantorlearn.programs import (
     INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
+    Entry,
     EntryView,
     EnumeratedMeasureEntry,
     ExactMeasureEntry,
@@ -656,6 +658,65 @@ class TestCertifiedSupBits:
         got = list(t.prefix_sup_bits(e, x, len(x)))
         assert len(got) == 4097 and got == sorted(got)
         assert got[-1] == {"dirac": 0, "interleave": 2048}.get(mu.spec["kind"], 4096)
+
+
+# words up to 300 bits: fair bits, or one bit repeated
+LONG_WORDS = st.one_of(
+    st.builds(lambda n, v: format(v, "0300b")[:n], st.integers(0, 300), st.integers(0, 2**300 - 1)),
+    st.builds(lambda ch, n: ch * n, st.sampled_from("01"), st.integers(0, 300)),
+)
+
+# q in (0, 1) with a small denominator, or near an end
+SMALL_OR_EXTREME_Q = st.one_of(
+    st.integers(2, 40).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d))),
+    st.sampled_from([F(1, 1000), F(999, 1000), F(1, 2**40), F(2**40 - 1, 2**40)]),
+)
+
+
+class TestSupWalks:
+    """Bernoulli lifts and exact entries over a rule constant in (0, 1) read
+    ceil(-log2 sup) of each prefix from its zero count (``SupWalk``): the
+    values of the per-bit walks, read in any order, rising at most ``step``
+    per bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(LONG_WORDS, SMALL_OR_EXTREME_Q, st.booleans(), st.data())
+    def test_count_form_equals_the_per_bit_walk(self, x, q, lift, data):
+        t = ProgramTable()
+        stage = data.draw(st.just(len(x)) | st.integers(-1, 320))
+        if lift:
+            e = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q))))
+            # the base class's walk: ceil(-log2) of each prefix's knowledge sup
+            want = list(Entry.prefix_sup_bits(t.entry(e), t, x, stage))
+        else:
+            mu = bernoulli(q)
+            e = t.add(ExactMeasureEntry(mu))
+            # the rule walk that exact entries over other rules take, cut where the stage cuts it
+            want = (list(mu.mass_bits(x[:stage])) if stage >= 0 else []) + [0] * (len(x) - max(stage, -1))
+        walk = t.prefix_sup_bits(e, x, stage)
+        assert isinstance(walk, SupWalk)
+        assert list(walk) == want
+        order = data.draw(st.lists(st.integers(0, len(x)), max_size=40))
+        assert [walk[n] for n in order] == [want[n] for n in order]
+        assert all(b <= a + walk.step for a, b in zip(want, want[1:]))
+
+    def test_steps(self):
+        t = ProgramTable()
+        steps = {
+            e: t.prefix_sup_bits(e, "", 0).step
+            for e in (
+                t.add(ExactMeasureEntry(uniform())),
+                t.add(ExactMeasureEntry(bernoulli(F(1, 3)))),
+                t.add(ExactMeasureEntry(bernoulli(F(1, 1000)))),
+                t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5))))),
+                t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(1, 3))))),
+            )
+        }
+        # 1, ceil(log2 3/2) and ceil(log2 3), ceil(log2 1000); a lift at stage 0 knows [0, 1]: no bound
+        assert list(steps.values()) == [1, 2, 10, math.inf, math.inf]
+        lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5)))))
+        # at stage 8, [0.01100110, + 2^-8]: m = 102/256, ceil(-log2 m) = 2
+        assert t.prefix_sup_bits(lift, "", 8).step == 2
 
 
 class TestTotalityOracle:

@@ -4,6 +4,7 @@ import math
 import random
 import zlib
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -666,6 +667,9 @@ def shortcut_tables():
         ("00", Interval.closed(F(1, 8), F(1, 4)), 3),
     ]
     entries = {
+        "bernoulli": ExactMeasureEntry(bernoulli(F(1, 3))),
+        "bernoulli-extreme": ExactMeasureEntry(bernoulli(F(1, 1000))),
+        "uniform": ExactMeasureEntry(uniform()),
         "exact-delay": ExactMeasureEntry(bernoulli(F(1, 3)), delay=2),
         "zero-mass": ExactMeasureEntry(bernoulli(F(1))),
         "dirac": ExactMeasureEntry(dirac(BitSource.periodic("01"))),
@@ -700,12 +704,17 @@ class TestVerdictShortcuts:
         for x in SHORTCUT_WORDS:
             defs = list(prefix_deficiencies(t, EST, e, x))
             assert max_prefix_deficiency(t, EST, e, x) == max(defs), x
-            for c in (-5, 0, 48, INFINITE_DEFICIENCY):
+            for c in (-5, 0, 48, 48.5, -INFINITE_DEFICIENCY, INFINITE_DEFICIENCY, math.nan):
                 assert random_verdict(t, EST, e, x, c) == all(d <= c for d in defs), (x, c)
 
     def test_walks_read_the_estimate_rarely(self, monkeypatch):
-        counts = {"bits": 0, "upper": 0}
+        counts = {"bits": 0, "upper": 0, "sups": 0}
         real_push, real_upper = randomness.EstimatorTracker.push, randomness.EstimatorTracker.upper
+        real_sups = measures.BernoulliSups.bits
+
+        def sups(self, a, n):
+            counts["sups"] += 1
+            return real_sups(self, a, n)
 
         def push(self, bits):
             counts["bits"] += len(bits)
@@ -717,15 +726,51 @@ class TestVerdictShortcuts:
 
         monkeypatch.setattr(randomness.EstimatorTracker, "push", push)
         monkeypatch.setattr(randomness.EstimatorTracker, "upper", upper)
+        monkeypatch.setattr(measures.BernoulliSups, "bits", sups)
         x = sample_stream(bernoulli(F(1, 3)), 0, 2048)
         t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
         assert random_verdict(t, EST, 0, x, 48)
         # every bit is handed to the tracker once, but few reads follow; the read counts are
-        # pinned, so a change to the floors that moves a read shows here
-        assert counts["bits"] == 2048 and counts["upper"] == 32
-        counts.update(bits=0, upper=0)
+        # pinned, so a change to the floors that moves a read shows here; and the walk jumps,
+        # so it takes ceil(-log2 sup) at few of the 2049 prefixes
+        assert counts["bits"] == 2048 and counts["upper"] == 32 and counts["sups"] <= 256
+        counts.update(bits=0, upper=0, sups=0)
         assert max_prefix_deficiency(t, EST, 1, x) > 64
-        assert counts["bits"] == 2048 and counts["upper"] == 20
+        assert counts["bits"] == 2048 and counts["upper"] == 20 and counts["sups"] <= 128
+
+
+    def test_jumps_push_and_read_as_a_visit_to_every_prefix(self, monkeypatch):
+        # a SupWalk's walk jumps; handed to the walk as a plain iterator, its values are visited
+        # one prefix at a time, and the tracker must see the same pushes and reads in both
+        events = []
+        real_push, real_upper = randomness.EstimatorTracker.push, randomness.EstimatorTracker.upper
+
+        def push(self, bits):
+            events.append(len(bits))
+            return real_push(self, bits)
+
+        def upper(self, stage):
+            events.append("read")
+            return real_upper(self, stage)
+
+        monkeypatch.setattr(randomness.EstimatorTracker, "push", push)
+        monkeypatch.setattr(randomness.EstimatorTracker, "upper", upper)
+        t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)), bernoulli(F(1, 1000)), uniform())
+        lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5)))))
+        real_walk = ProgramTable.prefix_sup_bits
+        for seed in range(2):
+            x = sample_stream(bernoulli(F(1, 3)), seed, 2048)
+            for e in (0, 1, 2, 3, lift):
+                calls = [partial(random_verdict, t, EST, e, x, c) for c in (-5, 48, 400)]
+                for call in calls + [partial(max_prefix_deficiency, t, EST, e, x)]:
+                    runs = []
+                    for every_prefix in (False, True):
+                        events.clear()
+                        with monkeypatch.context() as m:
+                            if every_prefix:
+                                m.setattr(ProgramTable, "prefix_sup_bits", lambda *a: iter(list(real_walk(*a))))
+                            runs.append((call(), list(events)))
+                    assert runs[0] == runs[1], (seed, e)
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word
