@@ -447,18 +447,18 @@ def bernoulli_image(param: Interval, zeros: int, ones: int) -> Interval:
 
 class BernoulliSups:
     """ceil(-log2 bernoulli_image(param, a, n - a).hi) from the counts alone: a
-    zeros among n bits, in O(1) float operations; param is not the point 0 or
-    1, and the point q gives the Bernoulli(q) mass.  q^a (1-q)^b rises up to
-    q = a/n and falls after it, so its sup is at lo when a/n <= lo, at hi when
-    a/n >= hi, and else at a/n.  ``step`` bounds the rise per bit by
-    ceil(-log2 m), m = min(lo, 1 - hi), inf at m = 0: a bit multiplies the
-    value at the sup's maximiser q* by q* or 1 - q* >= m, and ceil(s + t) <=
-    ceil(s) + ceil(t)."""
+    zeros among n bits, in O(1) float operations, ``math.inf`` where the sup is
+    0 (a point parameter 0 or 1 and a bit it never gives); the point q gives
+    the Bernoulli(q) mass.  q^a (1-q)^b rises up to q = a/n and falls after it,
+    so its sup is at lo when a/n <= lo, at hi when a/n >= hi, and else at a/n.
+    ``step`` bounds the rise per bit by ceil(-log2 m), m = min(lo, 1 - hi), inf
+    at m = 0: a bit multiplies the value at the sup's maximiser q* by q* or
+    1 - q* >= m, and ceil(s + t) <= ceil(s) + ceil(t)."""
 
     def __init__(self, param: Interval):
-        # so a zero factor, q = 0 at lo or 1 - q = 0 at hi, is only raised to the power 0
-        self.param, ends, unit = param, ((param._ln, param._ld), (param._hn, param._hd)), (0, 0.0, 0.0)
-        self.terms = lo, hi = [(n, d, _neg_log2(n, d) or unit, _neg_log2(d - n, d) or unit) for n, d in ends]
+        # a zero factor's term has error 1, so a positive power of it takes the exact product, 0: inf
+        ends, nil = ((param._ln, param._ld), (param._hn, param._hd)), (0, 0.0, 1.0)
+        self.terms = lo, hi = [(n, d, _neg_log2(n, d) or nil, _neg_log2(d - n, d) or nil) for n, d in ends]
         bounded = lo[0] and hi[0] < hi[1]  # m > 0; its ceil(-log2) is the larger of lo's and 1 - hi's
         self.step = max(_power_bits(*lo, 1, 0), _power_bits(*hi, 0, 1)) if bounded else math.inf
 
@@ -472,18 +472,19 @@ class BernoulliSups:
 
 
 class SupWalk:
-    """``BernoulliSups`` along a word, read lazily: item n is the n-bit prefix's,
-    0 past ``known`` (a sup of 1), its zeros counted on from the last item read."""
+    """``BernoulliSups`` along a word, read lazily: item n is the n-bit prefix's, held from
+    ``level`` on, 0 past ``known`` (a sup of 1), its zeros counted on from the last item read."""
 
-    def __init__(self, sups: BernoulliSups, word: Bits, known: int):
-        self.sups, self.word, self.known, self.step, self._n, self._zeros = sups, word, known, sups.step, 0, 0
+    def __init__(self, sups: BernoulliSups, word: Bits, known: int, level: float = math.inf):
+        self.sups, self.word, self.known, self.level, self.step = sups, word, known, level, sups.step
+        self._edge, self._n, self._zeros = min(known, level), 0, 0
 
     def __iter__(self) -> Iterator:
         return map(self.__getitem__, range(len(self.word) + 1))
 
     def __getitem__(self, n: int) -> int:
-        if n > self.known:
-            return 0
+        if n > self._edge:  # 0 past the stage cut, else held at the level
+            return 0 if n > self.known else self[self.level]
         last, word = self._n, self.word
         a = self._zeros + word.count("0", last, n) if n >= last else word.count("0", 0, n)
         self._n, self._zeros = n, a
@@ -494,13 +495,13 @@ def _power_bits(num: int, den: int, zero: tuple, one: tuple, a: int, b: int) -> 
     """ceil(-log2 q^a (1-q)^b) for q = num/den, given the ``_neg_log2`` terms
     of q and 1 - q.  The float a t0 + b t1 is within a e0 + b e1, plus 2^-52 s
     for its rounding and 2^-53 (s + err) for the check's; where the bound
-    leaves the ceiling open, it comes from pow in O(log n) multiplications."""
+    leaves the ceiling open, it comes from pow in O(log n) multiplications, inf at 0."""
     s = a * zero[1] + b * one[1]
     err = a * zero[2] + b * one[2] + s * 2**-50
     c = math.ceil(s + err)
     if s - err > c - 1:  # [s - err, s + err] lies in (c - 1, c]
         return a * zero[0] + b * one[0] + c
-    return _ceil_log2_ratio(num**a * (den - num) ** b, den ** (a + b))
+    return _ceil_log2_ratio(mass, den ** (a + b)) if (mass := num**a * (den - num) ** b) else math.inf
 
 
 @dataclass(frozen=True)
@@ -520,11 +521,9 @@ class BernoulliCylinderBall(MeasureBall):
         a = probe.count("0")
         return bernoulli_image(self.param, a, len(probe) - a).hi
 
-    def inf_mass(self, word: Bits) -> Fraction:
-        if len(word) > self.level:
-            return ZERO
-        a = word.count("0")
-        return bernoulli_image(self.param, a, len(word) - a).lo
+    @cached_property
+    def sups(self) -> BernoulliSups:  # kept on the frozen ball: a stage's walks build it once
+        return BernoulliSups(self.param)
 
     def contains(self, view: MeasureView, stage: int) -> Verdict:
         p = view.param_interval(stage)

@@ -10,8 +10,8 @@ intervals only shrink as the stage grows, defined real bits never change
 (except an inverse lift's, when its domain reveals a forbidden prefix late),
 and disjointness verdicts never retract.
 Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
-so a manifest reloads to the same ``manifest_hash()``, except for param and
-inverse lifts: their specs name a map and a domain only by name.
+so a manifest reloads to the same ``manifest_hash()``, except for inverse lifts and
+param lifts other than Bernoulli lifts: their specs name a map and a domain only by name.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -79,8 +80,8 @@ class _StageSlot:
 
 class Entry:
     """Base class for table entries; subclasses document their definedness
-    schedule.  Bernoulli lifts and exact entries over a rule constant in (0, 1)
-    walk ``prefix_sup_bits`` as a ``SupWalk``; other measure entries per bit."""
+    schedule.  Exact uniform or Bernoulli entries and param lifts over Bernoulli
+    balls (Bernoulli lifts among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -125,7 +126,7 @@ class ExactMeasureEntry(Entry):
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        self._sups = BernoulliSups(q) if (q := self.measure.constant) and 0 < q.lo < 1 else None
+        self._sups = BernoulliSups(q) if (q := self.measure.constant) else None
 
     def spec(self) -> dict:
         return {"entry": "exact-measure", "measure": self.measure.spec, "delay": self.delay}
@@ -215,46 +216,6 @@ class RealEntry(Entry):
 
 
 @dataclass
-class BernoulliLiftEntry(Entry):
-    """Measure entry computed from a real entry's bits: the Bernoulli measure
-    whose parameter has that binary expansion, known at each stage to the
-    parameter-interval width set by the bits defined so far.
-
-    Parameter knowledge is capped at LIFT_PARAM_BITS binary digits; every
-    tolerance used in this laboratory sits far above 2^-96.  The parameter
-    interval is kept for the latest stage asked only.
-    """
-
-    real: int
-
-    def __post_init__(self):
-        self._sups = _StageSlot(self._read_sups)
-
-    def spec(self) -> dict:
-        return {"entry": "bernoulli-lift", "real": self.real}
-
-    def _read_sups(self, table: "ProgramTable", stage: int) -> BernoulliSups:
-        bits = table.real_prefix(self.real, min(stage, LIFT_PARAM_BITS), stage)
-        val = Fraction(int(bits or "0", 2), 1 << len(bits))
-        return BernoulliSups(Interval(val, min(ONE, val + Fraction(1, 1 << len(bits)))))
-
-    def param_interval(self, table, stage):
-        return self._sups(table, stage).param
-
-    def knowledge(self, table, word, stage):
-        if len(word) > stage:
-            return Interval.unit()
-        a = word.count("0")
-        return bernoulli_image(self._sups(table, stage).param, a, len(word) - a)
-
-    def prefix_sup_bits(self, table, x, stage):
-        return SupWalk(self._sups(table, stage), x, stage)
-
-    def resolved_total(self, table: "ProgramTable") -> bool:
-        return bool(table.entry(self.real).total)
-
-
-@dataclass
 class ParamLiftEntry(Entry):
     """Measure entry whose stage knowledge is the param map's ball at the
     longest defined prefix of a real entry.
@@ -262,7 +223,8 @@ class ParamLiftEntry(Entry):
     The ball is built once per stage and kept for the latest stage asked only;
     each stage reads the real's prefix in one ``real_prefix`` call, which an
     inverse lift, or a real entry over a rational or hat-rational source,
-    answers without a per-bit loop."""
+    answers without a per-bit loop.  A ``BernoulliCylinderBall`` gives its images, its
+    parameter interval and a ``SupWalk`` held from its level on; others give [0, sup]."""
 
     param_map: "ParamMapLike"
     real_index: int
@@ -280,8 +242,16 @@ class ParamLiftEntry(Entry):
         if len(word) > stage:
             return Interval.unit()
         ball = self._ball(table, stage)
-        lo = ball.inf_mass(word) if isinstance(ball, BernoulliCylinderBall) else ZERO
-        return Interval(lo, min(ONE, ball.sup_mass(word)))
+        if isinstance(ball, BernoulliCylinderBall) and len(word) <= ball.level:
+            a = word.count("0")
+            return bernoulli_image(ball.param, a, len(word) - a)
+        return Interval(ZERO, min(ONE, ball.sup_mass(word)))
+
+    def prefix_sup_bits(self, table, x, stage):
+        ball = self._ball(table, stage)
+        if isinstance(ball, BernoulliCylinderBall):
+            return SupWalk(ball.sups, x, stage, ball.level)
+        return super().prefix_sup_bits(table, x, stage)
 
     def param_interval(self, table, stage):
         ball = self._ball(table, stage)
@@ -298,6 +268,35 @@ class ParamMapLike:
 
     def star(self, word: Bits) -> MeasureBall:
         raise NotImplementedError
+
+
+class _BernoulliMap(ParamMapLike):
+    """The Bernoulli lift's map: w pins every word to its image under [0.w, 0.w + 2^-|w|]."""
+
+    name = "bernoulli"
+
+    def star(self, word: Bits) -> BernoulliCylinderBall:
+        val = Fraction(int(word or "0", 2), 1 << len(word))
+        return BernoulliCylinderBall(Interval(val, min(ONE, val + Fraction(1, 1 << len(word)))), sys.maxsize)
+
+
+class BernoulliLiftEntry(ParamLiftEntry):
+    """Measure entry computed from a real entry's bits: the Bernoulli measure whose
+    parameter has that binary expansion, known at each stage to the interval its first
+    min(stage, LIFT_PARAM_BITS) defined bits give (every tolerance used here sits far
+    above 2^-96): a param lift over ``_BernoulliMap`` whose spec names only the real."""
+
+    def __init__(self, real: int):
+        super().__init__(_BERNOULLI_MAP, real)
+
+    def spec(self) -> dict:
+        return {"entry": "bernoulli-lift", "real": self.real_index}
+
+    def _read_ball(self, table, stage):
+        return self.param_map.star(table.real_prefix(self.real_index, min(stage, LIFT_PARAM_BITS), stage))
+
+
+_BERNOULLI_MAP = _BernoulliMap()
 
 
 @dataclass
@@ -652,9 +651,9 @@ def from_spec(spec: dict):
     """Rebuild a source, measure or entry: ``from_spec(x.spec)`` is x again.
 
     The kind is the ``"entry"`` key when there is one, else ``"kind"``; nested
-    specs (dict values) are rebuilt first.  An unregistered kind (param and
-    inverse lifts among them) raises ValueError, a key the constructor does
-    not take TypeError."""
+    specs (dict values) are rebuilt first.  An unregistered kind (param
+    lifts other than ``"bernoulli-lift"``, and inverse lifts) raises
+    ValueError, a key the constructor does not take TypeError."""
     args = dict(spec)
     kind = args.pop("entry") if "entry" in args else args.pop("kind", None)
     if kind not in SPEC_KINDS:

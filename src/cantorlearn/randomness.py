@@ -18,11 +18,11 @@ id penalties, taken when asked, bounds every later estimate.
 So ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the
 whole word's deficiency) read the estimate only at the prefixes where k =
 ceil(-log2 sup) minus that bound leaves their answer open, and still give
-exactly the answer a read at every prefix would.  On a ``SupWalk`` (a
-Bernoulli lift, or an exact entry over a constant rule in (0, 1)), k of any
-prefix comes from its zero count and rises at most a fixed step per bit, so
-the walk visits only the prefixes where a read could happen and jumps over
-the rest; other entries yield k prefix by prefix, in O(1) steps per bit.
+exactly the answer a read at every prefix would.  On a ``SupWalk`` (an exact
+uniform or Bernoulli entry, or a param lift over Bernoulli balls, as every
+Bernoulli lift is), k of any prefix comes from its zero count and rises at
+most a fixed step per bit, so the walk visits only the prefixes where a read
+could happen and jumps over the rest; other entries yield k prefix by prefix.
 """
 
 from __future__ import annotations
@@ -544,10 +544,10 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
     the tracker's floor, a bound on the deficiency, exceeds the running maximum.
     The tracker is handed the bits walked since its last hand-over only where
     the floor is refreshed: at a read, and where the last read's floors lapse
-    (``_horizon``).  A ``SupWalk``'s k rises at most ``step`` per bit, so from
-    prefix i no prefix up to i + (best + floor - k_i) // step can read: the
-    walk jumps past them, never past the horizon, and so reads and refreshes
-    exactly where a visit to every prefix would, with the same tracker state."""
+    (``_horizon``).  A ``SupWalk``'s k, held past a ball's level, rises at most
+    ``step`` per bit, so from prefix i no prefix up to i + (best + floor - k_i)
+    // step can read: the walk jumps past them, never past the horizon, and so
+    reads and refreshes exactly where a visit to every prefix would, with the same tracker state."""
     tracker, handed = est.tracker(), 0
     floor, horizon = tracker.floor(stage), tracker._horizon
 

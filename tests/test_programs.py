@@ -666,39 +666,52 @@ LONG_WORDS = st.one_of(
     st.builds(lambda ch, n: ch * n, st.sampled_from("01"), st.integers(0, 300)),
 )
 
-# q in (0, 1) with a small denominator, or near an end
+# q in (0, 1) with a small denominator, near an end, or at an end
 SMALL_OR_EXTREME_Q = st.one_of(
     st.integers(2, 40).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d))),
-    st.sampled_from([F(1, 1000), F(999, 1000), F(1, 2**40), F(2**40 - 1, 2**40)]),
+    st.sampled_from([F(0), F(1), F(1, 1000), F(999, 1000), F(1, 2**40), F(2**40 - 1, 2**40)]),
 )
 
 
 class TestSupWalks:
-    """Bernoulli lifts and exact entries over a rule constant in (0, 1) read
+    """Param lifts whose stage ball is a ``BernoulliCylinderBall`` (Bernoulli
+    lifts among them) and exact entries over a uniform or Bernoulli rule read
     ceil(-log2 sup) of each prefix from its zero count (``SupWalk``): the
     values of the per-bit walks, read in any order, rising at most ``step``
     per bit."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(LONG_WORDS, SMALL_OR_EXTREME_Q, st.booleans(), st.data())
-    def test_count_form_equals_the_per_bit_walk(self, x, q, lift, data):
+    @settings(max_examples=180, deadline=None, derandomize=True, database=None)
+    @given(LONG_WORDS, SMALL_OR_EXTREME_Q, st.sampled_from(["exact", "bernoulli-lift", "param-lift"]), st.data())
+    def test_count_form_equals_the_per_bit_walk(self, x, q, kind, data):
         t = ProgramTable()
         stage = data.draw(st.just(len(x)) | st.integers(-1, 320))
-        if lift:
-            e = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q))))
-            # the base class's walk: ceil(-log2) of each prefix's knowledge sup
-            want = list(Entry.prefix_sup_bits(t.entry(e), t, x, stage))
-        else:
+        if kind == "exact":
             mu = bernoulli(q)
             e = t.add(ExactMeasureEntry(mu))
             # the rule walk that exact entries over other rules take, cut where the stage cuts it
             want = (list(mu.mass_bits(x[:stage])) if stage >= 0 else []) + [0] * (len(x) - max(stage, -1))
+        else:
+            if kind == "bernoulli-lift":
+                e = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q))))
+            else:
+                source = data.draw(st.sampled_from([BitSource.rational, BitSource.hat_rational]))(q)
+                delay, diverge = data.draw(st.integers(0, 8)), data.draw(st.none() | st.integers(0, 64))
+                # FbMap pins level |w| // 3, so words past it hold the level's sup
+                e = t.param_lift(FbMap(), t.add(RealEntry(source, delay, diverge)))
+            # the base class's walk: ceil(-log2) of each prefix's knowledge sup
+            want = list(Entry.prefix_sup_bits(t.entry(e), t, x, stage))
         walk = t.prefix_sup_bits(e, x, stage)
         assert isinstance(walk, SupWalk)
         assert list(walk) == want
         order = data.draw(st.lists(st.integers(0, len(x)), max_size=40))
         assert [walk[n] for n in order] == [want[n] for n in order]
         assert all(b <= a + walk.step for a, b in zip(want, want[1:]))
+
+    def test_zero_sups_are_infinite(self):
+        # a point parameter 0 or 1 gives a word with a bit it never gives the sup 0
+        one, zero = measures.BernoulliSups(Interval.exact(1)), measures.BernoulliSups(Interval.exact(0))
+        assert [one.bits(0, 1), one.bits(1, 2), zero.bits(1, 1), zero.bits(2, 2)] == [math.inf] * 4
+        assert [one.bits(2, 2), zero.bits(0, 2)] == [0, 0]
 
     def test_steps(self):
         t = ProgramTable()
@@ -710,13 +723,17 @@ class TestSupWalks:
                 t.add(ExactMeasureEntry(bernoulli(F(1, 1000)))),
                 t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5))))),
                 t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(1, 3))))),
+                t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 1000))))),
             )
         }
         # 1, ceil(log2 3/2) and ceil(log2 3), ceil(log2 1000); a lift at stage 0 knows [0, 1]: no bound
-        assert list(steps.values()) == [1, 2, 10, math.inf, math.inf]
+        assert list(steps.values()) == [1, 2, 10, math.inf, math.inf, math.inf]
         lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5)))))
         # at stage 8, [0.01100110, + 2^-8]: m = 102/256, ceil(-log2 m) = 2
         assert t.prefix_sup_bits(lift, "", 8).step == 2
+        fb = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 1000)))))
+        # at stage 12, FbMap's [0.000000000100, + 2^-12]: m = 2^-10
+        assert t.prefix_sup_bits(fb, "", 12).step == 10
 
 
 class TestTotalityOracle:

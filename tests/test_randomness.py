@@ -62,6 +62,16 @@ def table_with(*measures):
 EST = ComplexityEstimator()
 
 
+class FbMap:
+    """Parameter interval [0.w, 0.w + 2^-|w|] pinned to level |w|//3, as in tests/test_programs.py."""
+
+    name = "fb-hat"
+
+    def star(self, word):
+        lo = F(int(word or "0", 2), 1 << len(word))
+        return BernoulliCylinderBall(Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3)
+
+
 class TestCeilNegLog2:
     @pytest.mark.parametrize(
         "u,want",
@@ -738,6 +748,27 @@ class TestVerdictShortcuts:
         assert max_prefix_deficiency(t, EST, 1, x) > 64
         assert counts["bits"] == 2048 and counts["upper"] == 20 and counts["sups"] <= 128
 
+    def test_param_lift_walks_build_no_image(self, monkeypatch):
+        # a param lift over Bernoulli balls walks by zero counts, as a Bernoulli lift does: its
+        # verdict builds no bernoulli_image, whose powers of a 1024-bit parameter took minutes
+        counts = {"images": 0, "sups": 0}
+        real_image, real_sups = measures.bernoulli_image, measures.BernoulliSups.bits
+
+        def image(param, zeros, ones):
+            counts["images"] += 1
+            return real_image(param, zeros, ones)
+
+        def sups(self, a, n):
+            counts["sups"] += 1
+            return real_sups(self, a, n)
+
+        monkeypatch.setattr(measures, "bernoulli_image", image)
+        monkeypatch.setattr(measures.BernoulliSups, "bits", sups)
+        t = ProgramTable()
+        e = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(5, 17)))))
+        assert random_verdict(t, EST, e, sample_stream(bernoulli(F(5, 17)), 0, 1024), 8)
+        assert counts == {"images": 0, "sups": 129}
+
 
     def test_jumps_push_and_read_as_a_visit_to_every_prefix(self, monkeypatch):
         # a SupWalk's walk jumps; handed to the walk as a plain iterator, its values are visited
@@ -757,10 +788,11 @@ class TestVerdictShortcuts:
         monkeypatch.setattr(randomness.EstimatorTracker, "upper", upper)
         t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)), bernoulli(F(1, 1000)), uniform())
         lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5)))))
+        param_lift = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 3)))))
         real_walk = ProgramTable.prefix_sup_bits
         for seed in range(2):
             x = sample_stream(bernoulli(F(1, 3)), seed, 2048)
-            for e in (0, 1, 2, 3, lift):
+            for e in (0, 1, 2, 3, lift, param_lift):
                 calls = [partial(random_verdict, t, EST, e, x, c) for c in (-5, 48, 400)]
                 for call in calls + [partial(max_prefix_deficiency, t, EST, e, x)]:
                     runs = []
