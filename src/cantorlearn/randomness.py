@@ -10,7 +10,8 @@ A codec's ``push`` consumes a word of any length in a few calls at C speed
 (``len``, ``str.count``, ``lstrip``, ``str.find``, bit operations on
 ``int(..., 2)``), never bit by bit.  Each codec also states a floor, a lower
 bound on its length after any further pushes (the zlib codec's only until
-its open block completes), proved in one line in its docstring.
+its open block completes), proved in one line in its docstring, as is the
+zlib codec's exact length from a 24 KB compressor up to 1024 packed bytes.
 ``EstimatorTracker`` hands a codec the bits it has not seen only at a read
 whose estimate its floor could beat, and the minimum of its floors, with the
 id penalties, taken when asked, bounds every later estimate.
@@ -40,6 +41,7 @@ INFINITE_DEFICIENCY = math.inf
 LITERAL_HEADER = 32
 CODEC_HEADER = 8
 ZLIB_BLOCK_BITS = 256
+ZLIB_SMALL_BYTES = 0 if "zlib-ng" in zlib.ZLIB_RUNTIME_VERSION else 1024
 # KT lengths come from floats only when more than this times (n + 1) bits
 # from an integer; see KTCodec
 KT_FLOAT_MARGIN = 1e-12
@@ -368,12 +370,22 @@ class KTCodec(Codec):
 class ZlibBlockCodec(Codec):
     """zlib over complete bit blocks plus a literal tail, so pushes stay cheap.
 
-    Each tracker feeds one ``zlib.compressobj(9)`` (the level, window and
-    memory level of ``zlib.compress(..., 9)``) with the complete blocks of
-    each push as packed bytes, in one call.  The block cost is then 8 times
-    the bytes emitted so far plus those a flushed copy of the compressor
-    emits, which is the length of ``zlib.compress`` on the whole packed
-    prefix up to the last block boundary.
+    Each tracker feeds one compressor, built at its first completed block,
+    the complete blocks of each push as packed bytes, in one call; the block
+    cost, 8 times the bytes emitted plus those a flushed copy emits, is then
+    8 * ``len(zlib.compress(packed, 9))`` up to the last block boundary.  Up
+    to ``ZLIB_SMALL_BYTES`` packed bytes the compressor is ``compressobj(9,
+    DEFLATED, 11, 5)`` (a copy moves 24 KB, not 256 KB); a push past them
+    hands them all to a ``compressobj(9)``.  For n <= 1024 bytes on classic
+    zlib the lengths agree: n <= 2^11 - 262, so the window never slides and
+    no match is too far; n symbols do not fill the 2^(5+6) - 1 symbol
+    buffer, so the final block is the only one, as at memory level 8; a hash
+    chain holds under 1024 earlier positions and level 9 walks at least 1024
+    (4096, quartered past length 32), so none is cut, and a colliding one
+    fails on its first two bytes (with 8 or more hash bits, an equal hash and
+    those fix the third), so the longest match and its most recent tie-break
+    do not depend on the hash size; the header is 2 bytes whatever its
+    window field.  zlib-ng, whose match finder differs, gets only the default.
 
     Floor: the current length until the open block completes, since until
     then only the literal tail grows; the header after that, since a longer
@@ -384,7 +396,8 @@ class ZlibBlockCodec(Codec):
 
     def __init__(self):
         self.block = ""  # bits after the last block boundary
-        self.compressor = zlib.compressobj(9)
+        self.packed = b""  # the packed blocks while the small compressor codes them, then None
+        self.compressor = None  # built at the first completed block
         self.emitted = 0
         self.block_cost = 0
 
@@ -392,7 +405,14 @@ class ZlibBlockCodec(Codec):
         pending = self.block + bits
         if len(pending) >= ZLIB_BLOCK_BITS:
             whole = len(pending) - len(pending) % ZLIB_BLOCK_BITS
-            self.emitted += len(self.compressor.compress(pack_bits(pending[:whole])))
+            data = pack_bits(pending[:whole])
+            if self.packed is not None:
+                self.packed += data
+                if len(self.packed) > ZLIB_SMALL_BYTES:  # the default compressor codes every block from the first
+                    self.compressor, self.emitted, data, self.packed = zlib.compressobj(9), 0, self.packed, None
+                elif self.compressor is None:
+                    self.compressor = zlib.compressobj(9, zlib.DEFLATED, 11, 5)
+            self.emitted += len(self.compressor.compress(data))
             self.block_cost = 8 * (self.emitted + len(self.compressor.copy().flush()))
             pending = pending[whole:]
         self.block = pending

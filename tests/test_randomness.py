@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlearn import cantor, measures, programs, randomness
-from cantorlearn.cantor import BadWordError, BitSource, check_bits
+from cantorlearn.cantor import BadWordError, BitSource, check_bits, hat_encode
 from cantorlearn.measures import (
     BernoulliCylinderBall,
     InterleaveCylinderBall,
@@ -37,6 +37,7 @@ from cantorlearn.randomness import (
     INFINITE_DEFICIENCY,
     LITERAL_HEADER,
     ZLIB_BLOCK_BITS,
+    ZLIB_SMALL_BYTES,
     ComplexityEstimator,
     KTCodec,
     PatternCodec,
@@ -224,10 +225,13 @@ def structured_words(bits: int, seed: int) -> dict:
         runs.append(bit * (1 + int(rng.expovariate(1 / 64))))
         total += len(runs[-1])
         bit = "1" if bit == "0" else "0"
+    iid = "".join("0" if rng.random() < 1 / 3 else "1" for _ in range(bits))
     return {
-        "iid": "".join("0" if rng.random() < 1 / 3 else "1" for _ in range(bits)),
+        "iid": iid,
         "cyclic": (cycle * (bits // 1000 + 1))[:bits],
         "run-length": "".join(runs)[:bits],
+        "zeros": "0" * bits,  # the longest hash chains
+        "hat": hat_encode(iid[: bits // 2]),
     }
 
 
@@ -285,21 +289,6 @@ class TestKTFastPath:
         # P = 3/128, L = log2(128/3) = 5.415...
         odd, even = kt_products(4)
         assert KTCodec().cost("0110") == 6 + 8 == kt_oracle_length(odd[2] * odd[2], even[4])
-
-
-class TestZlibAgainstZlib:
-    @pytest.mark.parametrize("kind", ["iid", "cyclic", "run-length"])
-    def test_block_boundaries_match_zlib_compress(self, kind):
-        word = structured_words(8192, 12)[kind]
-        t = ZlibBlockCodec().tracker()
-        prev = t.cost()
-        for i, ch in enumerate(word, 1):
-            t.push(ch)
-            if i % 256 == 0:
-                assert t.cost() == 8 * len(zlib.compress(pack_bits(word[:i]), 9)) + 8, i
-            else:
-                assert t.cost() == prev + 1, i
-            prev = t.cost()
 
 
 def gamma_ref(r: int) -> int:
@@ -456,6 +445,64 @@ class TestChunkedPushes:
         for n in (8 * full_bytes, 8 * full_bytes + extra):
             w = "".join(rng.choice("01") for _ in range(n))
             assert pack_bits(w) == pack_ref(w)
+
+
+class TestZlibAgainstZlib:
+    """Both compressors, the small one up to ZLIB_SMALL_BYTES packed bytes and
+    the default one past them, give zlib.compress's length exactly."""
+
+    N = 12288  # half as many bits again as the small compressor codes
+    KINDS = ["iid", "cyclic", "run-length", "zeros", "hat"]
+    SWITCH = 0 if "zlib-ng" in zlib.ZLIB_RUNTIME_VERSION else 8192  # the bits it codes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_boundaries_match_zlib_compress(self, kind):
+        word = structured_words(self.N, 12)[kind]
+        t = ZlibBlockCodec().tracker()
+        prev = t.cost()
+        for i, ch in enumerate(word, 1):
+            t.push(ch)
+            if i % 256 == 0:
+                assert t.cost() == 8 * len(zlib.compress(pack_bits(word[:i]), 9)) + 8, i
+                assert (t.packed is None) == (i > self.SWITCH), i
+            else:
+                assert t.cost() == prev + 1, i
+            prev = t.cost()
+
+    @settings(PROPERTY, max_examples=25)
+    @given(st.sampled_from(KINDS), st.integers(0, 2**32), st.integers(8448, 14000), st.data())
+    def test_chunks_straddling_the_switch(self, kind, seed, n, data):
+        # one push, over bits a to b, takes the packed blocks from at most 1024 bytes to more
+        word = structured_words(n, seed)[kind]
+        a, b = data.draw(st.integers(1, 8191)), data.draw(st.integers(8448, n))
+        ends = {e for e in chunk_ends(data.draw, n) if not a < e < b} | {a, b}
+        assert_chunks_match_reference(ZlibBlockCodec(), word, sorted(ends))
+
+    def test_repeat_past_the_small_window(self):
+        # a repeat 2048 bytes back, past the 1786 bytes a window of 2^11 reaches
+        half = structured_words(16384, 15)["iid"]
+        assert ZlibBlockCodec().cost(half + half) == 8 * len(zlib.compress(pack_bits(half + half), 9)) + 8
+
+    def test_default_compressor_alone_gives_the_same_costs(self, monkeypatch):
+        # as under zlib-ng, where the default compressor codes every block
+        corpus = [*PINNED_CODEC_COSTS, *structured_words(self.N, 14).values()]
+
+        def costs():
+            out, small_at_end = [], []
+            for word in corpus:
+                t = ZlibBlockCodec().tracker()
+                for start in range(0, len(word), 300):
+                    t.push(word[start : start + 300])
+                    out.append(t.cost())
+                out.append(ZlibBlockCodec().cost(word))
+                small_at_end.append(t.packed is not None)
+            return out, small_at_end
+
+        got, small_at_end = costs()
+        assert small_at_end == [len(w) <= 8 * ZLIB_SMALL_BYTES for w in corpus]
+        monkeypatch.setattr(randomness, "ZLIB_SMALL_BYTES", 0)
+        assert costs() == (got, [False] * len(corpus))
+        assert [ZlibBlockCodec().cost(w) for w in PINNED_CODEC_COSTS] == [c[4] for c in PINNED_CODEC_COSTS.values()]
 
 
 class TestOnePushPerRead:
