@@ -1,10 +1,10 @@
 """Exact measures on Cantor space, their stage-bounded knowledge, and basic open balls.
 
 All masses are ``fractions.Fraction`` values, so additivity and every ball
-computation are exact.  Prefix walks take ceil(-log2) of masses and sups from
-floats where an error bound, assuming ``math.log2`` within 2 ulps, certifies
-them, and from integers otherwise.  Sampling needs no bound: each float draw
-is compared with one double cut per rule value, exact for every double.
+computation are exact.  Mass walks take ceil(-log2) of masses from integers,
+sup walks of Bernoulli balls from floats where an error bound, assuming
+``math.log2`` within 2 ulps, certifies it, and from integers otherwise.
+Sampling needs no bound: a draw meets one double cut per rule value, exact for every double.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class Measure(MeasureView):
     An exact measure is one rule, ``p0(j)``: the probability that bit j is 0
     after any prefix of positive mass.  ``mass`` is the product of its
     factors along a word, one ``Fraction``; ``mass_bits`` walks ceil(-log2)
-    of the mass of every prefix of a word, one float step per bit.
+    of the mass of every prefix of a word, one integer step per bit.
     An enumerated measure (``p0`` None) only reveals interval knowledge per stage.
     Both answer ``knowledge(word, stage)``, a Bernoulli measure also its
     exact ``param_interval``, and a measure is its own view for ball
@@ -204,48 +204,39 @@ class Measure(MeasureView):
         self._tuples = tuple(tuples) if tuples is not None else None
 
     def mass(self, word: Bits) -> Fraction:
-        if self.p0 is None:
+        if (rule := self.p0) is None:
             raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        return Fraction(*_times_rule(self.p0, word, 0, len(word), 1, 1))
+        num = den = 1
+        for j, ch in enumerate(word):
+            if not num:  # the rule is not read once the product is 0
+                break
+            p = rule(j)
+            num *= p.numerator if ch == "0" else p.denominator - p.numerator
+            den *= p.denominator
+        return Fraction(num, den)
 
     def mass_bits(self, word: Bits) -> Iterator:
         """ceil(-log2) of the mass of "" and of each prefix of word, ``math.inf``
-        from a zero mass on, with no more rule reads.  Each bit adds the
-        ``_neg_log2`` term of p or 1 - p, p = p0(j), found once per value
-        object, and 2^-51 s to the bound for the rounding of the sum s and of
-        the check.  A dyadic rule has a zero bound; elsewhere an open ceiling
-        comes from integer products of the rule's factors, extended as needed."""
-        rule, ceil = self.p0, math.ceil
-        if rule is None:
+        from a zero mass on, with no more rule reads.  The mass so far is
+        2^-k num/den: a factor p or 1 - p, p = p0(j), whose numerator and
+        denominator are powers of two adds its exponent to k, and any other
+        multiplies num/den, whose ceiling is taken once it is not 1/1."""
+        if (rule := self.p0) is None:
             raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        terms: dict[int, tuple] = {}  # id(p) -> (p, terms); p is held, so its id is not reused
-        last = zero = one = None  # the last value read and its terms
-        k, s, err = 0, 0.0, 0.0
-        num, den, done = 1, 1, 0  # the exact mass of word[:done]
+        k, num, den = 0, 1, 1
         yield 0
         for j, ch in enumerate(word):
             p = rule(j)
-            if p is not last:
-                got = terms.get(id(p))
-                if got is None:
-                    n, d = p.numerator, p.denominator
-                    got = terms[id(p)] = (p, _neg_log2(n, d), _neg_log2(d - n, d))
-                last, zero, one = got
-            term = zero if ch == "0" else one
-            if term is None:
+            d = p.denominator
+            n = p.numerator if ch == "0" else d - p.numerator
+            if not n:
                 yield from repeat(math.inf, len(word) - j)
                 return
-            dk, ds, de = term
-            k += dk
-            s += ds
-            err += de + s * 2**-51
-            c = ceil(s + err)
-            if s - err > c - 1:  # as in _power_bits
-                yield k + c
+            if n & (n - 1) or d & (d - 1):
+                num, den = num * n, den * d
             else:
-                num, den = _times_rule(rule, word, done, j + 1, num, den)
-                done = j + 1
-                yield _ceil_log2_ratio(num, den)
+                k += d.bit_length() - n.bit_length()
+            yield k if den == 1 else k + _ceil_log2_ratio(num, den)
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
         """Stage-bounded knowledge interval for mu(word): the exact mass, or the
@@ -268,18 +259,6 @@ class Measure(MeasureView):
 
     def param_interval(self, stage: int) -> Optional[Interval]:
         return self.constant if self.spec.get("kind") == "bernoulli" else None
-
-
-def _times_rule(rule: Callable[[int], Fraction], word: Bits, start: int, stop: int, num: int, den: int):
-    """num/den times the rule's factors for word[start:stop], as an int pair
-    not in lowest terms; the rule is not read once the product is 0."""
-    for j in range(start, stop):
-        if not num:
-            break
-        p = rule(j)
-        num *= p.numerator if word[j] == "0" else p.denominator - p.numerator
-        den *= p.denominator
-    return num, den
 
 
 def uniform() -> Measure:
@@ -472,21 +451,27 @@ class BernoulliSups:
 
 
 class SupWalk:
-    """``BernoulliSups`` along a word, read lazily: item n is the n-bit prefix's, held from
-    ``level`` on, 0 past ``known`` (a sup of 1), its zeros counted on from the last item read."""
+    """``BernoulliSups`` along a word, read lazily: item n in 0..len(word) is the n-bit prefix's,
+    held from ``level`` on, 0 past ``known`` (a sup of 1), its zeros counted on from the last read."""
 
     def __init__(self, sups: BernoulliSups, word: Bits, known: int, level: float = math.inf):
         self.sups, self.word, self.known, self.level, self.step = sups, word, known, level, sups.step
-        self._edge, self._n, self._zeros = min(known, level), 0, 0
+        self._edge, self._n, self._zeros = min(known, level, len(word)), 0, 0
 
     def __iter__(self) -> Iterator:
         return map(self.__getitem__, range(len(self.word) + 1))
 
     def __getitem__(self, n: int) -> int:
         if n > self._edge:  # 0 past the stage cut, else held at the level
+            if not 0 <= n <= len(self.word):
+                raise IndexError(f"no {n}-bit prefix of a {len(self.word)}-bit word")
             return 0 if n > self.known else self[self.level]
         last, word = self._n, self.word
-        a = self._zeros + word.count("0", last, n) if n >= last else word.count("0", 0, n)
+        if n < last:  # a backward read counts from the start
+            if n < 0:
+                raise IndexError(f"no {n}-bit prefix of a {len(word)}-bit word")
+            last = self._zeros = 0
+        a = self._zeros + word.count("0", last, n)
         self._n, self._zeros = n, a
         return self.sups.bits(a, n)
 

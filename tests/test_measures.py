@@ -23,6 +23,7 @@ from cantorlearn.measures import (
     ball,
     bernoulli,
     bernoulli_image,
+    ceil_neg_log2,
     enumerated,
     interleave_measure,
     sample_stream,
@@ -282,6 +283,18 @@ class TestMeasureEval:
         )
         with pytest.raises(MalformedMeasureError):
             mu.knowledge("0", 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        rules(), st.builds(lambda n, v: format(v, "0200b")[:n], st.integers(0, 200), st.integers(0, 2**200 - 1))
+    )
+    def test_mass_bits_equal_exact_masses(self, rule, x):
+        # dyadic, forced and non-dyadic factors, mixed along words of up to 200 bits, against each
+        # prefix's exact mass
+        mu = Measure({"kind": "rule"}, p0=rule)
+        want = [ceil_neg_log2(m) if (m := mu.mass(x[:n])) else math.inf for n in range(len(x) + 1)]
+        assert list(mu.mass_bits(x)) == want
+
 
 class TestBalls:
     def test_pinned_root_child(self):

@@ -611,8 +611,10 @@ WALK_WORDS = st.one_of(
 
 
 class TestCertifiedSupBits:
-    """Exact measures and Bernoulli lifts yield ceil(-log2 sup) from floats
-    only where an error bound certifies it, and exactly otherwise."""
+    """Exact Bernoulli measures and Bernoulli lifts yield ceil(-log2 sup) from
+    floats only where an error bound certifies it, and exactly otherwise.
+    Exact measures over other rules walk integers (``mass_bits``), and a
+    dyadic rule's walk never takes an integer ratio."""
 
     def test_certified_equals_exact(self, monkeypatch):
         fallbacks = []
@@ -734,6 +736,24 @@ class TestSupWalks:
         fb = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 1000)))))
         # at stage 12, FbMap's [0.000000000100, + 2^-12]: m = 2^-10
         assert t.prefix_sup_bits(fb, "", 12).step == 10
+
+    @pytest.mark.parametrize("stage", [-3, 2, 10], ids=["nothing-known", "stage-cut", "word-known"])
+    @pytest.mark.parametrize("lift", [False, True], ids=["exact", "param-lift"])
+    def test_items_are_the_prefixes_of_the_word(self, stage, lift):
+        t = ProgramTable()
+        if lift:  # FbMap's ball at stage 10 holds its walk from level 3
+            e = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 3)))))
+        else:
+            e = t.add(ExactMeasureEntry(bernoulli(F(1, 3))))
+        for fresh in (True, False):
+            walk = t.prefix_sup_bits(e, "0110", stage)
+            if not fresh:  # read forward to the end, so a negative index is a backward read
+                assert list(walk) == [walk[n] for n in range(5)]
+            for n in (-1, -5, 5, 7):
+                with pytest.raises(IndexError):
+                    walk[n]
+        if (stage, lift) == (10, False):
+            assert list(walk) == [0, 2, 3, 3, 5]
 
 
 class TestTotalityOracle:

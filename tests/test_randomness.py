@@ -73,6 +73,15 @@ class FbMap:
         return BernoulliCylinderBall(Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3)
 
 
+class InterleaveMap:
+    """The interleaving measures whose forced stream extends w: a ball no ``SupWalk`` walks."""
+
+    name = "interleave"
+
+    def star(self, word):
+        return InterleaveCylinderBall(word)
+
+
 class TestCeilNegLog2:
     @pytest.mark.parametrize(
         "u,want",
@@ -713,6 +722,9 @@ class TestRandomVerdict:
         assert hits == 10
 
 
+HAT_TWO_FIFTHS = BitSource.hat_rational(F(2, 5))
+
+
 def shortcut_tables():
     """(table, index) for each entry kind the walk meets."""
     half = Interval.closed(F(1, 3), F(1, 2))
@@ -730,6 +742,7 @@ def shortcut_tables():
         "exact-delay": ExactMeasureEntry(bernoulli(F(1, 3)), delay=2),
         "zero-mass": ExactMeasureEntry(bernoulli(F(1))),
         "dirac": ExactMeasureEntry(dirac(BitSource.periodic("01"))),
+        "interleave": ExactMeasureEntry(interleave_measure(HAT_TWO_FIFTHS)),
         "enumerated": EnumeratedMeasureEntry(enumerated(rows)),
         "stub": StubEntry("measure"),
     }
@@ -743,12 +756,24 @@ def shortcut_tables():
     ):
         t = ProgramTable()
         out[name] = t, t.bernoulli_lift(t.add(real))
+    for name, param_map, source in (
+        ("fb-lift", FbMap(), BitSource.rational(F(2, 5))),  # a SupWalk held from its level
+        ("interleave-lift", InterleaveMap(), HAT_TWO_FIFTHS),  # the per-prefix knowledge walk
+    ):
+        t = ProgramTable()
+        out[name] = t, t.param_lift(param_map, t.add(RealEntry(source)))
     return out
 
 
+# the interleave entry's and lift's forced bits are the hat bits of 2/5, which the last word follows
 SHORTCUT_WORDS = [
     "".join(w) for n in range(6) for w in itertools.product("01", repeat=n)
-] + [sample_stream(bernoulli(F(1, 3)), 3, 200), sample_stream(bernoulli(F(2, 5)), 4, 200), "0" * 200]
+] + [
+    sample_stream(bernoulli(F(1, 3)), 3, 200),
+    sample_stream(bernoulli(F(2, 5)), 4, 200),
+    "0" * 200,
+    sample_stream(interleave_measure(HAT_TWO_FIFTHS), 5, 200),
+]
 
 
 class TestVerdictShortcuts:

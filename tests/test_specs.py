@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlearn.cantor import BitSource
+from cantorlearn.cantor import BadWordError, BitSource
 from cantorlearn.measures import (
     PRNG_NAME,
     Interval,
+    MalformedMeasureError,
     Measure,
     Verdict,
     ball,
     bernoulli,
+    ceil_neg_log2,
     dirac,
     enumerated,
     interleave_measure,
+    sample_stream,
     sampled_source,
     uniform,
 )
@@ -31,9 +34,11 @@ from cantorlearn.programs import (
     ProgramTable,
     RealEntry,
     StubEntry,
+    WrongKindError,
     from_spec,
     table_from_manifest,
 )
+from cantorlearn.randomness import ComplexityEstimator
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -234,3 +239,41 @@ class TestBadSpecs:
     def test_extra_key_raises(self, spec):
         with pytest.raises(TypeError):
             from_spec(spec)
+
+
+def one_entry_table():
+    t = ProgramTable()
+    t.add(StubEntry("real"))
+    return t
+
+
+ENUMERATED = enumerated([("0", Interval.exact(F(1, 2)), 1)])
+
+
+class TestBadInputs:
+    """Each input check raises its own error type, not a subclass or a parent of it."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            pytest.param(lambda: BitSource.rational(F(1, 3)).bit(-1), IndexError, id="negative-position"),
+            pytest.param(lambda: BitSource({"kind": "two"}, lambda i: 2).bit(0), BadWordError, id="non-bit"),
+            pytest.param(lambda: BitSource.constant(2), BadWordError, id="constant-2"),
+            pytest.param(lambda: BitSource.periodic(""), BadWordError, id="empty-cycle"),
+            pytest.param(lambda: BitSource.rational(F(3, 2)), ValueError, id="rational-3/2"),
+            pytest.param(lambda: ceil_neg_log2(F(0)), ValueError, id="ceil-neg-log2-0"),
+            pytest.param(lambda: Measure({"kind": "none"}), ValueError, id="no-rule-no-tuples"),
+            pytest.param(lambda: ENUMERATED.mass("0"), MalformedMeasureError, id="enum-mass"),
+            pytest.param(lambda: next(ENUMERATED.mass_bits("0")), MalformedMeasureError, id="enum-walk"),
+            pytest.param(lambda: bernoulli(F(3, 2)), ValueError, id="bernoulli-3/2"),
+            pytest.param(lambda: sample_stream(ENUMERATED, 0, 4), MalformedMeasureError, id="enum-sample"),
+            pytest.param(lambda: one_entry_table().eval_measure(0, "0", 4), WrongKindError, id="real-stub"),
+            pytest.param(lambda: one_entry_table().pad(-1, 0), IndexError, id="negative-pad"),
+            pytest.param(lambda: one_entry_table().entry(5), IndexError, id="missing-entry"),
+            pytest.param(lambda: ComplexityEstimator().upper("0", 0), ValueError, id="stage-0-estimate"),
+        ],
+    )
+    def test_raises(self, call, error):
+        with pytest.raises(error) as caught:
+            call()
+        assert caught.type is error
