@@ -91,8 +91,9 @@ class Interval:
     def __init__(self, lo, hi, lo_open: bool = False, hi_open: bool = False):
         lo = lo if isinstance(lo, Fraction) else Fraction(lo)
         hi = hi if isinstance(hi, Fraction) else Fraction(hi)
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        self.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, _ln=ln, _ld=ld, _hn=hn, _hd=hd)
+        d = self.__dict__
+        d["lo"], d["hi"], d["lo_open"], d["hi_open"] = lo, hi, lo_open, hi_open
+        (d["_ln"], d["_ld"]), (d["_hn"], d["_hd"]) = lo.as_integer_ratio(), hi.as_integer_ratio()
         self.__post_init__()
 
     def __post_init__(self):  # once per construction, where perfbench counts them
@@ -489,17 +490,21 @@ def _power_bits(num: int, den: int, zero: tuple, one: tuple, a: int, b: int) -> 
     return _ceil_log2_ratio(mass, den ** (a + b)) if (mass := num**a * (den - num) ** b) else math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BernoulliCylinderBall(MeasureBall):
     """Ball of all measures pinned, on every string down to a level, to the
-    image of a Bernoulli parameter interval under the product formula."""
+    image of a Bernoulli parameter interval under the product formula.
+    Its own constructor, cheaper than the generated one, checks the parameter
+    and fills the fields."""
 
     param: Interval
     level: int
 
-    def __post_init__(self):
-        if self.param._ln < 0 or self.param._hn > self.param._hd:
-            raise ValueError(f"parameter interval must lie in [0,1], got {self.param}")
+    def __init__(self, param: Interval, level: int):
+        if param._ln < 0 or param._hn > param._hd:
+            raise ValueError(f"parameter interval must lie in [0,1], got {param}")
+        d = self.__dict__
+        d["param"], d["level"] = param, level
 
     def sup_mass(self, word: Bits) -> Fraction:
         probe = word[: self.level]

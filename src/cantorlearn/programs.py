@@ -8,7 +8,8 @@ a limit-computable totality oracle (ground-truth flags with configurable flip
 schedules).  Every evaluation is stage-bounded and monotone: knowledge
 intervals only shrink as the stage grows, defined real bits never change
 (except an inverse lift's, when its domain reveals a forbidden prefix late),
-and disjointness verdicts never retract.
+and disjointness verdicts never retract.  Lifts reuse an earlier stage's work
+only where a fresh evaluation would answer the same.
 Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
 so a manifest reloads to the same ``manifest_hash()``, except for inverse lifts and
 param lifts other than Bernoulli lifts: their specs name a map and a domain only by name.
@@ -315,7 +316,7 @@ class InverseLiftEntry(Entry):
     stop.  Both are kept for the latest stage asked only.  A domain that
     reveals a forbidden prefix late can empty a level and so retract bits.
 
-    A search at the latest search's stage or later resumes from its deepest
+    A search at the latest walk's stage or later resumes from its deepest
     settled level (its depth and survivors in order, at most
     INVERSE_FRONTIER_CAP words): level 0 when "" is never forbidden, and a
     deeper level whose parent is settled and whose every candidate is
@@ -329,7 +330,17 @@ class InverseLiftEntry(Entry):
     later stages to reuse; a recorded UNKNOWN is reused only while the
     measure gives every answer the recording search read
     (``EntryView.replays``), a ball's verdict being a function of those
-    answers.  Both records are dropped when a search runs at a lower stage.
+    answers.  Both records are dropped when a search runs below the latest
+    walk's stage.
+
+    A search at the latest walk's stage s or later returns that walk's answer
+    without walking unless a candidate the walk met has a ``forbid_time`` in
+    (s, stage] (the walk keeps the least one above s), the walk stopped at
+    "depth" and min(stage, INVERSE_DEPTH_CAP) grew, or it met an UNKNOWN and
+    the measure does not replay its reads (the walk then takes that answer as
+    given).  This is exact for the reasons above: each candidate the walk met
+    has the same outcome at the stage, so a walk would expand the same
+    survivors and emit the same prefix for the same reason.
     """
 
     param_map: ParamMapLike
@@ -343,6 +354,10 @@ class InverseLiftEntry(Entry):
         self._record_stage = -1
         self._read_log: Optional[EntryView] = None
         self._settled: tuple[int, list[Bits]] = (0, [""])
+        # the latest walk's answer, whether it met an UNKNOWN, and its least forbid_time above its stage
+        self._answer: tuple[Bits, str] = ("", "depth")
+        self._unknowns = False
+        self._forbid_next: float = -1  # below every stage: the first search walks
 
     def spec(self) -> dict:
         return {
@@ -354,47 +369,60 @@ class InverseLiftEntry(Entry):
 
     def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
         view = table.view(self.measure_index)
+        unknown_holds: Optional[bool] = None  # whether recorded UNKNOWNs hold, once asked
+        deeper = self._answer[1] == "depth" and min(stage, INVERSE_DEPTH_CAP) > self._record_stage
+        if self._record_stage <= stage < self._forbid_next and not deeper:
+            if not self._unknowns or (unknown_holds := view.replays(self._read_log, stage)):
+                return self._answer
         resume = stage >= self._record_stage
         known = self._verdicts if resume else {}
         log = self._read_log
-        unknown_holds: Optional[bool] = None  # whether recorded UNKNOWNs hold, once asked
         verdicts: dict[Bits, Verdict] = {}
         self._verdicts, self._record_stage, self._read_log = verdicts, stage, view
         start, frontier = self._settled = self._settled if resume else (0, [""])
-        forbid_time = self.domain.forbid_time
+        star, forbid_time = self.param_map.star, self.domain.forbid_time
+        YES, NO, UNKNOWN = Verdict.YES, Verdict.NO, Verdict.UNKNOWN
         t = forbid_time("")
         if t is not None and t <= stage:
-            return "", "dead-domain"
-        settled = t is None
+            return self._keep("", "dead-domain", False, math.inf)
+        settled, unknowns, forbid_next = t is None, False, math.inf if t is None else t
         for depth in range(start + 1, min(stage, INVERSE_DEPTH_CAP) + 1):
             nxt: list[Bits] = []
             for w in frontier:
                 for ch in "01":
                     cand = w + ch
                     t = forbid_time(cand)
-                    if t is not None and t <= stage:
-                        continue
+                    if t is not None:
+                        if t <= stage:
+                            continue
+                        forbid_next = min(forbid_next, t)
                     verdict = known.get(cand)
-                    if verdict is Verdict.UNKNOWN:
+                    if verdict is UNKNOWN:
                         if unknown_holds is None:
                             unknown_holds = view.replays(log, stage)
                         if not unknown_holds:
                             verdict = None
                     if verdict is None:
-                        verdict = self.param_map.star(cand).contains(view, stage)
+                        verdict = star(cand).contains(view, stage)
                     verdicts[cand] = verdict
-                    if verdict is Verdict.NO:
+                    if verdict is NO:
                         continue
-                    settled = settled and verdict is Verdict.YES and t is None
+                    unknowns = unknowns or verdict is UNKNOWN
+                    settled = settled and verdict is YES and t is None
                     nxt.append(cand)
                     if len(nxt) > INVERSE_FRONTIER_CAP:
-                        return os.path.commonprefix(frontier), "frontier-cap"
+                        return self._keep(os.path.commonprefix(frontier), "frontier-cap", unknowns, forbid_next)
             if not nxt:
-                return os.path.commonprefix(frontier), "no-survivors"
+                return self._keep(os.path.commonprefix(frontier), "no-survivors", unknowns, forbid_next)
             frontier = nxt
             if settled:
                 self._settled = (depth, frontier)
-        return os.path.commonprefix(frontier), "depth"  # character-wise, so exact on words
+        # character-wise, so exact on words
+        return self._keep(os.path.commonprefix(frontier), "depth", unknowns, forbid_next)
+
+    def _keep(self, prefix: Bits, reason: str, unknowns: bool, forbid_next: float) -> tuple[Bits, str]:
+        self._answer, self._unknowns, self._forbid_next = (prefix, reason), unknowns, forbid_next
+        return self._answer
 
     def stop_reason(self, table: "ProgramTable", stage: int) -> str:
         """Why the search at this stage stopped: "depth", "frontier-cap",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -201,6 +202,47 @@ class TestInterval:
         inner = Interval.open(F(0), F(1))
         assert outer.contains_interval(inner)
         assert not inner.contains_interval(outer)
+
+
+class TestFrozenConstruction:
+    # intervals and Bernoulli balls fill their fields in their own constructors; these pin what the
+    # generated dataclass methods and the checks give on top of that
+    def test_equality_hash_and_repr(self):
+        iv = Interval(F(1, 4), F(1, 2), hi_open=True)
+        ball = BernoulliCylinderBall(iv, 3)
+        assert iv == Interval(F(2, 8), 0.5, False, True) and iv != Interval(F(1, 4), F(1, 2))
+        assert ball == BernoulliCylinderBall(param=iv, level=3) and ball != BernoulliCylinderBall(iv, 4)
+        assert hash(iv) == hash((F(1, 4), F(1, 2), False, True)) and hash(ball) == hash((iv, 3))
+        want = "Interval(lo=Fraction(1, 4), hi=Fraction(1, 2), lo_open=False, hi_open=True)"
+        assert repr(iv) == want
+        assert repr(ball) == f"BernoulliCylinderBall(param={want}, level=3)"
+
+    def test_frozen(self):
+        iv = Interval(F(1, 4), F(1, 2))
+        ball = BernoulliCylinderBall(iv, 3)
+        for obj, name in ((iv, "lo"), (iv, "_ln"), (ball, "level"), (ball, "param")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+
+    def test_replace_rebuilds_through_the_checks(self):
+        iv = Interval(F(1, 4), F(1, 2))
+        ball = BernoulliCylinderBall(iv, 3)
+        assert replace(iv, hi_open=True) == Interval(F(1, 4), F(1, 2), hi_open=True)
+        assert replace(iv, lo=0).contains(0) and replace(iv, lo=0)._ln == 0
+        assert replace(ball, level=5) == BernoulliCylinderBall(iv, 5)
+        with pytest.raises(InconsistentBallError):
+            replace(iv, lo=1)
+        with pytest.raises(ValueError, match="must lie in"):
+            replace(ball, param=Interval(F(-1, 2), F(1, 2)))
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            Interval("x", 1)
+        with pytest.raises(InconsistentBallError):
+            Interval(F(1, 2), F(1, 4))
+        for bad in (Interval(F(-1, 2), F(1, 2)), Interval(F(1, 2), F(3, 2))):
+            with pytest.raises(ValueError, match=r"parameter interval must lie in \[0,1\]"):
+                BernoulliCylinderBall(bad, 3)
 
 
 class TestConstructors:

@@ -68,6 +68,13 @@ class CountingMap(FbMap):
         return super().star(word)
 
 
+def counting_domain(domain):
+    """The domain with a list whose length counts its ``forbid_time`` reads; every inverse-lift
+    walk reads at least "", and a search that takes the last walk's answer reads nothing."""
+    reads = []
+    return ClosedClass(domain.name, lambda w: reads.append(w) or domain.forbid_time(w)), reads
+
+
 def read_or_end(read):
     """A read's result, or EndOfWordError where it reads a literal source past its end."""
     try:
@@ -496,29 +503,69 @@ class TestLifts:
         got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
         assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
         assert f.built <= 200
-        # past depth 2 the stub's candidates stay UNKNOWN, and its knowledge never changes, so the
-        # later stalls take every verdict from the record; without UNKNOWNs in it they build 7663 balls
+        # past depth 2 the stub's candidates stay UNKNOWN, its knowledge never changes, and the hat
+        # image forbids each word from stage 0 or never, so the later stalls take the stage-64 walk's
+        # answer: they build no ball and read no forbid_time (re-walking with the verdict record, each
+        # read 3574; without UNKNOWNs in the record they build 7663 balls)
         f = CountingMap()
+        counting, reads = counting_domain(ClosedClass.hat_image())
         t = ProgramTable()
-        stalled = t.inverse_lift(f, ClosedClass.hat_image(), t.add(StubEntry("measure")))
+        stalled = t.inverse_lift(f, counting, t.add(StubEntry("measure")))
+        counts = []
         for s in (64, 300, 511):
             assert t.eval_real(stalled, 0, s) is None
             assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
             assert len(t.entry(stalled)._verdicts) <= self.RECORD_BOUND
-        assert f.built <= 2557
+            counts.append((f.built, len(reads)))
+        assert counts[0][0] == 2557 and counts == [counts[0]] * 3
 
     def test_rising_sweep_resumes_from_settled_levels(self):
         # below the last two levels each level holds one YES and one NO or forbidden word, so each
-        # search resumes where the last one's levels settled; restarting from "" read 2664
-        reads = []
-        hat = ClosedClass.hat_image()
-        counting = ClosedClass(hat.name, lambda w: reads.append(w) or hat.forbid_time(w))
+        # search resumes where the last one's levels settled; restarting from "" read 2664. The
+        # stage-72 walk meets no UNKNOWN and stops at the depth cap, so the 15 searches from stage
+        # 80 on take its answer and read nothing, where each read "" before (200 reads)
+        counting, reads = counting_domain(ClosedClass.hat_image())
         t = ProgramTable()
         real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
         back = t.inverse_lift(FbMap(), counting, t.param_lift(FbMap(), real))
         got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
         assert [len(p) for p in got] == [6, 14, 22, 30] + [32] * 20
-        assert len(reads) == 200
+        assert len(reads) == 185
+
+    # each condition under which a search walks again instead of taking the last walk's answer
+    @staticmethod
+    def reuse_case(sets, stages):
+        """Ask an inverse lift of bernoulli(2/5) under a domain forbidding ``sets`` at each stage,
+        each answer checked against a fresh lift's; each search's answer and forbid_time reads."""
+        counting, reads = counting_domain(ClosedClass.from_stage_sets(sets))
+        t = ProgramTable()
+        m = t.add(ExactMeasureEntry(bernoulli(F(2, 5))))
+        e = t.inverse_lift(FbMap(), counting, m)
+        got = []
+        for s in stages:
+            reads.clear()
+            fresh = t.add(InverseLiftEntry(FbMap(), ClosedClass.from_stage_sets(sets), m))
+            answer = (t.real_prefix(e, INVERSE_DEPTH_CAP, s), t.entry(e).stop_reason(t, s))
+            assert answer == (t.real_prefix(fresh, INVERSE_DEPTH_CAP, s), t.entry(fresh).stop_reason(t, s))
+            got.append((answer, len(reads)))
+        return got
+
+    def test_reuse_refused_when_a_met_word_is_forbidden(self):
+        # the stage-64 walk stops at the depth cap and meets only YES and NO verdicts, the real being
+        # 0.0110 0110...; "0110" (YES) and "0111" (NO) are met there and forbidden at stage 70, "1111"
+        # (under the NO word "1") is never met
+        for word, want in (("0110", ("011", "no-survivors")), ("0111", None)):
+            (first, _), (second, reads) = self.reuse_case({70: {word}}, (64, 72))
+            assert reads > 0 and second == (want or first)
+        (first, _), (second, reads) = self.reuse_case({70: {"1111"}}, (64, 72))
+        assert reads == 0 and second == first
+
+    def test_reuse_refused_when_a_depth_stop_can_go_deeper(self):
+        (first, _), (second, reads), (third, more) = self.reuse_case({}, (20, 30, 64))
+        assert first[1] == second[1] == third[1] == "depth"
+        assert reads > 0 and len(second[0]) == 30 and more > 0 and len(third[0]) == INVERSE_DEPTH_CAP
+        # past the depth cap the stop no longer moves, so the stage-64 answer holds
+        assert self.reuse_case({}, (64, 200))[1] == (third, 0)
 
     def test_first_stall_reads_each_screen_once(self, monkeypatch):
         # past level 3 a ball reads the view's screen, kept per stage; reading its 14 words in
@@ -546,18 +593,22 @@ class TestLifts:
             def star(self, word):
                 return BernoulliCylinderBall(super().star(word).param, 4)
 
-        def build():
+        counting, reads = counting_domain(ClosedClass.full())
+
+        def build(domain=ClosedClass.full()):
             t = ProgramTable()
             m = t.add(EnumeratedMeasureEntry(enumerated([("0", Interval.exact(F(1, 3)), 11)])))
-            return t, m, t.inverse_lift(DeepMap(), ClosedClass.full(), m)
+            return t, m, t.inverse_lift(DeepMap(), domain, m)
 
-        t, m, e = build()
+        t, m, e = build(counting)
         assert t.real_prefix(e, 16, 10) == ""
         assert t.entry(e).stop_reason(t, 10) == "frontier-cap"
         log = t.entry(e)._read_log
         assert t.view(m).replays(log, 10) and not t.view(m).replays(log, 11)
         want = BitSource.rational(F(1, 3)).prefix(11)
+        reads.clear()
         assert t.real_prefix(e, 16, 11) == want
+        assert reads  # the frontier-cap stop would hold, but the UNKNOWNs do not replay: a walk ran
         assert t.entry(e).stop_reason(t, 11) == "depth"
         fresh, _, f = build()
         assert fresh.real_prefix(f, 16, 11) == want
