@@ -323,8 +323,9 @@ class MeasureBall:
     stage)``, ``param_interval(stage)`` and ``screen(stage)``, passing on the
     stage it was given, and its verdict is a function of the answers alone: a
     view that gives the same answers under another stage argument gets the same
-    verdict (the inverse lift's verdict record rests on this).  Yes/no verdicts
-    are stable as the stage grows, since the knowledge they read only shrinks.
+    verdict (the inverse lift's records with an UNKNOWN rest on this).  Yes/no
+    verdicts are stable as the stage grows, since the knowledge they read only
+    shrinks.
     """
 
     def sup_mass(self, word: Bits) -> Fraction:
@@ -405,8 +406,7 @@ def ball(constraints: Iterable[tuple[Bits, Interval]]) -> ExplicitBall:
     return ExplicitBall(tuple((check_bits(w), iv) for w, iv in constraints))
 
 
-# the words of levels 1 to 3 that BernoulliCylinderBall's generic screen reads, in level
-# order, each with its zero and one counts; levels 1 to k are the first 2^(k+1) - 2
+# the words of levels 1 to 3 that a view's screen reads, in level order, each with its zero and one counts
 _SCREEN_WORDS = tuple((w, w.count("0"), n - w.count("0")) for n in (1, 2, 3) for w in _words(n))
 
 
@@ -527,30 +527,24 @@ class BernoulliCylinderBall(MeasureBall):
             if self.param.contains_interval(p):
                 return Verdict.YES
             return Verdict.UNKNOWN
-        # generic fallback: shallow exhaustive screen of levels 1 to 3; sound but may stay UNKNOWN.
-        # Images lie in [0,1], as the parameter does, so once UNKNOWN a unit-knowledge word decides
-        # nothing: past level 3 only the view's screen is read, and images only where they can decide
-        if self.level > 3:
-            for zeros, ones, known in view.screen(stage):
-                if bernoulli_image(self.param, zeros, ones).disjoint(known):
-                    return Verdict.NO
-            return Verdict.UNKNOWN
-        # Unless the parameter's ends are 0 and 1, no word's image is all of [0,1]: a one-letter word's
-        # is [lo^n, hi^n] or [(1-hi)^n, (1-lo)^n], and a mixed word's sup is below 1. So a unit word,
-        # which no image misses, then makes the verdict UNKNOWN with no image built
+        # generic fallback: the view's screen of levels 1 to 3, to depth min(level, 3); sound, but YES
+        # only to level 3. A word it leaves out has unit knowledge, which no image misses and only an
+        # image of [0,1] contains: a one-letter word's under the parameter [0,1], never a mixed word's
+        # (its sup is below 1). So YES needs every other word screened: of the 2^(depth+1) - 2 words of
+        # levels 1 to depth, 2 * depth are one-letter
         unit_param = self.param._ln == 0 and self.param._hn == self.param._hd
-        verdict = Verdict.YES
-        for w, zeros, ones in _SCREEN_WORDS[: (2 << self.level) - 2]:
-            known = view.knowledge(w, stage)
-            if (known is _UNIT or known == _UNIT) and (verdict is Verdict.UNKNOWN or not unit_param):
-                verdict = Verdict.UNKNOWN
-                continue
+        depth, screened = min(self.level, 3), 0
+        verdict = Verdict.YES if self.level <= 3 else Verdict.UNKNOWN
+        for zeros, ones, known in view.screen(stage):  # in level order
+            if zeros + ones > depth:
+                break
             img = bernoulli_image(self.param, zeros, ones)
             if img.disjoint(known):
                 return Verdict.NO
             if not img.contains_interval(known):
                 verdict = Verdict.UNKNOWN
-        return verdict
+            screened += not unit_param or zeros * ones > 0
+        return verdict if screened == (2 << depth) - 2 - 2 * depth * unit_param else Verdict.UNKNOWN
 
 
 @dataclass(frozen=True)

@@ -316,31 +316,20 @@ class InverseLiftEntry(Entry):
     stop.  Both are kept for the latest stage asked only.  A domain that
     reveals a forbidden prefix late can empty a level and so retract bits.
 
-    A search at the latest walk's stage or later resumes from its deepest
-    settled level (its depth and survivors in order, at most
-    INVERSE_FRONTIER_CAP words): level 0 when "" is never forbidden, and a
-    deeper level whose parent is settled and whose every candidate is
-    forbidden by the stage, NO, or YES and never forbidden.  YES and NO are
-    never retracted, the measure's knowledge only shrinking, and
-    ``forbid_time`` is a function of the word alone, so every later stage
-    meets those levels' candidates with the same outcomes and expands the
-    same survivors in the same order: the deeper levels, the stop and the
-    emitted prefix are a fresh search's.  A search also records the verdicts
-    it met (at most 2 * INVERSE_DEPTH_CAP * (INVERSE_FRONTIER_CAP + 1)) for
-    later stages to reuse; a recorded UNKNOWN is reused only while the
-    measure gives every answer the recording search read
-    (``EntryView.replays``), a ball's verdict being a function of those
-    answers.  Both records are dropped when a search runs below the latest
-    walk's stage.
-
-    A search at the latest walk's stage s or later returns that walk's answer
-    without walking unless a candidate the walk met has a ``forbid_time`` in
-    (s, stage] (the walk keeps the least one above s), the walk stopped at
-    "depth" and min(stage, INVERSE_DEPTH_CAP) grew, or it met an UNKNOWN and
-    the measure does not replay its reads (the walk then takes that answer as
-    given).  This is exact for the reasons above: each candidate the walk met
-    has the same outcome at the stage, so a walk would expand the same
-    survivors and emit the same prefix for the same reason.
+    A walk keeps, for each completed level and for its stop, the survivors
+    (for the stop, its answer) and two running values over every candidate met
+    so far: the least ``forbid_time`` above its stage and whether an UNKNOWN
+    was met.  A record holds at a later stage when that time is above the stage
+    and, after an UNKNOWN, the measure gives every answer the walk's view gave
+    (``EntryView.replays``, asked at most once per search; a walk that goes on
+    takes the replayed reads into its view).  Each candidate met up to a record
+    that holds then has the same outcome: ``forbid_time`` is a function of the
+    word, YES and NO are never retracted, and a verdict is a function of the
+    answers it read.  So a search at the latest walk's stage or later returns
+    the stored answer when the stop's record holds, unless a "depth" stop can
+    now go deeper, and else walks on from the deepest level whose record holds,
+    as a fresh search would, taking YES and NO from the last walk's verdicts;
+    a search below that stage walks from "".
     """
 
     param_map: ParamMapLike
@@ -350,14 +339,13 @@ class InverseLiftEntry(Entry):
 
     def __post_init__(self):
         self._lcp = _StageSlot(self._search)
-        self._verdicts: dict[Bits, Verdict] = {}
-        self._record_stage = -1
-        self._read_log: Optional[EntryView] = None
-        self._settled: tuple[int, list[Bits]] = (0, [""])
-        # the latest walk's answer, whether it met an UNKNOWN, and its least forbid_time above its stage
-        self._answer: tuple[Bits, str] = ("", "depth")
-        self._unknowns = False
-        self._forbid_next: float = -1  # below every stage: the first search walks
+        # the latest walk's stage (none yet: above every stage), view, YES/NO verdicts and records:
+        # (survivors, forbid_next, unknowns) per completed level, then ((prefix, reason), forbid_next,
+        # unknowns) for its stop
+        self._stage: float = math.inf
+        self._log: Optional[EntryView] = None
+        self._memo: dict[Bits, Verdict] = {}
+        self._records: list[tuple] = []
 
     def spec(self) -> dict:
         return {
@@ -369,24 +357,35 @@ class InverseLiftEntry(Entry):
 
     def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
         view = table.view(self.measure_index)
-        unknown_holds: Optional[bool] = None  # whether recorded UNKNOWNs hold, once asked
-        deeper = self._answer[1] == "depth" and min(stage, INVERSE_DEPTH_CAP) > self._record_stage
-        if self._record_stage <= stage < self._forbid_next and not deeper:
-            if not self._unknowns or (unknown_holds := view.replays(self._read_log, stage)):
-                return self._answer
-        resume = stage >= self._record_stage
-        known = self._verdicts if resume else {}
-        log = self._read_log
-        verdicts: dict[Bits, Verdict] = {}
-        self._verdicts, self._record_stage, self._read_log = verdicts, stage, view
-        start, frontier = self._settled = self._settled if resume else (0, [""])
+        cap = min(stage, INVERSE_DEPTH_CAP)
+        later = stage >= self._stage
+        records = self._records if later else []
+        # the records that hold, a prefix of them: forbid_next only falls and unknowns only rises along them
+        n = len(records)
+        while n and records[n - 1][1] <= stage:
+            n -= 1
+        if n and records[n - 1][2] and not view.replays(self._log, stage):
+            while n and records[n - 1][2]:
+                n -= 1
+        if n and n == len(records):
+            answer = records[-1][0]
+            if answer[1] != "depth" or cap < n - 1:
+                return answer
+            n -= 1
         star, forbid_time = self.param_map.star, self.domain.forbid_time
-        YES, NO, UNKNOWN = Verdict.YES, Verdict.NO, Verdict.UNKNOWN
-        t = forbid_time("")
-        if t is not None and t <= stage:
-            return self._keep("", "dead-domain", False, math.inf)
-        settled, unknowns, forbid_next = t is None, False, math.inf if t is None else t
-        for depth in range(start + 1, min(stage, INVERSE_DEPTH_CAP) + 1):
+        NO, UNKNOWN = Verdict.NO, Verdict.UNKNOWN
+        memo = self._memo if later else {}
+        self._stage, self._log, self._memo, self._records = stage, view, (verdicts := {}), records
+        del records[n:]
+        if records:
+            frontier, forbid_next, unknowns = records[-1]
+        else:
+            t = forbid_time("")
+            if t is not None and t <= stage:
+                return self._keep("", "dead-domain", False, math.inf)
+            frontier, forbid_next, unknowns = [""], math.inf if t is None else t, False
+            records.append((frontier, forbid_next, unknowns))
+        for _ in range(len(records), cap + 1):
             nxt: list[Bits] = []
             for w in frontier:
                 for ch in "01":
@@ -396,33 +395,26 @@ class InverseLiftEntry(Entry):
                         if t <= stage:
                             continue
                         forbid_next = min(forbid_next, t)
-                    verdict = known.get(cand)
+                    verdict = memo.get(cand) or star(cand).contains(view, stage)
                     if verdict is UNKNOWN:
-                        if unknown_holds is None:
-                            unknown_holds = view.replays(log, stage)
-                        if not unknown_holds:
-                            verdict = None
-                    if verdict is None:
-                        verdict = star(cand).contains(view, stage)
-                    verdicts[cand] = verdict
-                    if verdict is NO:
-                        continue
-                    unknowns = unknowns or verdict is UNKNOWN
-                    settled = settled and verdict is YES and t is None
+                        unknowns = True
+                    else:
+                        verdicts[cand] = verdict
+                        if verdict is NO:
+                            continue
                     nxt.append(cand)
                     if len(nxt) > INVERSE_FRONTIER_CAP:
                         return self._keep(os.path.commonprefix(frontier), "frontier-cap", unknowns, forbid_next)
             if not nxt:
                 return self._keep(os.path.commonprefix(frontier), "no-survivors", unknowns, forbid_next)
             frontier = nxt
-            if settled:
-                self._settled = (depth, frontier)
+            records.append((frontier, forbid_next, unknowns))
         # character-wise, so exact on words
         return self._keep(os.path.commonprefix(frontier), "depth", unknowns, forbid_next)
 
     def _keep(self, prefix: Bits, reason: str, unknowns: bool, forbid_next: float) -> tuple[Bits, str]:
-        self._answer, self._unknowns, self._forbid_next = (prefix, reason), unknowns, forbid_next
-        return self._answer
+        self._records.append(((prefix, reason), forbid_next, unknowns))
+        return prefix, reason
 
     def stop_reason(self, table: "ProgramTable", stage: int) -> str:
         """Why the search at this stage stopped: "depth", "frontier-cap",

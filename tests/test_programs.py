@@ -70,7 +70,8 @@ class CountingMap(FbMap):
 
 def counting_domain(domain):
     """The domain with a list whose length counts its ``forbid_time`` reads; every inverse-lift
-    walk reads at least "", and a search that takes the last walk's answer reads nothing."""
+    walk reads at least one word ("" when it starts there), and a search that takes the last
+    walk's answer reads nothing."""
     reads = []
     return ClosedClass(domain.name, lambda w: reads.append(w) or domain.forbid_time(w)), reads
 
@@ -478,8 +479,9 @@ class TestLifts:
         return t, t.inverse_lift(FbMap(), domain, add_measure(t))
 
     def test_resumed_search_equals_a_fresh_one(self):
-        # each search resumes the previous one's verdict record, or drops it when the stage falls;
-        # a recorded UNKNOWN is kept only while the measure answers the logged reads as before
+        # each search takes the last walk's answer or walks on from its deepest level whose record
+        # holds, skipping the balls of the YES and NO verdicts that walk met, or walks from "" when
+        # the stage falls; an UNKNOWN holds only while the measure answers the logged reads as before
         builds = [
             partial(self.measure_table, add, domain)
             for add in late_measures()
@@ -492,10 +494,12 @@ class TestLifts:
                 fresh, f = build()
                 assert t.real_prefix(e, INVERSE_DEPTH_CAP, s) == fresh.real_prefix(f, INVERSE_DEPTH_CAP, s)
                 assert t.entry(e).stop_reason(t, s) == fresh.entry(f).stop_reason(fresh, s)
-                assert len(t.entry(e)._verdicts) <= self.RECORD_BOUND
+                memo = t.entry(e)._memo
+                assert len(memo) <= self.RECORD_BOUND and Verdict.UNKNOWN not in memo.values()
 
     def test_rising_sweep_builds_each_ball_once(self):
-        # 121 of the sweep's candidates ever need a test; without the record it builds 2000 balls
+        # 121 of the sweep's candidates ever need a test; walking on without the YES/NO memo builds
+        # 137 balls, and walking each search from "" 2000
         f = CountingMap()
         t = ProgramTable()
         real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
@@ -504,9 +508,8 @@ class TestLifts:
         assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
         assert f.built <= 200
         # past depth 2 the stub's candidates stay UNKNOWN, its knowledge never changes, and the hat
-        # image forbids each word from stage 0 or never, so the later stalls take the stage-64 walk's
-        # answer: they build no ball and read no forbid_time (re-walking with the verdict record, each
-        # read 3574; without UNKNOWNs in the record they build 7663 balls)
+        # image forbids each word from stage 0 or never, so the stage-64 walk's frontier-cap stop holds
+        # and the later stalls take its answer: they build no ball and read no forbid_time
         f = CountingMap()
         counting, reads = counting_domain(ClosedClass.hat_image())
         t = ProgramTable()
@@ -515,22 +518,44 @@ class TestLifts:
         for s in (64, 300, 511):
             assert t.eval_real(stalled, 0, s) is None
             assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
-            assert len(t.entry(stalled)._verdicts) <= self.RECORD_BOUND
+            assert len(t.entry(stalled)._memo) <= self.RECORD_BOUND
             counts.append((f.built, len(reads)))
         assert counts[0][0] == 2557 and counts == [counts[0]] * 3
 
-    def test_rising_sweep_resumes_from_settled_levels(self):
-        # below the last two levels each level holds one YES and one NO or forbidden word, so each
-        # search resumes where the last one's levels settled; restarting from "" read 2664. The
-        # stage-72 walk meets no UNKNOWN and stops at the depth cap, so the 15 searches from stage
-        # 80 on take its answer and read nothing, where each read "" before (200 reads)
+    def test_rising_sweep_walks_on_from_the_deepest_holding_level(self):
+        # the param lift narrows at every stage, so only the levels with no UNKNOWN hold; below the
+        # last two levels each holds one YES and one NO or forbidden word, so each walk goes on from
+        # the last one's deepest such level without reading "" (restarting from "" read 2664, and
+        # reading "" in each walk 185). The stage-72 walk meets no UNKNOWN and stops at the depth
+        # cap, so the 15 searches from stage 80 on take its answer and read nothing
+        f = CountingMap()
         counting, reads = counting_domain(ClosedClass.hat_image())
         t = ProgramTable()
         real = t.add(RealEntry(BitSource.hat_rational(F(1, 3))))
-        back = t.inverse_lift(FbMap(), counting, t.param_lift(FbMap(), real))
+        back = t.inverse_lift(f, counting, t.param_lift(f, real))
         got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
         assert [len(p) for p in got] == [6, 14, 22, 30] + [32] * 20
-        assert len(reads) == 185
+        assert (f.built, len(reads)) == (121, 177)
+
+    def test_deepening_stall_walks_on_from_its_last_level(self, monkeypatch):
+        # the stub's UNKNOWNs replay, so each "depth" stop's last level holds and the next walk goes
+        # on from it, asking replays once (re-walking from level 2 with recorded UNKNOWNs built the
+        # same balls but read 379/1525/3574/0 words). The stage-20 walk stops at the frontier cap, so
+        # the stage-64 search takes its answer
+        replays = []
+        replay = EntryView.replays
+        monkeypatch.setattr(EntryView, "replays", lambda self, log, s: replays.append(s) or replay(self, log, s))
+        f = CountingMap()
+        counting, reads = counting_domain(ClosedClass.hat_image())
+        t = ProgramTable()
+        stalled = t.inverse_lift(f, counting, t.add(StubEntry("measure")))
+        counts = []
+        for s in (12, 16, 20, 64):
+            built, read, asked = f.built, len(reads), len(replays)
+            assert t.eval_real(stalled, 0, s) is None
+            counts.append((f.built - built, len(reads) - read, len(replays) - asked))
+        assert counts == [(252, 379, 0), (768, 1152, 1), (1537, 2049, 1), (0, 0, 1)]
+        assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
 
     # each condition under which a search walks again instead of taking the last walk's answer
     @staticmethod
@@ -588,7 +613,8 @@ class TestLifts:
     def test_screened_unknowns_are_dropped_once_the_screen_narrows(self):
         # every ball is past level 3, so the search reads the measure only through its screen, and
         # "0" is pinned to 1/3 at stage 11; the stage-10 search stops at the frontier cap after
-        # recording 513 UNKNOWNs at depth 10, which reused at stage 11 would stop it there again
+        # meeting 513 UNKNOWNs at depth 10; its stop would hold at stage 11 if they replayed, and
+        # they do not
         class DeepMap(FbMap):
             def star(self, word):
                 return BernoulliCylinderBall(super().star(word).param, 4)
@@ -603,7 +629,7 @@ class TestLifts:
         t, m, e = build(counting)
         assert t.real_prefix(e, 16, 10) == ""
         assert t.entry(e).stop_reason(t, 10) == "frontier-cap"
-        log = t.entry(e)._read_log
+        log = t.entry(e)._log
         assert t.view(m).replays(log, 10) and not t.view(m).replays(log, 11)
         want = BitSource.rational(F(1, 3)).prefix(11)
         reads.clear()
@@ -955,7 +981,7 @@ class TestStageMonotonicity:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(measure_entries(), st.text("01", max_size=12), st.integers(0, 40), st.integers(1, 60))
     def test_ball_verdicts_are_never_retracted(self, table_entry, word, stage, later):
-        # the inverse lift's verdict record rests on this
+        # the inverse lift's YES/NO memo, and its records without an UNKNOWN, rest on this
         t, e = table_entry
         ball = FbMap().star(word)
         before = ball.contains(t.view(e), stage)
@@ -967,7 +993,7 @@ class TestVerdictsReadOnlyAnswers:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(measure_entries(), balls(), st.integers(0, 40), st.integers(0, 512))
     def test_replayed_answers_give_the_same_verdict(self, table_entry, ball, stage, other):
-        # the inverse lift's record of UNKNOWN verdicts rests on this: a verdict is a function of
+        # the inverse lift's records with an UNKNOWN rest on this: a verdict is a function of
         # the answers the ball reads, not of the stage it passes to the view
         t, e = table_entry
         view = t.view(e)
@@ -1023,15 +1049,17 @@ class TestInverseLiftResumes:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(inverse_lift_cases())
     def test_any_stage_sequence_equals_fresh_searches(self, case):
-        # rising, falling and repeated stages: each search, resumed from the settled level and the
-        # verdict record or restarted when the stage falls, answers as a lift with neither does
+        # rising, falling and repeated stages: each search, taking the last walk's answer, walking on
+        # from its deepest holding level or walking from "" when the stage falls, answers as a lift
+        # that keeps nothing does, and the kept levels hold at most their caps' words
         t, m, domain, stages = case
         e = t.add(InverseLiftEntry(FbMap(), domain, m))
         for s in stages:
             fresh = t.add(InverseLiftEntry(FbMap(), domain, m))
             assert t.real_prefix(e, 64, s) == t.real_prefix(fresh, 64, s)
             assert t.entry(e).stop_reason(t, s) == t.entry(fresh).stop_reason(t, s)
-            assert len(t.entry(e)._settled[1]) <= INVERSE_FRONTIER_CAP
+            kept = sum(len(frontier) for frontier, _, _ in t.entry(e)._records[:-1])  # the last is the stop's
+            assert kept <= (INVERSE_DEPTH_CAP + 1) * INVERSE_FRONTIER_CAP
 
 
 def every_kind_table():

@@ -51,6 +51,7 @@ from cantorlearn.randomness import (
     prefix_deficiencies,
     random_verdict,
 )
+from test_programs import FbMap
 
 
 def table_with(*measures):
@@ -61,16 +62,6 @@ def table_with(*measures):
 
 
 EST = ComplexityEstimator()
-
-
-class FbMap:
-    """Parameter interval [0.w, 0.w + 2^-|w|] pinned to level |w|//3, as in tests/test_programs.py."""
-
-    name = "fb-hat"
-
-    def star(self, word):
-        lo = F(int(word or "0", 2), 1 << len(word))
-        return BernoulliCylinderBall(Interval(lo, min(F(1), lo + F(1, 1 << len(word)))), level=len(word) // 3)
 
 
 class InterleaveMap:
