@@ -325,7 +325,8 @@ class MeasureBall:
     view that gives the same answers under another stage argument gets the same
     verdict (the inverse lift's records with an UNKNOWN rest on this).  Yes/no
     verdicts are stable as the stage grows, since the knowledge they read only
-    shrinks.
+    shrinks.  NO comes only from revealed knowledge, so a view whose every word
+    is known to [0, 1], with no parameter, never gets NO: inverse lifts rely on it.
     """
 
     def sup_mass(self, word: Bits) -> Fraction:

@@ -9,7 +9,7 @@ schedules).  Every evaluation is stage-bounded and monotone: knowledge
 intervals only shrink as the stage grows, defined real bits never change
 (except an inverse lift's, when its domain reveals a forbidden prefix late),
 and disjointness verdicts never retract.  Lifts reuse an earlier stage's work
-only where a fresh evaluation would answer the same.
+only where a fresh evaluation would answer the same, and build no ball where it cannot answer NO.
 Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
 so a manifest reloads to the same ``manifest_hash()``, except for inverse lifts and
 param lifts other than Bernoulli lifts: their specs name a map and a domain only by name.
@@ -105,6 +105,11 @@ class Entry:
         """Bernoulli parameter knowledge when the entry is product-structured."""
         return None
 
+    def reveals_nothing(self, table: "ProgramTable", stage: int) -> bool:
+        """True only where one comparison proves every word's knowledge [0, 1] and the
+        parameter None at the stage; once False, False at every later stage."""
+        return False
+
     def resolved_total(self, table: "ProgramTable") -> bool:
         """Ground-truth totality; a lift reads its real's flag."""
         return bool(self.total)
@@ -147,6 +152,9 @@ class ExactMeasureEntry(Entry):
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
 
+    def reveals_nothing(self, table, stage):
+        return stage < self.delay and self.measure.param_interval(stage) is None
+
 
 @dataclass
 class EnumeratedMeasureEntry(Entry):
@@ -163,6 +171,9 @@ class EnumeratedMeasureEntry(Entry):
 
     def knowledge(self, table, word, stage):
         return self.measure.knowledge(word, stage)
+
+    def reveals_nothing(self, table, stage):
+        return all(s > stage for _, _, s in self.measure._tuples)
 
 
 @dataclass
@@ -183,6 +194,9 @@ class StubEntry(Entry):
         if self.kind != "measure":
             raise WrongKindError("real stub has no measure knowledge")
         return Interval.unit()
+
+    def reveals_nothing(self, table, stage):
+        return self.kind == "measure"
 
     def real_prefix(self, table, n, stage):
         return ""
@@ -330,6 +344,14 @@ class InverseLiftEntry(Entry):
     now go deeper, and else walks on from the deepest level whose record holds,
     as a fresh search would, taking YES and NO from the last walk's verdicts;
     a search below that stage walks from "".
+
+    Over a view that reveals nothing at its stage (``EntryView.reveals_nothing``) a search
+    builds no ball and judges each candidate by the domain and the caps alone, as UNKNOWN.
+    It is exact: the search prunes only on NO, which needs revealed knowledge excluding the
+    ball (``MeasureBall.contains``); YES and UNKNOWN keep a candidate alike, and recording
+    each as UNKNOWN, with no YES or NO in the memo, is the conservative record; blankness
+    only lapses as the stage grows, and the read log holds it, so after a lapse ``replays``
+    fails and a later search walks with balls.
     """
 
     param_map: ParamMapLike
@@ -373,7 +395,7 @@ class InverseLiftEntry(Entry):
                 return answer
             n -= 1
         star, forbid_time = self.param_map.star, self.domain.forbid_time
-        NO, UNKNOWN = Verdict.NO, Verdict.UNKNOWN
+        NO, UNKNOWN, blank = Verdict.NO, Verdict.UNKNOWN, view.reveals_nothing(stage)
         memo = self._memo if later else {}
         self._stage, self._log, self._memo, self._records = stage, view, (verdicts := {}), records
         del records[n:]
@@ -395,7 +417,7 @@ class InverseLiftEntry(Entry):
                         if t <= stage:
                             continue
                         forbid_next = min(forbid_next, t)
-                    verdict = memo.get(cand) or star(cand).contains(view, stage)
+                    verdict = UNKNOWN if blank else memo.get(cand) or star(cand).contains(view, stage)
                     if verdict is UNKNOWN:
                         unknowns = True
                     else:
@@ -605,18 +627,18 @@ class ProgramTable:
 class EntryView(MeasureView):
     """Adapter exposing a table entry's stage knowledge to ball membership checks.
 
-    A view resolves its index once, when it is built, and evaluates each
-    (word, stage) knowledge and each stage's parameter interval and screen
-    once, keeping the answers while it lives; ``ProgramTable.view`` returns a
-    fresh view on every call.  The kept answers are the view's read log: an
-    inverse-lift search asks one view at one stage, and ``replays`` tells
-    whether a later view gives every answer a logged one gave."""
+    A view resolves its index once, when it is built, and evaluates each (word,
+    stage) knowledge, each stage's parameter interval and blankness (whether the
+    entry reveals nothing) and each stage's screen once, keeping the answers while
+    it lives; ``ProgramTable.view`` returns a fresh view on every call.  The kept
+    answers are the view's read log: an inverse-lift search asks one view at one stage,
+    and ``replays`` tells whether a later view gives every answer a logged one gave."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
         self.index = table.resolve(index)
         self._known: dict[tuple[Bits, int], Interval] = {}
-        self._params: dict[int, Optional[Interval]] = {}
+        self._facts: dict[int, tuple[Optional[Interval], bool]] = {}
         self._screens: dict[int, tuple] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
@@ -625,10 +647,18 @@ class EntryView(MeasureView):
             known = self._known[word, stage] = self.table.eval_measure(self.index, word, stage)
         return known
 
+    def _stage_facts(self, stage: int) -> tuple[Optional[Interval], bool]:
+        """The entry's parameter interval at the stage and whether it reveals nothing there."""
+        if stage not in self._facts:
+            entry = self.table.entry(self.index)
+            self._facts[stage] = entry.param_interval(self.table, stage), entry.reveals_nothing(self.table, stage)
+        return self._facts[stage]
+
     def param_interval(self, stage: int) -> Optional[Interval]:
-        if stage not in self._params:
-            self._params[stage] = self.table.entry(self.index).param_interval(self.table, stage)
-        return self._params[stage]
+        return self._stage_facts(stage)[0]
+
+    def reveals_nothing(self, stage: int) -> bool:
+        return self._stage_facts(stage)[1]
 
     def screen(self, stage: int) -> tuple[tuple[int, int, Interval], ...]:
         if stage not in self._screens:
@@ -638,9 +668,8 @@ class EntryView(MeasureView):
     def replays(self, log: "EntryView", stage: int) -> bool:
         """Whether this view, asked at this stage, gives every answer the log
         view gave (at whatever stage it was asked); the reads join this view's memo."""
-        return all(self.knowledge(w, stage) == iv for (w, _), iv in log._known.items()) and all(
-            self.param_interval(stage) == p for p in log._params.values()
-        )
+        same = all(self.knowledge(w, stage) == iv for (w, _), iv in log._known.items())
+        return same and all(self._stage_facts(stage) == facts for facts in log._facts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
+import os
 import random
 from fractions import Fraction as F
 from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,16 @@ def counting_domain(domain):
     walk's answer reads nothing."""
     reads = []
     return ClosedClass(domain.name, lambda w: reads.append(w) or domain.forbid_time(w)), reads
+
+
+def stub(t):
+    return t.add(StubEntry("measure"))
+
+
+def wide(t):
+    """A measure entry revealing mu("0") in [1/4, 3/4] from stage 0: not blank and parameterless,
+    yet over the hat image its walks meet the candidates a stub's walks meet, building their balls."""
+    return t.add(EnumeratedMeasureEntry(enumerated([("0", Interval.closed(F(1, 4), F(3, 4)), 0)])))
 
 
 def read_or_end(read):
@@ -507,20 +519,22 @@ class TestLifts:
         got = [t.real_prefix(back, 32, s) for s in range(8, 193, 8)]
         assert got[-1] == BitSource.hat_rational(F(1, 3)).prefix(32)
         assert f.built <= 200
-        # past depth 2 the stub's candidates stay UNKNOWN, its knowledge never changes, and the hat
-        # image forbids each word from stage 0 or never, so the stage-64 walk's frontier-cap stop holds
-        # and the later stalls take its answer: they build no ball and read no forbid_time
-        f = CountingMap()
-        counting, reads = counting_domain(ClosedClass.hat_image())
-        t = ProgramTable()
-        stalled = t.inverse_lift(f, counting, t.add(StubEntry("measure")))
-        counts = []
-        for s in (64, 300, 511):
-            assert t.eval_real(stalled, 0, s) is None
-            assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
-            assert len(t.entry(stalled)._memo) <= self.RECORD_BOUND
-            counts.append((f.built, len(reads)))
-        assert counts[0][0] == 2557 and counts == [counts[0]] * 3
+        # past depth 2 the candidates stay UNKNOWN, the knowledge never changes, and the hat image
+        # forbids each word from stage 0 or never, so the stage-64 walk's frontier-cap stop holds and
+        # the later stalls take its answer: they build no ball and read no forbid_time. The stub
+        # reveals nothing, so its walk builds no ball at all; its twin keeps the ball path pinned
+        for add, balls in ((stub, 0), (wide, 2557)):
+            f = CountingMap()
+            counting, reads = counting_domain(ClosedClass.hat_image())
+            t = ProgramTable()
+            stalled = t.inverse_lift(f, counting, add(t))
+            counts = []
+            for s in (64, 300, 511):
+                assert t.eval_real(stalled, 0, s) is None
+                assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
+                assert len(t.entry(stalled)._memo) <= self.RECORD_BOUND
+                counts.append((f.built, len(reads)))
+            assert counts == [(balls, 3580)] * 3
 
     def test_rising_sweep_walks_on_from_the_deepest_holding_level(self):
         # the param lift narrows at every stage, so only the levels with no UNKNOWN hold; below the
@@ -538,24 +552,25 @@ class TestLifts:
         assert (f.built, len(reads)) == (121, 177)
 
     def test_deepening_stall_walks_on_from_its_last_level(self, monkeypatch):
-        # the stub's UNKNOWNs replay, so each "depth" stop's last level holds and the next walk goes
-        # on from it, asking replays once (re-walking from level 2 with recorded UNKNOWNs built the
-        # same balls but read 379/1525/3574/0 words). The stage-20 walk stops at the frontier cap, so
-        # the stage-64 search takes its answer
+        # the UNKNOWNs replay, so each "depth" stop's last level holds and the next walk goes on from
+        # it, asking replays once (re-walking from level 2 with recorded UNKNOWNs built the same balls
+        # but read 379/1525/3574/0 words). The stage-20 walk stops at the frontier cap, so the
+        # stage-64 search takes its answer. The stub reveals nothing, so its walks build no ball
         replays = []
         replay = EntryView.replays
         monkeypatch.setattr(EntryView, "replays", lambda self, log, s: replays.append(s) or replay(self, log, s))
-        f = CountingMap()
-        counting, reads = counting_domain(ClosedClass.hat_image())
-        t = ProgramTable()
-        stalled = t.inverse_lift(f, counting, t.add(StubEntry("measure")))
-        counts = []
-        for s in (12, 16, 20, 64):
-            built, read, asked = f.built, len(reads), len(replays)
-            assert t.eval_real(stalled, 0, s) is None
-            counts.append((f.built - built, len(reads) - read, len(replays) - asked))
-        assert counts == [(252, 379, 0), (768, 1152, 1), (1537, 2049, 1), (0, 0, 1)]
-        assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
+        for add, balls in ((stub, (0, 0, 0)), (wide, (252, 768, 1537))):
+            f = CountingMap()
+            counting, reads = counting_domain(ClosedClass.hat_image())
+            t = ProgramTable()
+            stalled = t.inverse_lift(f, counting, add(t))
+            counts = []
+            for s in (12, 16, 20, 64):
+                built, read, asked = f.built, len(reads), len(replays)
+                assert t.eval_real(stalled, 0, s) is None
+                counts.append((f.built - built, len(reads) - read, len(replays) - asked))
+            assert counts == [(balls[0], 379, 0), (balls[1], 1152, 1), (balls[2], 2049, 1), (0, 0, 1)]
+            assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
 
     # each condition under which a search walks again instead of taking the last walk's answer
     @staticmethod
@@ -594,7 +609,8 @@ class TestLifts:
 
     def test_first_stall_reads_each_screen_once(self, monkeypatch):
         # past level 3 a ball reads the view's screen, kept per stage; reading its 14 words in
-        # every ball took 35230 knowledge calls for these 2557 candidates
+        # every ball took 35230 knowledge calls for these 2557 candidates. Over the stub, which
+        # reveals nothing, the stall builds no ball and reads no knowledge
         calls = [0]
         knowledge = EntryView.knowledge
 
@@ -603,12 +619,14 @@ class TestLifts:
             return knowledge(self, word, stage)
 
         monkeypatch.setattr(EntryView, "knowledge", counting_knowledge)
-        f = CountingMap()
-        t = ProgramTable()
-        stalled = t.inverse_lift(f, ClosedClass.hat_image(), t.add(StubEntry("measure")))
-        assert t.eval_real(stalled, 0, 64) is None
-        assert f.built == 2557
-        assert calls[0] < f.built
+        for add, balls in ((stub, 0), (wide, 2557)):
+            calls[0] = 0
+            f = CountingMap()
+            t = ProgramTable()
+            stalled = t.inverse_lift(f, ClosedClass.hat_image(), add(t))
+            assert t.eval_real(stalled, 0, 64) is None
+            assert f.built == balls
+            assert calls[0] < f.built or calls[0] == f.built == 0
 
     def test_screened_unknowns_are_dropped_once_the_screen_narrows(self):
         # every ball is past level 3, so the search reads the measure only through its screen, and
@@ -957,7 +975,7 @@ class ReplayView(MeasureView):
         return self.view._known[word, self.stage]
 
     def param_interval(self, stage):
-        return self.view._params[self.stage]
+        return self.view._facts[self.stage][0]
 
 
 class TestStageMonotonicity:
@@ -1002,13 +1020,29 @@ class TestVerdictsReadOnlyAnswers:
             assert ball.contains(ReplayView(view, stage), s) is verdict
 
 
+def draw_domain(draw, t, m, near):
+    """A domain for an inverse lift of measure m in table t: full, the hat image, or one that
+    forbids, each from a drawn stage, a prefix of the full-domain answer (up to 24 bits) or that
+    prefix's sibling; the stages around each forbidden word's length and stage join ``near``."""
+    shape = draw(st.sampled_from(("full", "hat", "late", "late")))
+    if shape != "late":
+        return ClosedClass.full() if shape == "full" else ClosedClass.hat_image()
+    answer = t.real_prefix(t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m)), 64, 300)
+    sets: dict[int, set] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        k, at = draw(st.integers(0, min(len(answer), 24))), draw(st.integers(0, 48))
+        word = answer[:k] if k == 0 or draw(st.booleans()) else answer[: k - 1] + "10"[int(answer[k - 1])]
+        sets.setdefault(at, set()).add(word)
+        near |= {k, at - 1, at}
+    return ClosedClass.from_stage_sets(sets)
+
+
 @st.composite
 def inverse_lift_cases(draw):
-    """A table, a measure entry in it, a domain for its inverse lift and the stages to ask it at
-    (from 1 to 300, in any order).  The measure is exact (with a delay), enumerated (bernoulli(q)'s
-    masses on short words, revealed at drawn stages), a stub, or a param lift of a partial hat real
-    (with a delay).  The domain is full, the hat image, or forbids, each from a drawn stage, a
-    prefix of the full-domain answer (up to 24 bits) or that prefix's sibling."""
+    """A table, a measure entry in it, a domain for its inverse lift (``draw_domain``) and the
+    stages to ask it at (from 1 to 300, in any order).  The measure is exact (with a delay),
+    enumerated (bernoulli(q)'s masses on short words, revealed at drawn stages), a stub, or a param
+    lift of a partial hat real (with a delay)."""
     t = ProgramTable()
     q = draw(st.fractions(0, 1, max_denominator=12))
     delay = draw(st.integers(0, 8))
@@ -1026,23 +1060,39 @@ def inverse_lift_cases(draw):
     else:
         diverge = draw(st.one_of(st.none(), st.integers(0, 40)))
         m = t.param_lift(FbMap(), t.add(RealEntry(BitSource.hat_rational(q), delay, diverge)))
-    shape = draw(st.sampled_from(("full", "hat", "late", "late")))
     near = {delay, delay + 1}
-    if shape != "late":
-        domain = ClosedClass.full() if shape == "full" else ClosedClass.hat_image()
-    else:
-        answer = t.real_prefix(t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m)), 64, 300)
-        sets: dict[int, set] = {}
-        for _ in range(draw(st.integers(1, 3))):
-            k, at = draw(st.integers(0, min(len(answer), 24))), draw(st.integers(0, 48))
-            word = answer[:k] if k == 0 or draw(st.booleans()) else answer[: k - 1] + "10"[int(answer[k - 1])]
-            sets.setdefault(at, set()).add(word)
-            near |= {k, at - 1, at}
-        domain = ClosedClass.from_stage_sets(sets)
+    domain = draw_domain(draw, t, m, near)
     # stages around the delay, the reveals and the forbidden words' lengths, and any others
     near_stage = st.sampled_from(sorted(s for s in near if s >= 1))
     stage = st.one_of(near_stage, near_stage, st.integers(1, 70), st.integers(1, 300))
     return t, m, domain, draw(st.lists(stage, min_size=1, max_size=6))
+
+
+@st.composite
+def lapsing_lift_cases(draw):
+    """A table, a measure entry in it that reveals nothing below a drawn stage, the lapse, and
+    something from it on (an exact uniform or interleave entry delayed to it, or an enumerated
+    entry whose first row comes then) or a stub, a domain (``draw_domain``) and 2 to 6 stages from
+    1 to 120 in any order, around the lapse and the forbidden words and any others."""
+    t = ProgramTable()
+    q = draw(st.fractions(0, 1, max_denominator=12))
+    lapse = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("stub", "uniform", "interleave", "enumerated")))
+    if kind == "stub":
+        m = stub(t)
+    elif kind == "enumerated":
+        words = draw(st.lists(st.text("01", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+        stages = [lapse] + [draw(st.integers(lapse, 60)) for _ in words[1:]]
+        rows = [(w, Interval.exact(bernoulli(q).mass(w)), s) for w, s in zip(words, stages)]
+        m = t.add(EnumeratedMeasureEntry(enumerated(rows)))
+    else:
+        measure = uniform() if kind == "uniform" else interleave_measure(BitSource.hat_rational(q))
+        m = t.add(ExactMeasureEntry(measure, lapse))
+    near = {lapse - 1, lapse, lapse + 1}
+    domain = draw_domain(draw, t, m, near)
+    near_stage = st.sampled_from(sorted(s for s in near if s >= 1))
+    stage = st.one_of(near_stage, near_stage, st.integers(1, 120))
+    return t, m, domain, draw(st.lists(stage, min_size=2, max_size=6))
 
 
 class TestInverseLiftResumes:
@@ -1060,6 +1110,157 @@ class TestInverseLiftResumes:
             assert t.entry(e).stop_reason(t, s) == t.entry(fresh).stop_reason(t, s)
             kept = sum(len(frontier) for frontier, _, _ in t.entry(e)._records[:-1])  # the last is the stop's
             assert kept <= (INVERSE_DEPTH_CAP + 1) * INVERSE_FRONTIER_CAP
+
+
+def reference_walk(param_map, domain, view, stage):
+    """The inverse-lift search as its docstring states it, keeping nothing and building the star
+    ball of every candidate the domain leaves alive: (prefix, stop_reason)."""
+    t = domain.forbid_time("")
+    if t is not None and t <= stage:
+        return "", "dead-domain"
+    frontier = [""]
+    for _ in range(min(stage, INVERSE_DEPTH_CAP)):
+        nxt = []
+        for cand in (w + ch for w in frontier for ch in "01"):
+            t = domain.forbid_time(cand)
+            if (t is None or t > stage) and param_map.star(cand).contains(view, stage) is not Verdict.NO:
+                nxt.append(cand)
+                if len(nxt) > INVERSE_FRONTIER_CAP:
+                    return os.path.commonprefix(frontier), "frontier-cap"
+        if not nxt:
+            return os.path.commonprefix(frontier), "no-survivors"
+        frontier = nxt
+    return os.path.commonprefix(frontier), "depth"
+
+
+def unit_interval_in(draw):
+    """A closed, half-open or open interval inside [0, 1] on a grid of eighths, [0, 1] itself once in four."""
+    if draw(st.integers(0, 3)) == 0:
+        return Interval.unit()
+    grid = st.fractions(0, 1, max_denominator=8)
+    lo, hi = sorted((draw(grid), draw(grid)))
+    if lo == hi:
+        return Interval.exact(lo)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def blank_views(draw):
+    """A view of a measure entry and a stage at which it reveals nothing: a stub at any stage, an
+    exact uniform, interleave or dirac entry below its delay, or an enumerated one before its
+    first row's stage (rows on words of up to 3 bits, maybe none)."""
+    t = ProgramTable()
+    kind = draw(st.sampled_from(("stub", "uniform", "interleave", "dirac", "enumerated")))
+    if kind == "stub":
+        return t.view(t.add(StubEntry("measure"))), draw(st.integers(0, 600))
+    if kind == "enumerated":
+        first = draw(st.integers(1, 40))
+        words = draw(st.lists(st.text("01", max_size=3), max_size=4))
+        rows = [(w, unit_interval_in(draw), draw(st.integers(first, 60))) for w in words]
+        return t.view(t.add(EnumeratedMeasureEntry(enumerated(rows)))), draw(st.integers(0, first - 1))
+    source = BitSource.hat_rational(draw(st.fractions(0, 1, max_denominator=12)))
+    measure = {"uniform": uniform, "interleave": partial(interleave_measure, source), "dirac": partial(dirac, source)}
+    delay = draw(st.integers(1, 20))
+    return t.view(t.add(ExactMeasureEntry(measure[kind](), delay))), draw(st.integers(0, delay - 1))
+
+
+@st.composite
+def any_balls(draw):
+    """A Bernoulli cylinder ball of level 0 to 8 (its parameter [0, 1] among others), an interleave
+    cylinder ball, or an explicit ball on words of up to 3 bits whose constraints may contradict."""
+    kind = draw(st.sampled_from(("bernoulli", "interleave", "explicit")))
+    if kind == "bernoulli":
+        return BernoulliCylinderBall(unit_interval_in(draw), draw(st.integers(0, 8)))
+    if kind == "interleave":
+        return InterleaveCylinderBall(draw(st.text("01", max_size=6)))
+    words = draw(st.lists(st.text("01", max_size=3), max_size=5))
+    return explicit_ball((w, unit_interval_in(draw)) for w in words)
+
+
+class TestBlankSearches:
+    """Inverse lifts over a view that reveals nothing judge candidates by the domain alone."""
+
+    def test_which_entries_reveal_nothing(self):
+        t = ProgramTable()
+        late = enumerated([("0", Interval.closed(F(1, 4), F(1, 2)), 9)])
+        real = t.add(RealEntry(BitSource.rational(F(1, 3))))
+        cases = [  # (entry, stage, reveals nothing)
+            (t.add(StubEntry("measure")), 0, True),
+            (t.add(StubEntry("measure")), 10**6, True),
+            (t.add(StubEntry("real")), 0, False),
+            (real, 0, False),
+            (t.add(ExactMeasureEntry(uniform(), 5)), 4, True),
+            (t.add(ExactMeasureEntry(uniform(), 5)), 5, False),  # "" is known: [1, 1]
+            (t.add(ExactMeasureEntry(bernoulli(F(1, 3)), 5)), 0, False),  # its parameter is known
+            (t.add(EnumeratedMeasureEntry(late)), 8, True),
+            (t.add(EnumeratedMeasureEntry(late)), 9, False),
+            (t.add(EnumeratedMeasureEntry(enumerated([]))), 500, True),
+            (t.param_lift(FbMap(), real), 0, False),
+        ]
+        for e, stage, blank in cases:
+            view = t.view(e)
+            assert view.reveals_nothing(stage) is blank
+            if t.entry(e).kind == "measure" and not blank:  # something is revealed
+                revealed = [view.knowledge(w, stage) != Interval.unit() for w in ("", "0", "1")]
+                assert view.param_interval(stage) is not None or any(revealed)
+        # a real stub is no measure: its inverse lift still raises, as it did before
+        stalled = t.inverse_lift(FbMap(), ClosedClass.full(), t.add(StubEntry("real")))
+        with pytest.raises(WrongKindError):
+            t.real_prefix(stalled, 8, 8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(blank_views(), any_balls(), st.text("01", max_size=16))
+    def test_no_ball_answers_no_over_a_blank_view(self, case, ball, word):
+        # the blank search rests on this: NO needs revealed knowledge that excludes the ball
+        view, stage = case
+        assert view.reveals_nothing(stage) and view.param_interval(stage) is None
+        words = [word, *("".join(w) for n in range(4) for w in product("01", repeat=n))]
+        assert all(view.knowledge(w, stage) == Interval.unit() for w in words)
+        assert ball.contains(view, stage) is not Verdict.NO
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lapsing_lift_cases())
+    def test_searches_equal_a_walk_that_builds_every_ball(self, case):
+        # blank and informative stages in any order, over full, hat-image and late-forbidding
+        # domains: each search answers as the reference walk, which builds every candidate's ball
+        t, m, domain, stages = case
+        e = t.add(InverseLiftEntry(FbMap(), domain, m))
+        for s in stages:
+            got = (t.real_prefix(e, INVERSE_DEPTH_CAP, s), t.entry(e).stop_reason(t, s))
+            assert got == reference_walk(FbMap(), domain, t.view(m), s)
+
+    def test_a_lapsed_blank_search_walks_with_balls(self):
+        # the interleave measure is hidden below stage 10: the stage-8 and stage-9 searches build no
+        # ball (the second walks on from the first's last level, its UNKNOWNs replaying, and reads
+        # only level 9's words), and at stage 40 the blankness has lapsed, so replays fails and a
+        # walk from level 0 builds balls
+        f = CountingMap()
+        counting, reads = counting_domain(ClosedClass.full())
+        t = ProgramTable()
+        m = t.add(ExactMeasureEntry(interleave_measure(BitSource.hat_rational(F(1, 3))), delay=10))
+        e = t.inverse_lift(f, counting, m)
+        got = []
+        for s in (8, 9, 40):
+            built = f.built
+            fresh = t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m))
+            answer = (t.real_prefix(e, INVERSE_DEPTH_CAP, s), t.entry(e).stop_reason(t, s))
+            assert answer == (t.real_prefix(fresh, INVERSE_DEPTH_CAP, s), t.entry(fresh).stop_reason(t, s))
+            got.append((answer, f.built - built, len(reads)))
+            reads.clear()
+        assert got == [(("", "depth"), 0, 511), (("", "depth"), 0, 512), (("11111", "no-survivors"), 20, 20)]
+
+    def test_a_delayed_bernoulli_entry_still_builds_balls(self):
+        # ExactMeasureEntry.param_interval ignores the delay: below it every word is [0, 1] yet the
+        # parameter is known, and a Bernoulli ball decides from it, so the entry is not blank
+        f = CountingMap()
+        t = ProgramTable()
+        m = t.add(ExactMeasureEntry(bernoulli(F(1, 3)), delay=10))
+        view = t.view(m)
+        assert view.knowledge("0", 3) == Interval.unit() and view.param_interval(3) == Interval.exact(F(1, 3))
+        assert not view.reveals_nothing(3)
+        e = t.inverse_lift(f, ClosedClass.full(), m)
+        assert t.real_prefix(e, 8, 3) == t.real_prefix(t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m)), 8, 3)
+        assert f.built > 0
 
 
 def every_kind_table():
