@@ -104,9 +104,14 @@ class BitSource:
             raise BadWordError(f"source produced non-bit {b!r}")
         return b
 
+    @property
+    def one_step_prefix(self) -> bool:
+        """Whether ``prefix`` reads in one step: a rational, hat-rational or sampled source."""
+        return self._prefix is not None
+
     def prefix(self, n: int) -> Bits:
         """The first n bits: in one step (``_prefix``, asked for n >= 1) for a
-        rational or hat-rational, bit by bit for every other source."""
+        rational, hat-rational or sampled source, bit by bit for every other one."""
         if self._prefix is None or n <= 0:
             return "".join(str(self.bit(i)) for i in range(n))
         return self._prefix(n)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -261,6 +261,32 @@ class Measure(MeasureView):
     def param_interval(self, stage: int) -> Optional[Interval]:
         return self.constant if self.spec.get("kind") == "bernoulli" else None
 
+    @cached_property
+    def _sups(self) -> Optional[BernoulliSups]:
+        return BernoulliSups(q) if (q := self.constant) else None
+
+    def sup_walk(self, word: Bits, known: int) -> Optional[SupWalk]:
+        """``mass_bits(word[:known])`` then 0s (a sup of 1) as a ``SupWalk``, from zero counts
+        under a uniform or Bernoulli rule; None under other rules, which ``mass_bits`` walks."""
+        return self._sups and SupWalk(self._sups.bits, self._sups.step, word, known)
+
+
+class _Interleave(Measure):
+    """``interleave_measure`` over a source with a one-step prefix.  x[:n] has mass 2^-floor(n/2)
+    up to ``leave``, the first even position where x leaves z (found by one comparison of x's even
+    bits with z's prefix), and 0 past it, so k is n // 2 and then inf: its step is 1 where x never
+    leaves z, else inf, so no jump passes the first inf."""
+
+    def __init__(self, spec: dict, p0: Callable[[int], Fraction], z: BitSource):
+        super().__init__(spec, p0=p0)
+        self._z = z
+
+    def sup_walk(self, word: Bits, known: int) -> SupWalk:
+        forced = word[: max(known, 0)][0::2]
+        diff = int(forced, 2) ^ int(self._z.prefix(len(forced)), 2) if forced else 0
+        leave = 2 * (len(forced) - diff.bit_length()) if diff else math.inf
+        return SupWalk(lambda a, n: n >> 1 if n <= leave else math.inf, math.inf if diff else 1, word, known)
+
 
 def uniform() -> Measure:
     return Measure({"kind": "uniform"}, p0=lambda j: HALF)
@@ -274,10 +300,14 @@ def bernoulli(q) -> Measure:
 
 
 def interleave_measure(z: BitSource) -> Measure:
-    """The measure that forces bit z(n) at even-length prefixes and splits at odd ones."""
-
+    """The measure that forces bit z(n) at even-length prefixes and splits at odd ones.  Its rule
+    reads z one bit at a time; over a source with a one-step prefix it walks as a ``SupWalk``."""
     spec = {"kind": "interleave", "z": z.spec}
-    return Measure(spec, p0=lambda j: HALF if j % 2 else _FORCED[z.bit(j // 2)])
+
+    def rule(j: int) -> Fraction:
+        return HALF if j % 2 else _FORCED[z.bit(j // 2)]
+
+    return _Interleave(spec, rule, z) if z.one_step_prefix else Measure(spec, p0=rule)
 
 
 def dirac(z: BitSource) -> Measure:
@@ -453,11 +483,12 @@ class BernoulliSups:
 
 
 class SupWalk:
-    """``BernoulliSups`` along a word, read lazily: item n in 0..len(word) is the n-bit prefix's,
-    held from ``level`` on, 0 past ``known`` (a sup of 1), its zeros counted on from the last read."""
+    """k = ceil(-log2 sup) along a word, read lazily: item n in 0..len(word) is ``bits(a, n)`` (from
+    ``BernoulliSups``, or an interleave's length rule) for the n-bit prefix with a zeros, counted on
+    from the last read, held from ``level`` on, 0 past ``known``; it rises at most ``step`` per bit."""
 
-    def __init__(self, sups: BernoulliSups, word: Bits, known: int, level: float = math.inf):
-        self.sups, self.word, self.known, self.level, self.step = sups, word, known, level, sups.step
+    def __init__(self, bits: Callable, step: float, word: Bits, known: int, level: float = math.inf):
+        self.bits, self.step, self.word, self.known, self.level = bits, step, word, known, level
         self._edge, self._n, self._zeros = min(known, level, len(word)), 0, 0
 
     def __iter__(self) -> Iterator:
@@ -475,7 +506,7 @@ class SupWalk:
             last = self._zeros = 0
         a = self._zeros + word.count("0", last, n)
         self._n, self._zeros = n, a
-        return self.sups.bits(a, n)
+        return self.bits(a, n)
 
 
 def _power_bits(num: int, den: int, zero: tuple, one: tuple, a: int, b: int) -> int:
@@ -642,14 +673,17 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
 
 
 def sampled_source(mu: Measure, seed: int) -> BitSource:
-    """A BitSource replaying sample_stream(mu, seed) bit by bit."""
-    cache: dict[int, Bits] = {}
+    """A BitSource replaying sample_stream(mu, seed): a prefix in one call, and bits from one
+    prefix read again at twice the length (4 bits at least) when a read passes its end."""
+    read = partial(sample_stream, mu, seed)
+    held = ""
 
     def bit(i: int) -> int:
-        n = 1 << max(3, i + 1).bit_length()
-        if n not in cache:
-            cache[n] = sample_stream(mu, seed, n)
-        return int(cache[n][i])
+        nonlocal held
+        if i >= len(held):
+            held = read(1 << max(3, i + 1).bit_length())
+        return int(held[i])
 
-    return BitSource({"kind": "sampled", "measure": mu.spec, "seed": seed, "prng": PRNG_NAME}, bit)
+    spec = {"kind": "sampled", "measure": mu.spec, "seed": seed, "prng": PRNG_NAME}
+    return BitSource(spec, bit, read)
 

@@ -33,7 +33,6 @@ from .measures import (
     PRNG_NAME,
     ZERO,
     BernoulliCylinderBall,
-    BernoulliSups,
     Interval,
     Measure,
     MeasureBall,
@@ -81,8 +80,9 @@ class _StageSlot:
 
 class Entry:
     """Base class for table entries; subclasses document their definedness
-    schedule.  Exact uniform or Bernoulli entries and param lifts over Bernoulli
-    balls (Bernoulli lifts among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
+    schedule.  Exact entries whose measure gives a ``sup_walk`` (uniform, Bernoulli, and interleave
+    over a source with a one-step prefix) and param lifts over Bernoulli balls (Bernoulli lifts
+    among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -132,7 +132,6 @@ class ExactMeasureEntry(Entry):
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        self._sups = BernoulliSups(q) if (q := self.measure.constant) else None
 
     def spec(self) -> dict:
         return {"entry": "exact-measure", "measure": self.measure.spec, "delay": self.delay}
@@ -144,8 +143,8 @@ class ExactMeasureEntry(Entry):
 
     def prefix_sup_bits(self, table, x, stage):
         known = stage - self.delay
-        if self._sups:
-            return SupWalk(self._sups, x, known)
+        if (walk := self.measure.sup_walk(x, known)) is not None:
+            return walk
         masses = self.measure.mass_bits(x[:known]) if known >= 0 else ()
         return chain(masses, repeat(0, len(x) - max(known, -1)))
 
@@ -265,7 +264,7 @@ class ParamLiftEntry(Entry):
     def prefix_sup_bits(self, table, x, stage):
         ball = self._ball(table, stage)
         if isinstance(ball, BernoulliCylinderBall):
-            return SupWalk(ball.sups, x, stage, ball.level)
+            return SupWalk(ball.sups.bits, ball.sups.step, x, stage, ball.level)
         return super().prefix_sup_bits(table, x, stage)
 
     def param_interval(self, table, stage):

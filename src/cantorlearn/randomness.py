@@ -20,10 +20,11 @@ So ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the
 whole word's deficiency) read the estimate only at the prefixes where k =
 ceil(-log2 sup) minus that bound leaves their answer open, and still give
 exactly the answer a read at every prefix would.  On a ``SupWalk`` (an exact
-uniform or Bernoulli entry, or a param lift over Bernoulli balls, as every
-Bernoulli lift is), k of any prefix comes from its zero count and rises at
-most a fixed step per bit, so the walk visits only the prefixes where a read
-could happen and jumps over the rest; other entries yield k prefix by prefix.
+uniform, Bernoulli or, over a source with a one-step prefix, interleave entry,
+or a param lift over Bernoulli balls, as every Bernoulli lift is), k of any
+prefix comes from its zero count or length and rises at most a fixed step per
+bit (inf where k can reach inf), so the walk visits only the prefixes where a
+read could happen and jumps over the rest; other entries yield k per prefix.
 """
 
 from __future__ import annotations
@@ -588,7 +589,7 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
             tracker.push(x[handed:i])
             handed = i
             best = max(best, k - tracker.upper(stage))
-            if best > stop:
+            if best > stop or best == INFINITE_DEFICIENCY:  # nothing exceeds an infinite maximum
                 return best
             floor, horizon = tracker.floor(stage), tracker._horizon
     return best

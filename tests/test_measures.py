@@ -557,3 +557,35 @@ class TestSampling:
             for order in (at, at[::-1]):
                 src = sampled_source(mu, 5)
                 assert [src.bit(i) for i in order] == [int(want[i]) for i in order]
+
+    def test_sampled_source_reads_by_prefix(self, monkeypatch):
+        # a prefix is one sample_stream call; bits in order read a doubling prefix, a few calls
+        import cantorlearn.measures as measures
+
+        calls = []
+        real = measures.sample_stream
+        monkeypatch.setattr(measures, "sample_stream", lambda mu, seed, n: calls.append(n) or real(mu, seed, n))
+        mu = bernoulli(F(1, 3))
+        src = sampled_source(mu, 5)
+        assert src.prefix(100) == real(mu, 5, 100) and calls == [100]
+        assert [src.bit(i) for i in range(1024)] == [int(b) for b in real(mu, 5, 1024)]
+        assert calls == [100, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+        assert src.bit(1000) == int(real(mu, 5, 1001)[1000]) and len(calls) == 10
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            BitSource.literal("01"),  # read bit by bit
+            BitSource.periodic("01"),
+            BitSource.rational(F(2, 5)),  # read by prefix
+            BitSource.hat_rational(F(2, 5)),
+            sampled_source(bernoulli(F(1, 3)), 1),
+        ],
+    )
+    def test_negative_positions_raise(self, z):
+        mu = interleave_measure(z)
+        assert mu.p0(-1) == F(1, 2)  # an odd position reads no source bit
+        for rule, j in ((mu.p0, -2), (dirac(z).p0, -1)):
+            assert rule(j + 2) in (0, 1)  # a read at 0 first, so a reader holds bits it could wrap to
+            with pytest.raises(IndexError):
+                rule(j)

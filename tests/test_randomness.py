@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlearn import cantor, measures, programs, randomness
-from cantorlearn.cantor import BadWordError, BitSource, check_bits, hat_encode
+from cantorlearn.cantor import BadWordError, BitSource, EndOfWordError, check_bits, hat_encode
 from cantorlearn.measures import (
     BernoulliCylinderBall,
     InterleaveCylinderBall,
@@ -23,6 +23,7 @@ from cantorlearn.measures import (
     enumerated,
     interleave_measure,
     sample_stream,
+    sampled_source,
     uniform,
 )
 from cantorlearn.programs import (
@@ -766,6 +767,12 @@ SHORTCUT_WORDS = [
     sample_stream(interleave_measure(HAT_TWO_FIFTHS), 5, 200),
 ]
 
+# a word that follows the forced bits of 2/5's hat expansion, and copies leaving them at the first,
+# a middle and the last even position; a delay cuts the known bits (64 - delay at stage 64) before
+# or after a copy's leave
+FOLLOWS = sample_stream(interleave_measure(HAT_TWO_FIFTHS), 5, 64)
+LEAVES = {j: FOLLOWS[:j] + "10"[int(FOLLOWS[j])] + FOLLOWS[j + 1 :] for j in (0, 30, 62)}
+
 
 class TestVerdictShortcuts:
     """random_verdict and max_prefix_deficiency read the estimate only where
@@ -866,6 +873,104 @@ class TestVerdictShortcuts:
                                 m.setattr(ProgramTable, "prefix_sup_bits", lambda *a: iter(list(real_walk(*a))))
                             runs.append((call(), list(events)))
                     assert runs[0] == runs[1], (seed, e)
+
+    @pytest.mark.parametrize("delay", [0, 1, 2, 33, 34, 63, 64, 65])
+    def test_interleave_walks_stop_jumping_at_a_leave(self, delay):
+        t = ProgramTable()
+        e = t.add(ExactMeasureEntry(interleave_measure(HAT_TWO_FIFTHS), delay=delay))
+        known = len(FOLLOWS) - delay
+        for leave, x in [(math.inf, FOLLOWS), *LEAVES.items()]:
+            walk = t.prefix_sup_bits(e, x, len(x))
+            # step 1 while no inf is revealed, else inf: a jump never passes the first inf
+            assert isinstance(walk, measures.SupWalk) and walk.step == (1 if known <= leave else math.inf)
+            # the reference reads each prefix's mass whole, through eval_measure, not the walk
+            defs = [deficiency(t, EST, e, x[:n], len(x)) for n in range(len(x) + 1)]
+            assert max_prefix_deficiency(t, EST, e, x) == max(defs), leave
+            for c in (-5, 0, 8, 48, 48.5, -INFINITE_DEFICIENCY, INFINITE_DEFICIENCY, math.nan):
+                assert random_verdict(t, EST, e, x, c) == all(d <= c for d in defs), (leave, c)
+
+    def test_an_infinite_maximum_ends_the_walk(self):
+        # a zero mass read, then a sup of 1 past the delay's cut: the walk used to jump on from an
+        # infinite maximum and raised ValueError from int(nan)
+        for measure in (bernoulli(F(1)), interleave_measure(HAT_TWO_FIFTHS)):
+            t = table_with(measure)
+            t.entries[0].delay = 4
+            x = "1" + "0" * 30
+            assert max_prefix_deficiency(t, EST, 0, x) == max(prefix_deficiencies(t, EST, 0, x)) == math.inf
+
+    @settings(PROPERTY, max_examples=150)
+    @given(st.data())
+    def test_interleave_walk_equals_its_mass_bits(self, data):
+        den = data.draw(st.integers(1, 40))
+        value = F(data.draw(st.integers(0, den)), den)
+        z = data.draw(
+            st.sampled_from(
+                [
+                    BitSource.rational(value),
+                    BitSource.hat_rational(value),
+                    sampled_source(bernoulli(value), 3),
+                    sampled_source(interleave_measure(BitSource.rational(value)), 4),
+                ]
+            )
+        )
+        mu = interleave_measure(z)
+        x = sample_stream(mu, data.draw(st.integers(0, 9)), data.draw(st.integers(0, 300)))
+        for j in data.draw(st.lists(st.integers(0, max(0, len(x) - 1)), max_size=2)) if x else ():
+            x = x[:j] + "10"[int(x[j])] + x[j + 1 :]  # leaves z where j is even
+        stage, delay = data.draw(st.integers(0, len(x) + 5)), data.draw(st.integers(0, 12))
+        known = stage - delay
+        # the reference reads z one bit at a time, through a literal holding z's prefix
+        ref = interleave_measure(BitSource.literal(z.prefix(len(x) // 2 + 1)))
+        want = list(ref.mass_bits(x[:known])) if known >= 0 else []
+        want += [0] * (len(x) + 1 - len(want))
+        t = ProgramTable()
+        e = t.add(ExactMeasureEntry(mu, delay=delay))
+        assert list(t.prefix_sup_bits(e, x, stage)) == want
+        walk = t.prefix_sup_bits(e, x, stage)
+        assert [walk[n] for n in reversed(range(len(x) + 1))] == want[::-1]
+        walk = t.prefix_sup_bits(e, x, stage)
+        at = data.draw(st.lists(st.integers(0, len(x)), max_size=30))
+        assert [walk[n] for n in at] == [want[n] for n in at]
+        assert all(b <= a + walk.step for a, b in itertools.pairwise(want))  # a jump's bound holds
+        for n in (-1, len(x) + 1):
+            with pytest.raises(IndexError):
+                walk[n]
+
+    def test_interleave_accepts_read_by_prefix(self, monkeypatch):
+        # an own-measure accept of a 512-bit sample reads z's prefix once, never bit by bit
+        mu = interleave_measure(BitSource.hat_rational(F(2, 5)))
+        x = sample_stream(mu, 5, 512)
+        counts = {"bit": 0, "prefix": 0}
+        real_bit, real_prefix = BitSource.bit, BitSource.prefix
+
+        def bit(self, i):
+            counts["bit"] += 1
+            return real_bit(self, i)
+
+        def prefix(self, n):
+            counts["prefix"] += self.kind == "hat-rational"
+            return real_prefix(self, n)
+
+        monkeypatch.setattr(BitSource, "bit", bit)
+        monkeypatch.setattr(BitSource, "prefix", prefix)
+        assert random_verdict(table_with(mu), EST, 0, x, 48)
+        assert counts == {"bit": 0, "prefix": 1}
+
+    def test_interleave_over_a_literal_ends_where_it_did(self):
+        # a literal has no one-step prefix, so its forced bits are read one at a time and a read
+        # past its end raises at the call it always did: bit 4 reads z(2) of "01"
+        mu = interleave_measure(BitSource.literal("01"))
+        assert sample_stream(mu, 0, 4) == "0111"
+        with pytest.raises(EndOfWordError):
+            sample_stream(mu, 0, 5)
+        t = table_with(mu)
+        walk = t.prefix_sup_bits(0, "0110011", 7)
+        assert list(itertools.islice(walk, 5)) == [0, 0, 1, 1, 2]
+        with pytest.raises(EndOfWordError):
+            next(walk)
+        for call in (partial(random_verdict, c=-5), partial(random_verdict, c=8), max_prefix_deficiency):
+            with pytest.raises(EndOfWordError):
+                call(t, EST, 0, "0110011")
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word
