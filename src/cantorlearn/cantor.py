@@ -3,7 +3,7 @@
 Words over {0,1} are plain Python strings of ``'0'``/``'1'`` characters, which
 serialize directly as the ASCII text interface used by the rest of the package.
 Infinite sequences ("reals") are wrapped in :class:`BitSource`, a deterministic
-position -> bit function with a JSON-able spec that carries its kind.
+length -> prefix function with a JSON-able spec that carries its kind.
 """
 
 from __future__ import annotations
@@ -84,54 +84,50 @@ def hat_decode(word: Bits) -> Bits:
 class BitSource:
     """A deterministic infinite (or literal finite) binary sequence.
 
-    ``bit(i)`` is a pure function of the spec (its kind and constructor keywords)
-    and the position, so sources can be shared, compared by spec, and replayed.
+    Its one read is ``_prefix(n)``, the first n bits in one step (fewer only where a
+    literal's word ends), a pure function of the spec (its kind and constructor
+    keywords), so sources can be shared, compared by spec, and replayed.
     """
 
     spec: dict
-    _bit: Callable[[int], int] = field(repr=False, compare=False)
-    _prefix: Optional[Callable[[int], Bits]] = field(default=None, repr=False, compare=False)
+    _prefix: Callable[[int], Bits] = field(repr=False, compare=False)
 
     @property
     def kind(self) -> str:
         return self.spec["kind"]
 
     def bit(self, i: int) -> int:
+        """Bit i of one held prefix, read again at twice the length (4 bits at least) when i passes its end."""
         if i < 0:
             raise IndexError("negative position")
-        b = self._bit(i)
-        if b not in (0, 1):
+        held = self.__dict__.get("_held", "")
+        if i >= len(held):
+            held = self.__dict__["_held"] = self._prefix(1 << max(3, i + 1).bit_length())
+            if i >= len(held):
+                raise EndOfWordError(f"{self.kind} source of length {len(held)} read at {i}")
+        if (b := held[i]) not in "01":
             raise BadWordError(f"source produced non-bit {b!r}")
-        return b
-
-    @property
-    def one_step_prefix(self) -> bool:
-        """Whether ``prefix`` reads in one step: a rational, hat-rational or sampled source."""
-        return self._prefix is not None
+        return int(b)
 
     def prefix(self, n: int) -> Bits:
-        """The first n bits: in one step (``_prefix``, asked for n >= 1) for a
-        rational, hat-rational or sampled source, bit by bit for every other one."""
-        if self._prefix is None or n <= 0:
-            return "".join(str(self.bit(i)) for i in range(n))
-        return self._prefix(n)
+        """The first n bits in one read ("" for n <= 0)."""
+        if n <= 0:
+            return ""
+        got = check_bits(self._prefix(n))
+        if len(got) < n:
+            raise EndOfWordError(f"{self.kind} source of length {len(got)} read at {len(got)}")
+        return got
 
     @classmethod
     def literal(cls, word: Bits) -> "BitSource":
         check_bits(word)
-
-        def bit(i: int, _w: str = word) -> int:
-            if i >= len(_w):
-                raise EndOfWordError(f"literal source of length {len(_w)} read at {i}")
-            return int(_w[i])
-
-        return cls({"kind": "literal", "word": word}, bit)
+        return cls({"kind": "literal", "word": word}, lambda n: word[:n])
 
     @classmethod
     def constant(cls, bit: int) -> "BitSource":
-        if bit not in (0, 1):
-            raise BadWordError(f"constant bit must be 0 or 1, got {bit!r}")
-        return cls({"kind": "constant", "bit": bit}, lambda i: bit)
+        if type(bit) is not int or bit not in (0, 1):
+            raise BadWordError(f"constant bit must be the int 0 or 1, got {bit!r}")
+        return cls({"kind": "constant", "bit": bit}, lambda n: str(bit) * n)
 
     @classmethod
     def periodic(cls, cycle: Bits, head: Bits = "") -> "BitSource":
@@ -140,52 +136,32 @@ class BitSource:
         check_bits(head)
         if not cycle:
             raise BadWordError("empty cycle")
-
-        def bit(i: int) -> int:
-            if i < len(head):
-                return int(head[i])
-            return int(cycle[(i - len(head)) % len(cycle)])
-
-        return cls({"kind": "periodic", "head": head, "cycle": cycle}, bit)
+        spec = {"kind": "periodic", "head": head, "cycle": cycle}
+        return cls(spec, lambda n: (head + cycle * (n // len(cycle) + 1))[:n])
 
     @classmethod
     def rational(cls, value: Fraction) -> "BitSource":
         """Binary expansion of a rational in [0,1].
 
         Dyadic rationals get the terminating expansion (trailing zeros);
-        the value 1 is the all-ones sequence by convention.  Bit i is
-        floor(p 2^(i+1) / q) mod 2, read from p 2^(i+1) mod 2q, so it costs
-        O(log i) products of numbers below 2q, not one (i+1)-bit product.  The
-        n-bit prefix is floor(p 2^n / q), one big-int division.
+        the value 1 is the all-ones sequence by convention.  The n-bit
+        prefix (n >= 1) is floor(p 2^n / q), one big-int division.
         """
         value = Fraction(value)
         if not 0 <= value <= 1:
             raise ValueError(f"expansion needs a value in [0,1], got {value}")
         p, q = value.numerator, value.denominator
 
-        def bit(i: int) -> int:
-            if p == q:
-                return 1
-            return p * pow(2, i + 1, 2 * q) % (2 * q) // q
-
         def prefix(n: int) -> Bits:
             return "1" * n if p == q else f"{(p << n) // q:0{n}b}"
 
-        return cls({"kind": "rational", "value": f"{p}/{q}"}, bit, prefix)
+        return cls({"kind": "rational", "value": f"{p}/{q}"}, prefix)
 
     @classmethod
     def hat_rational(cls, value: Fraction) -> "BitSource":
         """Hat encoding of the binary expansion of a rational in [0,1]."""
         base = cls.rational(value)
-
-        def bit(i: int) -> int:
-            z = base.bit(i // 2)
-            return z if i % 2 == 0 else 1 - z
-
-        def prefix(n: int) -> Bits:
-            return base.prefix((n + 1) // 2).translate(_HAT)[:n]
-
-        return cls({**base.spec, "kind": "hat-rational"}, bit, prefix)
+        return cls({**base.spec, "kind": "hat-rational"}, lambda n: base._prefix((n + 1) // 2).translate(_HAT)[:n])
 
 
 @dataclass(frozen=True)

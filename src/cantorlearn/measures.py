@@ -18,7 +18,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cantor import BitSource, Bits, check_bits
+from .cantor import BitSource, Bits, EndOfWordError, check_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -272,18 +272,21 @@ class Measure(MeasureView):
 
 
 class _Interleave(Measure):
-    """``interleave_measure`` over a source with a one-step prefix.  x[:n] has mass 2^-floor(n/2)
-    up to ``leave``, the first even position where x leaves z (found by one comparison of x's even
-    bits with z's prefix), and 0 past it, so k is n // 2 and then inf: its step is 1 where x never
-    leaves z, else inf, so no jump passes the first inf."""
+    """``interleave_measure``'s measure.  x[:n] has mass 2^-floor(n/2) up to ``leave``, the first
+    even position where x leaves z (found by one comparison of x's even bits with z's prefix), and
+    0 past it, so k is n // 2 and then inf: its step is 1 where x never leaves z, else inf, so no
+    jump passes the first inf.  Where z's prefix ends first (a literal's word), ``mass_bits`` walks."""
 
     def __init__(self, spec: dict, p0: Callable[[int], Fraction], z: BitSource):
         super().__init__(spec, p0=p0)
         self._z = z
 
-    def sup_walk(self, word: Bits, known: int) -> SupWalk:
+    def sup_walk(self, word: Bits, known: int) -> Optional[SupWalk]:
         forced = word[: max(known, 0)][0::2]
-        diff = int(forced, 2) ^ int(self._z.prefix(len(forced)), 2) if forced else 0
+        try:
+            diff = int(forced, 2) ^ int(self._z.prefix(len(forced)), 2) if forced else 0
+        except EndOfWordError:
+            return None
         leave = 2 * (len(forced) - diff.bit_length()) if diff else math.inf
         return SupWalk(lambda a, n: n >> 1 if n <= leave else math.inf, math.inf if diff else 1, word, known)
 
@@ -301,13 +304,12 @@ def bernoulli(q) -> Measure:
 
 def interleave_measure(z: BitSource) -> Measure:
     """The measure that forces bit z(n) at even-length prefixes and splits at odd ones.  Its rule
-    reads z one bit at a time; over a source with a one-step prefix it walks as a ``SupWalk``."""
-    spec = {"kind": "interleave", "z": z.spec}
+    reads z's bits from the source's held prefix; its walks read z's prefix once."""
 
     def rule(j: int) -> Fraction:
         return HALF if j % 2 else _FORCED[z.bit(j // 2)]
 
-    return _Interleave(spec, rule, z) if z.one_step_prefix else Measure(spec, p0=rule)
+    return _Interleave({"kind": "interleave", "z": z.spec}, rule, z)
 
 
 def dirac(z: BitSource) -> Measure:
@@ -673,17 +675,6 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
 
 
 def sampled_source(mu: Measure, seed: int) -> BitSource:
-    """A BitSource replaying sample_stream(mu, seed): a prefix in one call, and bits from one
-    prefix read again at twice the length (4 bits at least) when a read passes its end."""
-    read = partial(sample_stream, mu, seed)
-    held = ""
-
-    def bit(i: int) -> int:
-        nonlocal held
-        if i >= len(held):
-            held = read(1 << max(3, i + 1).bit_length())
-        return int(held[i])
-
+    """A BitSource replaying sample_stream(mu, seed), whose one read is a ``sample_stream`` call."""
     spec = {"kind": "sampled", "measure": mu.spec, "seed": seed, "prng": PRNG_NAME}
-    return BitSource(spec, bit, read)
-
+    return BitSource(spec, partial(sample_stream, mu, seed))

@@ -81,8 +81,8 @@ class _StageSlot:
 class Entry:
     """Base class for table entries; subclasses document their definedness
     schedule.  Exact entries whose measure gives a ``sup_walk`` (uniform, Bernoulli, and interleave
-    over a source with a one-step prefix) and param lifts over Bernoulli balls (Bernoulli lifts
-    among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
+    unless a literal z ends within the known bits) and param lifts over Bernoulli balls
+    (Bernoulli lifts among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -236,8 +236,8 @@ class ParamLiftEntry(Entry):
 
     The ball is built once per stage and kept for the latest stage asked only;
     each stage reads the real's prefix in one ``real_prefix`` call, which an
-    inverse lift, or a real entry over a rational or hat-rational source,
-    answers without a per-bit loop.  A ``BernoulliCylinderBall`` gives its images, its
+    inverse lift, or a real entry (one read of its source), answers without
+    a per-bit loop.  A ``BernoulliCylinderBall`` gives its images, its
     parameter interval and a ``SupWalk`` held from its level on; others give [0, sup]."""
 
     param_map: "ParamMapLike"

@@ -20,8 +20,8 @@ So ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the
 whole word's deficiency) read the estimate only at the prefixes where k =
 ceil(-log2 sup) minus that bound leaves their answer open, and still give
 exactly the answer a read at every prefix would.  On a ``SupWalk`` (an exact
-uniform, Bernoulli or, over a source with a one-step prefix, interleave entry,
-or a param lift over Bernoulli balls, as every Bernoulli lift is), k of any
+uniform, Bernoulli or interleave entry, unless a literal z ends within the
+known bits, or a param lift over Bernoulli balls, as every Bernoulli lift is), k of any
 prefix comes from its zero count or length and rises at most a fixed step per
 bit (inf where k can reach inf), so the walk visits only the prefixes where a
 read could happen and jumps over the rest; other entries yield k per prefix.

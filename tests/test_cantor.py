@@ -18,6 +18,7 @@ from cantorlearn.cantor import (
     hat_encode,
     interleave,
 )
+from cantorlearn.measures import bernoulli, interleave_measure, sample_stream, sampled_source
 
 
 def all_words(n):
@@ -25,8 +26,24 @@ def all_words(n):
 
 
 def bit_loop(source, n):
-    """The first n bits read one by one, as a source with no one-step prefix gives them."""
+    """The first n bits read one by one."""
     return "".join(str(source.bit(i)) for i in range(n))
+
+
+def long_division(value, n):
+    """The first n bits of value's binary expansion, one remainder step per bit."""
+    if value == 1:
+        return "1" * n  # the convention for 1
+    rem, q, out = value.numerator, value.denominator, []
+    for _ in range(n):
+        rem *= 2
+        out.append(str(rem // q))
+        rem %= q
+    return "".join(out)
+
+
+def periodic_bits(cycle, head, n):
+    return "".join(head[i] if i < len(head) else cycle[(i - len(head)) % len(cycle)] for i in range(n))
 
 
 # 0, 1, dyadic and periodic expansions, then any rational in [0,1]
@@ -34,11 +51,23 @@ rationals = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 1024), Fraction(1, 3), Fraction(5, 7)]),
     st.fractions(min_value=0, max_value=1, max_denominator=10**6),
 )
+words = st.text("01", max_size=40)
 
-# the kinds with a one-step prefix, as factories, so that the prefix and the bit loop each read a fresh source
-one_step_sources = st.one_of(
-    rationals.map(lambda v: partial(BitSource.rational, v)),
-    rationals.map(lambda v: partial(BitSource.hat_rational, v)),
+# the measures and seeds of sampled sources
+samplings = st.tuples(
+    st.sampled_from([bernoulli(Fraction(1, 3)), interleave_measure(BitSource.rational(Fraction(2, 7)))]),
+    st.integers(0, 9),
+)
+
+# every kind as (a factory, so that each read starts from a fresh source, and an independent
+# reference for its first n bits, fewer where a literal's word ends)
+sources = st.one_of(
+    rationals.map(lambda v: (partial(BitSource.rational, v), partial(long_division, v))),
+    rationals.map(lambda v: (partial(BitSource.hat_rational, v), lambda n: hat_encode(long_division(v, n))[:n])),
+    st.tuples(words.filter(bool), words).map(lambda ch: (partial(BitSource.periodic, *ch), partial(periodic_bits, *ch))),
+    words.map(lambda w: (partial(BitSource.literal, w), lambda n: w[:n])),
+    st.sampled_from([0, 1]).map(lambda b: (partial(BitSource.constant, b), lambda n: str(b) * n)),
+    samplings.map(lambda ms: (partial(sampled_source, *ms), partial(sample_stream, *ms))),
 )
 
 
@@ -151,16 +180,6 @@ class TestBitSource:
         assert BitSource.rational(Fraction(1)).prefix(4) == "1111"
 
     def test_rational_matches_long_division(self):
-        def long_division(value, n):
-            if value == 1:
-                return "1" * n  # the convention for 1
-            rem, q, out = value.numerator, value.denominator, []
-            for _ in range(n):
-                rem *= 2
-                out.append(str(rem // q))
-                rem %= q
-            return "".join(out)
-
         dyadic = [Fraction(1, 2), Fraction(3, 8), Fraction(5, 1024), Fraction(12345, 1 << 20)]
         periodic = [Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(1, 6), Fraction(123, 997)]
         for v in [Fraction(0), Fraction(1), *dyadic, *periodic]:
@@ -170,9 +189,8 @@ class TestBitSource:
         assert BitSource.hat_rational(Fraction(1, 3)).prefix(8) == "01100110"
 
     def test_hat_rational_is_the_hat_of_the_expansion(self):
-        # against the bit loop: the one-step prefix is itself the hat of the expansion's prefix
         for v in (Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1)):
-            want = hat_encode(bit_loop(BitSource.rational(v), 24))
+            want = hat_encode(long_division(v, 24))
             assert BitSource.hat_rational(v).prefix(48) == bit_loop(BitSource.hat_rational(v), 48) == want
 
     def test_periodic(self):
@@ -185,17 +203,30 @@ class TestBitSource:
         assert s.bit(17) == BitSource.rational(Fraction(5, 7)).bit(17)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(one_step_sources, st.integers(-3, 300))
-    def test_one_step_prefix_is_the_bit_loop(self, make, n):
+    @given(sources, st.integers(-3, 300), st.lists(st.integers(0, 300), max_size=40))
+    def test_prefix_and_bits_match_a_reference(self, kind, n, at):
+        # a prefix of every length, and bits read in any order across the held prefix's doublings
+        make, reference = kind
+        want = reference(301)
+        if n <= len(want):
+            assert make().prefix(n) == want[: max(n, 0)]
+        else:
+            with pytest.raises(EndOfWordError):
+                make().prefix(n)
         source = make()
-        assert source._prefix is not None
-        assert source.prefix(n) == bit_loop(make(), n)
+        for i in at:
+            if i < len(want):
+                assert source.bit(i) == int(want[i])
+            else:
+                with pytest.raises(EndOfWordError):
+                    source.bit(i)
 
-    def test_bare_bit_function_reads_bit_by_bit(self):
+    def test_bare_prefix_function_reads_by_doubling(self):
         reads = []
-        s = BitSource({"kind": "custom"}, lambda i: reads.append(i) or i % 2)
-        assert s.prefix(5) == "01010"
-        assert reads == [0, 1, 2, 3, 4]
+        s = BitSource({"kind": "custom"}, lambda n: reads.append(n) or "01" * (n // 2) + "0" * (n % 2))
+        assert s.prefix(5) == "01010" and reads == [5]
+        assert bit_loop(s, 10) == "0101010101"
+        assert reads == [5, 4, 8, 16]
 
 
 class TestClosedClass:

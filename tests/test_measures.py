@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import pytest
@@ -552,10 +553,19 @@ class TestSampling:
 
     def test_sampled_source_across_doublings(self):
         at = [i for k in range(3, 11) for i in ((1 << k) - 1, 1 << k)]  # 7, 8, 15, 16, ..., 1023, 1024
-        for mu in (bernoulli(F(1, 3)), interleave_measure(BitSource.rational(F(2, 7)))):
-            want = sample_stream(mu, 5, 1100)
+        measures = (bernoulli(F(1, 3)), interleave_measure(BitSource.rational(F(2, 7))))
+        sampled = [(partial(sampled_source, mu, 5), sample_stream(mu, 5, 1100)) for mu in measures]
+        # every other kind against its own 1100-bit prefix, which test_cantor checks against references
+        makers = [
+            partial(BitSource.rational, F(2, 7)),
+            partial(BitSource.hat_rational, F(5, 13)),
+            partial(BitSource.periodic, "110", "0101"),
+            partial(BitSource.literal, sample_stream(bernoulli(F(1, 3)), 9, 1100)),
+            partial(BitSource.constant, 1),
+        ]
+        for make, want in sampled + [(make, make().prefix(1100)) for make in makers]:
             for order in (at, at[::-1]):
-                src = sampled_source(mu, 5)
+                src = make()
                 assert [src.bit(i) for i in order] == [int(want[i]) for i in order]
 
     def test_sampled_source_reads_by_prefix(self, monkeypatch):

@@ -246,7 +246,7 @@ class TestEvaluation:
         st.lists(st.integers(-2, 60), min_size=1, max_size=5),
     )
     def test_real_prefix_is_the_bit_loop(self, source, delay, diverge_from, n, stages):
-        # the source's one-step prefix, cut to the defined length, is what a loop over
+        # the source's one prefix read, cut to the defined length, is what a loop over
         # source.bit reads, under a delay, a divergence point, n <= 0 and n past the defined length
         t = ProgramTable()
         e = t.add(RealEntry(source, delay, diverge_from))

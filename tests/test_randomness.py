@@ -910,6 +910,9 @@ class TestVerdictShortcuts:
                     BitSource.hat_rational(value),
                     sampled_source(bernoulli(value), 3),
                     sampled_source(interleave_measure(BitSource.rational(value)), 4),
+                    BitSource.periodic(format(den, "b"), "0"),
+                    BitSource.constant(den % 2),
+                    BitSource.literal(BitSource.rational(value).prefix(151)),  # never ends within x
                 ]
             )
         )
@@ -957,8 +960,9 @@ class TestVerdictShortcuts:
         assert counts == {"bit": 0, "prefix": 1}
 
     def test_interleave_over_a_literal_ends_where_it_did(self):
-        # a literal has no one-step prefix, so its forced bits are read one at a time and a read
-        # past its end raises at the call it always did: bit 4 reads z(2) of "01"
+        # where a literal's word ends before the word's forced bits do, the walk reads z one bit at
+        # a time through mass_bits, so a read past its end raises at the call it always did: bit 4
+        # reads z(2) of "01"; a word that leaves z before z ends is inf from there and raises nothing
         mu = interleave_measure(BitSource.literal("01"))
         assert sample_stream(mu, 0, 4) == "0111"
         with pytest.raises(EndOfWordError):
@@ -971,6 +975,9 @@ class TestVerdictShortcuts:
         for call in (partial(random_verdict, c=-5), partial(random_verdict, c=8), max_prefix_deficiency):
             with pytest.raises(EndOfWordError):
                 call(t, EST, 0, "0110011")
+        assert list(t.prefix_sup_bits(0, "1110011", 7)) == [0] + [math.inf] * 7
+        assert not random_verdict(t, EST, 0, "1110011", -5) and not random_verdict(t, EST, 0, "1110011", 8)
+        assert max_prefix_deficiency(t, EST, 0, "1110011") == math.inf
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word

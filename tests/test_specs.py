@@ -248,6 +248,7 @@ def one_entry_table():
 
 
 ENUMERATED = enumerated([("0", Interval.exact(F(1, 2)), 1)])
+TWOS = BitSource({"kind": "twos"}, lambda n: "2" * n)  # its every read holds a non-bit character
 
 
 class TestBadInputs:
@@ -257,8 +258,12 @@ class TestBadInputs:
         "call,error",
         [
             pytest.param(lambda: BitSource.rational(F(1, 3)).bit(-1), IndexError, id="negative-position"),
-            pytest.param(lambda: BitSource({"kind": "two"}, lambda i: 2).bit(0), BadWordError, id="non-bit"),
+            pytest.param(lambda: TWOS.bit(0), BadWordError, id="non-bit"),
+            pytest.param(lambda: TWOS.prefix(1), BadWordError, id="non-bit-prefix"),
             pytest.param(lambda: BitSource.constant(2), BadWordError, id="constant-2"),
+            pytest.param(lambda: BitSource.constant(True), BadWordError, id="constant-true"),
+            pytest.param(lambda: BitSource.constant(1.0), BadWordError, id="constant-float"),
+            pytest.param(lambda: from_spec({"kind": "constant", "bit": True}), BadWordError, id="constant-true-spec"),
             pytest.param(lambda: BitSource.periodic(""), BadWordError, id="empty-cycle"),
             pytest.param(lambda: BitSource.rational(F(3, 2)), ValueError, id="rational-3/2"),
             pytest.param(lambda: ceil_neg_log2(F(0)), ValueError, id="ceil-neg-log2-0"),
