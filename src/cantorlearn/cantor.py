@@ -9,7 +9,6 @@ length -> prefix function with a JSON-able spec that carries its kind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -80,7 +79,6 @@ def hat_decode(word: Bits) -> Bits:
     return "".join(out)
 
 
-@dataclass(frozen=True)
 class BitSource:
     """A deterministic infinite (or literal finite) binary sequence.
 
@@ -89,8 +87,11 @@ class BitSource:
     keywords), so sources can be shared, compared by spec, and replayed.
     """
 
-    spec: dict
-    _prefix: Callable[[int], Bits] = field(repr=False, compare=False)
+    def __init__(self, spec: dict, _prefix: Callable[[int], Bits]):
+        self.spec, self._prefix, self._held = spec, _prefix, ""
+
+    def __eq__(self, other):
+        return self.spec == other.spec if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def kind(self) -> str:
@@ -100,9 +101,9 @@ class BitSource:
         """Bit i of one held prefix, read again at twice the length (4 bits at least) when i passes its end."""
         if i < 0:
             raise IndexError("negative position")
-        held = self.__dict__.get("_held", "")
+        held = self._held
         if i >= len(held):
-            held = self.__dict__["_held"] = self._prefix(1 << max(3, i + 1).bit_length())
+            held = self._held = self._prefix(1 << max(3, i + 1).bit_length())
             if i >= len(held):
                 raise EndOfWordError(f"{self.kind} source of length {len(held)} read at {i}")
         if (b := held[i]) not in "01":
@@ -164,18 +165,23 @@ class BitSource:
         return cls({**base.spec, "kind": "hat-rational"}, lambda n: base._prefix((n + 1) // 2).translate(_HAT)[:n])
 
 
-@dataclass(frozen=True)
 class ClosedClass:
     """An effectively closed subset of Cantor space as a co-enumerated forbidden-prefix set.
 
     ``forbid_time(prefix)`` returns the stage at which the prefix is revealed to
     be forbidden, or None if it never is.  A word is alive at stage s iff no
     prefix of it has been revealed by stage s; liveness is antitone in s by
-    construction.
+    construction.  Classes compare and hash by name.
     """
 
-    name: str
-    forbid_time: Callable[[Bits], Optional[int]] = field(compare=False)
+    def __init__(self, name: str, forbid_time: Callable[[Bits], Optional[int]]):
+        self.name, self.forbid_time = name, forbid_time
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
 
     def forbidden(self, word: Bits, stage: int) -> bool:
         """Whether the word itself (not a shorter prefix) is revealed forbidden by the stage."""

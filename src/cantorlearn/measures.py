@@ -373,7 +373,6 @@ class MeasureBall:
 NODE_BUDGET = 1 << 15
 
 
-@dataclass(frozen=True)
 class ExplicitBall(MeasureBall):
     """Ball given by (word, interval) constraints, bounded through a box: one
     closed interval per word down to the deepest constraint (open ends are
@@ -383,9 +382,16 @@ class ExplicitBall(MeasureBall):
     two passes make the box exact.  Upward, each word keeps what its
     children's subtrees can sum to.  Downward from the root, pinned at 1, each
     child keeps what its parent allows less some value of its sibling's
-    subtree; so a value survives iff some measure in the ball gives it."""
+    subtree; so a value survives iff some measure in the ball gives it.  Equal constraints, equal balls."""
 
-    constraint_list: tuple[tuple[Bits, Interval], ...]
+    def __init__(self, constraint_list: tuple[tuple[Bits, Interval], ...]):
+        self.constraint_list = constraint_list
+
+    def __eq__(self, other):
+        return self.constraint_list == other.constraint_list if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.constraint_list)
 
     @property
     def _depth(self) -> int:
@@ -418,7 +424,7 @@ class ExplicitBall(MeasureBall):
         return box
 
     @cached_property
-    def _box(self) -> dict[Bits, Interval]:  # kept on the frozen ball: k reads propagate once
+    def _box(self) -> dict[Bits, Interval]:  # kept on the ball: k reads propagate once
         return self._propagate()
 
     def sup_mass(self, word: Bits) -> Fraction:
@@ -581,14 +587,17 @@ class BernoulliCylinderBall(MeasureBall):
         return verdict if screened == (2 << depth) - 2 - 2 * depth * unit_param else Verdict.UNKNOWN
 
 
-@dataclass(frozen=True)
 class InterleaveCylinderBall(MeasureBall):
-    """Ball of the interleaving measures whose forced stream extends a pattern."""
+    """Ball of the interleaving measures whose forced stream extends a pattern, equal by pattern."""
 
-    pattern: Bits
+    def __init__(self, pattern: Bits):
+        self.pattern = check_bits(pattern)
 
-    def __post_init__(self):
-        check_bits(self.pattern)
+    def __eq__(self, other):
+        return self.pattern == other.pattern if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.pattern)
 
     def _value_range(self, word: Bits) -> Interval:
         """Range of mu(word) over the ball: 0 where an even bit leaves the

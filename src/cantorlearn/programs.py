@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
@@ -90,6 +89,9 @@ class Entry:
     def spec(self) -> dict:
         raise NotImplementedError
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.spec()!r})"
+
     # measure entries
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
@@ -121,17 +123,20 @@ class Entry:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
 
 
-@dataclass
+def _nonneg_int(name: str, value) -> int:
+    """A delay or bit position, checked by type too: a bool or float would enter the spec."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be {'>= 0' if type(value) is int else 'an int >= 0'}, got {value!r}")
+    return value
+
+
 class ExactMeasureEntry(Entry):
     """Total measure generator: reveals exact values on strings of length <= stage - delay."""
 
-    measure: Measure
-    delay: int = 0
     total = True
 
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
+    def __init__(self, measure: Measure, delay: int = 0):
+        self.measure, self.delay = measure, _nonneg_int("delay", delay)
 
     def spec(self) -> dict:
         return {"entry": "exact-measure", "measure": self.measure.spec, "delay": self.delay}
@@ -155,12 +160,11 @@ class ExactMeasureEntry(Entry):
         return stage < self.delay and self.measure.param_interval(stage) is None
 
 
-@dataclass
 class EnumeratedMeasureEntry(Entry):
     """Partial measure given by an explicit stage-tagged tuple enumeration."""
 
-    measure: Measure  # enumerated-kind Measure
-    total: Optional[bool] = None
+    def __init__(self, measure: Measure, total: Optional[bool] = None):
+        self.measure, self.total = measure, total  # an enumerated-kind Measure
 
     def spec(self) -> dict:
         out = {"entry": "enumerated-measure", "measure": self.measure.spec}
@@ -175,16 +179,15 @@ class EnumeratedMeasureEntry(Entry):
         return all(s > stage for _, _, s in self.measure._tuples)
 
 
-@dataclass
 class StubEntry(Entry):
     """Diverging program: never reveals anything."""
 
-    kind: str = "measure"  # or "real"
     total = False
 
-    def __post_init__(self):
-        if self.kind not in ("measure", "real"):
-            raise ValueError(f"stub kind must be 'measure' or 'real', got {self.kind!r}")
+    def __init__(self, kind: str = "measure"):
+        if kind not in ("measure", "real"):
+            raise ValueError(f"stub kind must be 'measure' or 'real', got {kind!r}")
+        self.kind = kind
 
     def spec(self) -> dict:
         return {"entry": "stub", "kind": self.kind}
@@ -201,21 +204,16 @@ class StubEntry(Entry):
         return ""
 
 
-@dataclass
 class RealEntry(Entry):
     """Total or partial computable real: bit j defined once stage >= j + delay,
     and never from ``diverge_from`` on.  A prefix is one ``BitSource.prefix``
     call, cut to the defined length."""
 
-    source: BitSource
-    delay: int = 0
-    diverge_from: Optional[int] = None  # bits at positions >= this never define
     kind = "real"
 
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-        self.total = self.diverge_from is None
+    def __init__(self, source: BitSource, delay: int = 0, diverge_from: Optional[int] = None):
+        self.source, self.delay, self.total = source, _nonneg_int("delay", delay), diverge_from is None
+        self.diverge_from = diverge_from if diverge_from is None else _nonneg_int("diverge_from", diverge_from)
 
     def spec(self) -> dict:
         out = {"entry": "real", "source": self.source.spec, "delay": self.delay}
@@ -229,7 +227,6 @@ class RealEntry(Entry):
         return self.source.prefix(n)
 
 
-@dataclass
 class ParamLiftEntry(Entry):
     """Measure entry whose stage knowledge is the param map's ball at the
     longest defined prefix of a real entry.
@@ -240,11 +237,8 @@ class ParamLiftEntry(Entry):
     a per-bit loop.  A ``BernoulliCylinderBall`` gives its images, its
     parameter interval and a ``SupWalk`` held from its level on; others give [0, sup]."""
 
-    param_map: "ParamMapLike"
-    real_index: int
-
-    def __post_init__(self):
-        self._ball = _StageSlot(self._read_ball)
+    def __init__(self, param_map: "ParamMapLike", real_index: int):
+        self.param_map, self.real_index, self._ball = param_map, real_index, _StageSlot(self._read_ball)
 
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
@@ -313,7 +307,6 @@ class BernoulliLiftEntry(ParamLiftEntry):
 _BERNOULLI_MAP = _BernoulliMap()
 
 
-@dataclass
 class InverseLiftEntry(Entry):
     """Real entry emitting the longest common prefix of the parameter
     candidates not yet pruned against a measure entry's knowledge.
@@ -353,12 +346,10 @@ class InverseLiftEntry(Entry):
     fails and a later search walks with balls.
     """
 
-    param_map: ParamMapLike
-    domain: ClosedClass
-    measure_index: int
     kind = "real"
 
-    def __post_init__(self):
+    def __init__(self, param_map: ParamMapLike, domain: ClosedClass, measure_index: int):
+        self.param_map, self.domain, self.measure_index = param_map, domain, measure_index
         self._lcp = _StageSlot(self._search)
         # the latest walk's stage (none yet: above every stage), view, YES/NO verdicts and records:
         # (survivors, forbid_next, unknowns) per completed level, then ((prefix, reason), forbid_next,
@@ -446,11 +437,11 @@ class InverseLiftEntry(Entry):
         return self._lcp(table, stage)[0][: max(n, 0)]
 
 
-@dataclass
 class AliasEntry(Entry):
     """Explicit registry alias of another entry (padding also exists arithmetically)."""
 
-    base: int
+    def __init__(self, base: int):
+        self.base = base
 
     def spec(self) -> dict:
         return {"entry": "alias", "base": self.base}
@@ -459,17 +450,20 @@ class AliasEntry(Entry):
 ORACLE_FLIP_PERIOD = 2
 
 
-@dataclass
 class ProgramTable:
     """Finite registry of entries with arithmetic padding aliases.
 
     Base indices are positions in the registry; indices >= PAD_BASE encode
     pad(i, j) via the Cantor pairing, so alias allocation is order-free and
-    deterministic.
+    deterministic.  A table prints as its manifest.
     """
 
-    entries: list[Entry] = field(default_factory=list)
-    flip_schedules: dict[int, int] = field(default_factory=dict)  # index -> horizon
+    def __init__(self, entries: Optional[list[Entry]] = None, flip_schedules: Optional[dict[int, int]] = None):
+        self.entries = [] if entries is None else entries
+        self.flip_schedules = {} if flip_schedules is None else flip_schedules  # index -> horizon
+
+    def __repr__(self) -> str:
+        return f"ProgramTable({self.manifest()!r})"
 
     def add(self, entry: Entry) -> int:
         if len(self.entries) + 1 >= PAD_BASE:

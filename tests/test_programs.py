@@ -1307,6 +1307,13 @@ class TestManifest:
         assert t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.pad(17, 2)) == 18
         assert len(t) == size
 
+    def test_entries_and_tables_print_by_spec(self):
+        # every registered entry kind, a param lift and an inverse lift
+        t = every_kind_table()
+        for ent in t.entries:
+            assert repr(ent).startswith(type(ent).__name__) and repr(ent.spec()) in repr(ent)
+        assert repr(t).startswith("ProgramTable") and repr(t.manifest()) in repr(t)
+
     def test_map_lifts_do_not_reload(self):
         # param and inverse lifts name their map and domain only by name
         with pytest.raises(ValueError, match="param-lift"):

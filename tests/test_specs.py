@@ -264,6 +264,17 @@ class TestBadInputs:
             pytest.param(lambda: BitSource.constant(True), BadWordError, id="constant-true"),
             pytest.param(lambda: BitSource.constant(1.0), BadWordError, id="constant-float"),
             pytest.param(lambda: from_spec({"kind": "constant", "bit": True}), BadWordError, id="constant-true-spec"),
+            pytest.param(lambda: ExactMeasureEntry(bernoulli(F(1, 3)), delay=True), ValueError, id="exact-delay-true"),
+            pytest.param(lambda: ExactMeasureEntry(bernoulli(F(1, 3)), delay=1.5), ValueError, id="exact-delay-float"),
+            pytest.param(lambda: RealEntry(BitSource.rational(F(1, 3)), delay=0.5), ValueError, id="real-delay-float"),
+            pytest.param(
+                lambda: RealEntry(BitSource.rational(F(1, 3)), diverge_from=2.5), ValueError, id="real-diverge-float"
+            ),
+            pytest.param(
+                lambda: from_spec({"entry": "exact-measure", "measure": {"kind": "uniform"}, "delay": True}),
+                ValueError,
+                id="exact-delay-true-spec",
+            ),
             pytest.param(lambda: BitSource.periodic(""), BadWordError, id="empty-cycle"),
             pytest.param(lambda: BitSource.rational(F(3, 2)), ValueError, id="rational-3/2"),
             pytest.param(lambda: ceil_neg_log2(F(0)), ValueError, id="ceil-neg-log2-0"),
