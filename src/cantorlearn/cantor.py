@@ -98,7 +98,9 @@ class BitSource:
         return self.spec["kind"]
 
     def bit(self, i: int) -> int:
-        """Bit i of one held prefix, read again at twice the length (4 bits at least) when i passes its end."""
+        """Bit i of one held prefix.  A read at i past its end reads, and then holds
+        for the source's life, the prefix whose length is the smallest power of
+        two above max(3, i + 1): at most 2 * max(3, i + 1) characters."""
         if i < 0:
             raise IndexError("negative position")
         held = self._held

@@ -124,7 +124,7 @@ class Entry:
 
 
 def _nonneg_int(name: str, value) -> int:
-    """A delay or bit position, checked by type too: a bool or float would enter the spec."""
+    """A delay, bit position or entry index, checked by type too: a bool or float would enter the spec."""
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be {'>= 0' if type(value) is int else 'an int >= 0'}, got {value!r}")
     return value
@@ -238,7 +238,8 @@ class ParamLiftEntry(Entry):
     parameter interval and a ``SupWalk`` held from its level on; others give [0, sup]."""
 
     def __init__(self, param_map: "ParamMapLike", real_index: int):
-        self.param_map, self.real_index, self._ball = param_map, real_index, _StageSlot(self._read_ball)
+        self.param_map, self.real_index = param_map, _nonneg_int("real_index", real_index)
+        self._ball = _StageSlot(self._read_ball)
 
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
@@ -349,7 +350,7 @@ class InverseLiftEntry(Entry):
     kind = "real"
 
     def __init__(self, param_map: ParamMapLike, domain: ClosedClass, measure_index: int):
-        self.param_map, self.domain, self.measure_index = param_map, domain, measure_index
+        self.param_map, self.domain, self.measure_index = param_map, domain, _nonneg_int("measure_index", measure_index)
         self._lcp = _StageSlot(self._search)
         # the latest walk's stage (none yet: above every stage), view, YES/NO verdicts and records:
         # (survivors, forbid_next, unknowns) per completed level, then ((prefix, reason), forbid_next,
@@ -441,7 +442,7 @@ class AliasEntry(Entry):
     """Explicit registry alias of another entry (padding also exists arithmetically)."""
 
     def __init__(self, base: int):
-        self.base = base
+        self.base = _nonneg_int("base", base)
 
     def spec(self) -> dict:
         return {"entry": "alias", "base": self.base}

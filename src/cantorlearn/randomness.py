@@ -209,28 +209,33 @@ def _break(w: Bits, j: int, h: int) -> int:
     return len(w)
 
 
-def _far_period(w: Bits, j: int, h: int) -> int:
-    """The smallest period of w, or a shift within 64 of len(w) below which
-    w has none, given that j is a period of w[:h] and w has none below j.
+def _period(w: Bits, j: int) -> int:
+    """The smallest period of w, given that w has none below j.
     ``PatternCodec`` proves each skip."""
     m = len(w)
-    while m - j > 64:
-        t = _break(w, j, h)
-        if t == m:
-            return j
-        f = t - j
-        r = w.find(w[: f // 2], 1, f)
-        if r < 1 or w[r:f] != w[: f - r]:
-            skip = j + f // 2 + 1
-        elif w[f] == w[f - r]:
-            skip = t - r + 1
+    while j < m:
+        k = 256 if m - j >= 256 else 1 << (m - j).bit_length() - 1
+        i = w.find(w[:k], j)
+        if i < 0:
+            j = m - k + 1
+        elif m - i <= 64:
+            if w.startswith(w[i:]):
+                return i
+            j = i + 1
         else:
-            skip = min(_break(w, r, t + 1) - f, t - r + 1)
-        j = max(skip, t + 2 - j)
-        if m - j > 64:  # str.find skips the shifts where w[:32] does not recur
-            i = w.find(w[:32], j)
-            j, h = (i, i + 32) if i >= 0 else (m - 31, m - 31)
-    return j
+            t = _break(w, i, i + k)
+            if t == m:
+                return i
+            f = t - i
+            r = w.find(w[: f // 2], 1, f)
+            if r < 1 or w[r:f] != w[: f - r]:
+                skip = i + f // 2 + 1
+            elif w[f] == w[f - r]:
+                skip = t - r + 1
+            else:
+                skip = min(_break(w, r, t + 1) - f, t - r + 1)
+            j = max(skip, t + 2 - i)
+    return m
 
 
 class PatternCodec(Codec):
@@ -238,17 +243,21 @@ class PatternCodec(Codec):
 
     The word w is kept as one string with its smallest period p, which never
     shrinks as w grows: a period of w is one of each prefix, or longer.  A
-    push checks that p holds on the new bits.  If not, it tries larger
-    shifts in order, skipping only shifts proved not to be periods.  Where a
-    prefix w[:k] does not recur, ``str.find`` skips.  A shift j that breaks
-    at t, with f = t - j (so w[j:t] == w[:f], w[t] != w[f]), gives the
-    skips below, by Fine and Wilf's lemma: if j and q are periods of a word
-    at least j + q - gcd(j, q) long, so is gcd(j, q).
+    push checks that p holds on the new bits.  If not, ``_period`` searches
+    from p + 1 (from 1 on the first push), skipping only shifts proved not
+    to be periods, so w has no period below the shift j it tries.  That
+    shift is the next one where w[:k] recurs, found by ``str.find``, with k
+    the largest power of two up to 256 with k <= m - j, m = len(w): a
+    period q <= m - k has w[q:q+k] == w[:k].  Where w[:k] does not recur,
+    the search moves to m - k + 1.  A shift with at most 64 bits left is
+    checked whole, a longer one by ``_break``.  One that breaks at t, with
+    f = t - j (so w[j:t] == w[:f], w[t] != w[f]), gives the skips below, by
+    Fine and Wilf's lemma: if j and q are periods of a word at least
+    j + q - gcd(j, q) long, so is gcd(j, q).
 
-    - If w has no period <= j, it has none below t + 2 - j: a smaller one q
+    - As w has no period <= j, it has none below t + 2 - j: a smaller one q
       has t >= j + q - 1, so g = gcd(j, q) is a period of w[:t], so of w[:q]
-      and, as g divides q, of w; but g <= j.  For p breaking at i, the
-      search starts at max(p + 1, i + 2 - p).
+      and, as g divides q, of w; but g <= j.
     - A period q of w in (j, t) makes d = q - j a period of w[:f] with
       w[f - d] == w[t].  Let r be the smallest period of w[:f]; by the
       lemma, r divides every period d <= f - r.  The lemma also makes
@@ -279,28 +288,7 @@ class PatternCodec(Codec):
         # starts with bits only when they are at most one bit
         if w.startswith(bits, n - j):
             return
-        m = len(w)
-        if m - j > 64:
-            j = _far_period(w, j, n or 1)
-        elif n:
-            j += 1
-        # the last 64 shifts: str.find of w[:k], the longest power-of-two
-        # prefix that fits, skips to the next shift where it recurs, and that
-        # shift is checked whole
-        while 0 < m - j <= 64:
-            k = 1 << (m - j).bit_length() - 1
-            i = w.find(w[:k], j)
-            while i < 0 and k > 1:
-                j, k = m - k + 1, k >> 1
-                i = w.find(w[:k], j)
-            if i < 0:
-                j = m
-            elif w.startswith(w[i:]):
-                j = i
-                break
-            else:
-                j = i + 1
-        self.period = j
+        self.period = _period(w, j + 1 if n else 1)
 
     def _length(self):
         n, period = len(self.word), self.period

@@ -228,6 +228,13 @@ class TestBitSource:
         assert bit_loop(s, 10) == "0101010101"
         assert reads == [5, 4, 8, 16]
 
+    def test_far_bit_holds_at_most_twice_its_position(self):
+        # bit i of 1/3 is the lowest bit of floor(2^(i + 1) / 3)
+        i = 2**16
+        s = BitSource.rational(Fraction(1, 3))
+        assert s.bit(i) == (2 ** (i + 1) // 3) & 1
+        assert len(s._held) <= 2 * max(3, i + 1)
+
 
 class TestClosedClass:
     def test_full_space(self):

@@ -382,6 +382,18 @@ def assert_chunks_match_reference(codec, word: str, ends) -> None:
     assert codec.cost(word) == ref(word), codec.name
 
 
+def smallest_periods(w: str) -> list[int]:
+    """Each prefix w[:i + 1]'s smallest period, (i + 1) - pi[i], from one O(len(w)) pass of
+    the Knuth-Morris-Pratt prefix function pi."""
+    pi = [0] * len(w)
+    for i in range(1, len(w)):
+        k = pi[i - 1]
+        while k and w[i] != w[k]:
+            k = pi[k - 1]
+        pi[i] = k + (w[i] == w[k])
+    return [i + 1 - k for i, k in enumerate(pi)]
+
+
 class TestChunkedPushes:
     """A word pushed in any chunks costs what a brute-force coder says at
     every chunk boundary."""
@@ -413,6 +425,45 @@ class TestChunkedPushes:
         head = unit * reps + data.draw(st.text("01", min_size=1, max_size=40))
         word = head + unit * extra + head[: data.draw(st.integers(0, len(head)))]
         assert_chunks_match_reference(PatternCodec(), word, chunk_ends(data.draw, len(word)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_period_search_on_long_words(self, seed):
+        # 32768-bit words, where the search's long candidates and break skips do their work:
+        # pushed whole and in seeded chunks, the period after every push is the reference's
+        rng = random.Random(seed)
+        n = 32768
+        iid = lambda m: "".join("0" if rng.random() < 1 / 3 else "1" for _ in range(m))
+        cycle = iid(1000)
+        runs = ""
+        while len(runs) < n:  # alternate runs, geometric of mean 64
+            runs += "10"[runs[-1:] == "1"] * (1 + int(math.log(1 - rng.random()) / math.log(63 / 64)))
+        # periodic words of a c-bit cycle: one or two late flips, or one flip at 2c - 2, where a
+        # break at f = 2c - 2 leaves w[:f] no period <= f // 2 and its skip lands on the period;
+        # c > 128, so a 256-bit candidate prefix holds no flip and candidates reach the break
+        flipped = lambda w, i: w[:i] + "10"[int(w[i])] + w[i + 1 :]
+        period = iid(rng.randrange(129, 3000))
+        periodic = (period * n)[:n]
+        once = flipped(periodic, rng.randrange(n // 2, n))
+        words = [
+            iid(n),
+            (cycle * n)[:n],
+            runs[:n],
+            hat_encode(iid(n // 2)),
+            once,
+            flipped(once, rng.randrange(n // 2, n)),
+            flipped(periodic, 2 * len(period) - 2),
+        ]
+        for word in words:
+            want = smallest_periods(word)
+            codec = PatternCodec()
+            codec.push(word)
+            assert codec.period == want[-1]
+            codec, end = PatternCodec(), 0
+            while end < n:
+                bits = word[end : end + rng.choice((1, rng.randrange(1, 64), rng.randrange(64, 4096)))]
+                codec.push(bits)
+                end += len(bits)
+                assert codec.period == want[end - 1], end
 
     @PROPERTY
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 1)), min_size=1, max_size=12), st.data())

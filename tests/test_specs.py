@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlearn.cantor import BadWordError, BitSource
+from cantorlearn.cantor import BadWordError, BitSource, ClosedClass
 from cantorlearn.measures import (
     PRNG_NAME,
     Interval,
@@ -31,6 +31,8 @@ from cantorlearn.programs import (
     EnumeratedMeasureEntry,
     Entry,
     ExactMeasureEntry,
+    InverseLiftEntry,
+    ParamLiftEntry,
     ProgramTable,
     RealEntry,
     StubEntry,
@@ -39,6 +41,7 @@ from cantorlearn.programs import (
     table_from_manifest,
 )
 from cantorlearn.randomness import ComplexityEstimator
+from test_programs import FbMap
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -274,6 +277,13 @@ class TestBadInputs:
                 lambda: from_spec({"entry": "exact-measure", "measure": {"kind": "uniform"}, "delay": True}),
                 ValueError,
                 id="exact-delay-true-spec",
+            ),
+            pytest.param(lambda: from_spec({"entry": "alias", "base": True}), ValueError, id="alias-base-true-spec"),
+            pytest.param(lambda: AliasEntry(1.5), ValueError, id="alias-base-float"),
+            pytest.param(lambda: base_table().bernoulli_lift(True), ValueError, id="bernoulli-lift-true"),
+            pytest.param(lambda: ParamLiftEntry(FbMap(), 1.5), ValueError, id="param-lift-float"),
+            pytest.param(
+                lambda: InverseLiftEntry(FbMap(), ClosedClass.hat_image(), True), ValueError, id="inverse-lift-bool"
             ),
             pytest.param(lambda: BitSource.periodic(""), BadWordError, id="empty-cycle"),
             pytest.param(lambda: BitSource.rational(F(3, 2)), ValueError, id="rational-3/2"),
