@@ -122,10 +122,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x) -> bool:
         xn, xd = Fraction(x).as_integer_ratio()
         lo, hi = xn * self._ld - self._ln * xd, self._hn * xd - xn * self._hd  # signs of x - lo, hi - x
@@ -163,10 +159,10 @@ _UNIT = Interval(ZERO, ONE)
 class MeasureView:
     """What a ball checks membership against: stage-bounded value knowledge.
 
-    ``param_interval`` reports a Bernoulli parameter interval when the viewed
-    measure is known to be a product measure, enabling per-level checks.
-    ``screen(stage)`` is the non-unit knowledge of the words of levels 1 to 3,
-    as (zeros, ones, knowledge), read through ``knowledge``; a view may keep it.
+    ``knowledge(word, stage)`` is the word's value interval at the stage (the
+    shared ``Interval.unit()``, where nothing is revealed, saves a ball its
+    image); ``param_interval`` reports a Bernoulli parameter interval when the
+    viewed measure is known to be a product measure.  A view may keep answers.
     """
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
@@ -174,9 +170,6 @@ class MeasureView:
 
     def param_interval(self, stage: int) -> Optional[Interval]:
         return None
-
-    def screen(self, stage: int) -> tuple[tuple[int, int, Interval], ...]:
-        return tuple((a, b, iv) for w, a, b in _SCREEN_WORDS if (iv := self.knowledge(w, stage)) != _UNIT)
 
 
 class Measure(MeasureView):
@@ -352,8 +345,8 @@ class MeasureBall:
     mass of a word over the ball, and ``contains``.
 
     ``contains(view, stage)`` reads the view only through ``knowledge(word,
-    stage)``, ``param_interval(stage)`` and ``screen(stage)``, passing on the
-    stage it was given, and its verdict is a function of the answers alone: a
+    stage)`` and ``param_interval(stage)``, passing on the stage it was given,
+    and its verdict is a function of the answers it read, in a fixed order: a
     view that gives the same answers under another stage argument gets the same
     verdict (the inverse lift's records with an UNKNOWN rest on this).  Yes/no
     verdicts are stable as the stage grows, since the knowledge they read only
@@ -445,7 +438,7 @@ def ball(constraints: Iterable[tuple[Bits, Interval]]) -> ExplicitBall:
     return ExplicitBall(tuple((check_bits(w), iv) for w, iv in constraints))
 
 
-# the words of levels 1 to 3 that a view's screen reads, in level order, each with its zero and one counts
+# the words of levels 1 to 3 a Bernoulli ball reads from a parameterless view, in level order, with 0 and 1 counts
 _SCREEN_WORDS = tuple((w, w.count("0"), n - w.count("0")) for n in (1, 2, 3) for w in _words(n))
 
 
@@ -567,24 +560,23 @@ class BernoulliCylinderBall(MeasureBall):
             if self.param.contains_interval(p):
                 return Verdict.YES
             return Verdict.UNKNOWN
-        # generic fallback: the view's screen of levels 1 to 3, to depth min(level, 3); sound, but YES
-        # only to level 3. A word it leaves out has unit knowledge, which no image misses and only an
-        # image of [0,1] contains: a one-letter word's under the parameter [0,1], never a mixed word's
-        # (its sup is below 1). So YES needs every other word screened: of the 2^(depth+1) - 2 words of
-        # levels 1 to depth, 2 * depth are one-letter
+        # no parameter: each word of levels 1 to min(level, 3) against its image, in level order; sound,
+        # but YES only to level 3. Unit knowledge (the shared instance) needs no image: no image misses
+        # it, and only an image of all of [0,1] contains it, a one-letter word's under the parameter
+        # [0,1], never a mixed word's (its sup is below 1)
         unit_param = self.param._ln == 0 and self.param._hn == self.param._hd
-        depth, screened = min(self.level, 3), 0
         verdict = Verdict.YES if self.level <= 3 else Verdict.UNKNOWN
-        for zeros, ones, known in view.screen(stage):  # in level order
-            if zeros + ones > depth:
+        for word, zeros, ones in _SCREEN_WORDS:
+            if zeros + ones > self.level:
                 break
-            img = bernoulli_image(self.param, zeros, ones)
-            if img.disjoint(known):
+            if (known := view.knowledge(word, stage)) is _UNIT:
+                if not unit_param or zeros * ones:
+                    verdict = Verdict.UNKNOWN
+            elif (img := bernoulli_image(self.param, zeros, ones)).disjoint(known):
                 return Verdict.NO
-            if not img.contains_interval(known):
+            elif not img.contains_interval(known):
                 verdict = Verdict.UNKNOWN
-            screened += not unit_param or zeros * ones > 0
-        return verdict if screened == (2 << depth) - 2 - 2 * depth * unit_param else Verdict.UNKNOWN
+        return verdict
 
 
 class InterleaveCylinderBall(MeasureBall):

@@ -316,7 +316,7 @@ class InverseLiftEntry(Entry):
     INVERSE_DEPTH_CAP).  A candidate survives while the domain does not forbid
     it at the stage and its star ball is not provably disjoint from the
     measure's stage knowledge (verdict NO), read through one view, so that the
-    screen of the balls is read once per stage.  The search stops at that
+    balls read each word's knowledge once per stage.  The search stops at that
     depth, at more than INVERSE_FRONTIER_CAP survivors on one level, when no
     candidate survives, or at once when "" is forbidden; it emits the common
     prefix of the last full level's survivors, and ``stop_reason`` names the
@@ -461,13 +461,15 @@ class ProgramTable:
 
     def __init__(self, entries: Optional[list[Entry]] = None, flip_schedules: Optional[dict[int, int]] = None):
         self.entries = [] if entries is None else entries
+        if len(self.entries) > PAD_BASE:
+            raise OverflowError(f"{len(self.entries)} entries reach into the padding index space")
         self.flip_schedules = {} if flip_schedules is None else flip_schedules  # index -> horizon
 
     def __repr__(self) -> str:
         return f"ProgramTable({self.manifest()!r})"
 
     def add(self, entry: Entry) -> int:
-        if len(self.entries) + 1 >= PAD_BASE:
+        if len(self.entries) >= PAD_BASE:
             raise OverflowError("registry grew into the padding index space")
         self.entries.append(entry)
         return len(self.entries) - 1
@@ -523,10 +525,13 @@ class ProgramTable:
         return self.entry(e).knowledge(self, word, stage)
 
     def prefix_sup_bits(self, e: int, x: Bits, stage: int) -> Iterator:
-        """ceil(-log2) of the sup of entry e's stage knowledge on "" and each
-        prefix of x, x checked once; see ``Entry.prefix_sup_bits``."""
+        """ceil(-log2) of the sup of measure entry e's stage knowledge on "" and
+        each prefix of x, x checked once; see ``Entry.prefix_sup_bits``."""
         check_bits(x)
-        return self.entry(e).prefix_sup_bits(self, x, stage)
+        entry = self.entry(e)
+        if entry.kind != "measure":
+            raise WrongKindError(f"entry {e} is not a measure")
+        return entry.prefix_sup_bits(self, x, stage)
 
     def eval_real(self, e: int, j: int, stage: int) -> Optional[int]:
         """Bit j of real e: bit j of ``real_prefix(e, j + 1, stage)``, None where
@@ -591,7 +596,6 @@ class ProgramTable:
         if self.resolve(e1) == self.resolve(e2):
             return Verdict.YES
         tol_w = Fraction(1, 1 << (depth + 2))
-        tol_mid = Fraction(1, 1 << (depth + 1))
         all_tight = True
         for n in range(depth + 1):
             for w in _words(n):
@@ -600,8 +604,6 @@ class ProgramTable:
                 if i1.disjoint(i2):
                     return Verdict.NO
                 if i1.width > tol_w or i2.width > tol_w:
-                    all_tight = False
-                elif abs(i1.midpoint - i2.midpoint) > tol_mid:
                     all_tight = False
         return Verdict.YES if all_tight else Verdict.UNKNOWN
 
@@ -622,18 +624,17 @@ class EntryView(MeasureView):
     """Adapter exposing a table entry's stage knowledge to ball membership checks.
 
     A view resolves its index once, when it is built, and evaluates each (word,
-    stage) knowledge, each stage's parameter interval and blankness (whether the
-    entry reveals nothing) and each stage's screen once, keeping the answers while
-    it lives; ``ProgramTable.view`` returns a fresh view on every call.  The kept
-    answers are the view's read log: an inverse-lift search asks one view at one stage,
-    and ``replays`` tells whether a later view gives every answer a logged one gave."""
+    stage) knowledge and each stage's parameter interval and blankness (whether
+    the entry reveals nothing) once, keeping the answers, its read log, while it
+    lives; ``ProgramTable.view`` returns a fresh view on every call.  An inverse-lift
+    search asks one view at one stage, and ``replays`` tells whether a later view
+    gives every answer a logged one gave."""
 
     def __init__(self, table: ProgramTable, index: int):
         self.table = table
         self.index = table.resolve(index)
         self._known: dict[tuple[Bits, int], Interval] = {}
         self._facts: dict[int, tuple[Optional[Interval], bool]] = {}
-        self._screens: dict[int, tuple] = {}
 
     def knowledge(self, word: Bits, stage: int) -> Interval:
         known = self._known.get((word, stage))
@@ -653,11 +654,6 @@ class EntryView(MeasureView):
 
     def reveals_nothing(self, stage: int) -> bool:
         return self._stage_facts(stage)[1]
-
-    def screen(self, stage: int) -> tuple[tuple[int, int, Interval], ...]:
-        if stage not in self._screens:
-            self._screens[stage] = super().screen(stage)
-        return self._screens[stage]
 
     def replays(self, log: "EntryView", stage: int) -> bool:
         """Whether this view, asked at this stage, gives every answer the log

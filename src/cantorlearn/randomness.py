@@ -589,12 +589,13 @@ def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     The walk reads the estimate only where its floor leaves that open, and
     stops at the first deficiency above c; the answer is
     ``all(d <= c for d in prefix_deficiencies(...))`` exactly, False for a
-    NaN c too, which no comparison passes, before any walk starts."""
+    NaN c too, which no comparison passes, once e is known to be a measure."""
     check_bits(x)
+    stage = max(1, len(x))
+    sups = table.prefix_sup_bits(e, x, stage)
     if not c < INFINITE_DEFICIENCY:  # every prefix passes an infinite c, none a NaN
         return c == INFINITE_DEFICIENCY
-    stage = max(1, len(x))
-    return _largest_read(est, x, table.prefix_sup_bits(e, x, stage), stage, c, c) <= c
+    return _largest_read(est, x, sups, stage, c, c) <= c
 
 
 def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):

@@ -225,7 +225,7 @@ class TestBernoulliScreen:
     @settings(PROPERTY, max_examples=100)
     @given(intervals(), st.integers(0, 5), screened_entries(), st.integers(0, 4), st.integers(0, 4))
     def test_matches_full_screen_through_views(self, param, level, table_entry, stage, other):
-        # one view asked at two stages, and again at the first, keeps one screen per stage
+        # one view asked at two stages, and again at the first, answers each from its memo
         t, e = table_entry
         ball = BernoulliCylinderBall(param, level)
         view = t.view(e)

@@ -286,6 +286,16 @@ class TestPadding:
         for j in range(5):
             assert t.pad(0, j) >= PAD_BASE > len(t)
 
+    def test_registry_fills_every_index_below_the_padding(self):
+        t = ProgramTable([StubEntry("real")] * (PAD_BASE - 1))  # a list of references: cheap
+        assert t.add(StubEntry("real")) == PAD_BASE - 1 == t.resolve(PAD_BASE - 1)
+        with pytest.raises(OverflowError):
+            t.add(StubEntry("real"))
+
+    def test_constructor_rejects_entries_in_the_padding(self):
+        with pytest.raises(OverflowError):
+            ProgramTable([StubEntry("real")] * (PAD_BASE + 1))
+
     def test_alias_evaluates_like_base(self):
         t = basic_table()
         rng = random.Random(0)
@@ -321,7 +331,7 @@ class TestPadding:
 
 def late_measures():
     """Adders of measure entries for inverse lifts: the hat lifts' parameter narrows at every
-    stage, the delayed interleave measures (whose FbMap balls take the generic screen) reveal words
+    stage, the delayed interleave measures (which FbMap balls read word by word) reveal words
     as the stage grows, the enumerated one reveals "0" at stage 9 and "11" at stage 20, and the stub
     and bernoulli(2/5) give FbMap balls the same answers at every stage."""
 
@@ -607,18 +617,19 @@ class TestLifts:
         # past the depth cap the stop no longer moves, so the stage-64 answer holds
         assert self.reuse_case({}, (64, 200))[1] == (third, 0)
 
-    def test_first_stall_reads_each_screen_once(self, monkeypatch):
-        # past level 3 a ball reads the view's screen, kept per stage; reading its 14 words in
-        # every ball took 35230 knowledge calls for these 2557 candidates. Over the stub, which
-        # reveals nothing, the stall builds no ball and reads no knowledge
+    def test_first_stall_evaluates_each_word_once(self, monkeypatch):
+        # the balls read the parameterless view word by word, 35230 reads for these 2557 candidates,
+        # and the view's (word, stage) memo evaluates each word once: the table's evaluations (memo
+        # misses) stay fewer than the balls. Over the stub, which reveals nothing, the stall builds
+        # no ball and reads no knowledge
         calls = [0]
-        knowledge = EntryView.knowledge
+        eval_measure = ProgramTable.eval_measure
 
-        def counting_knowledge(self, word, stage):
+        def counting_eval(self, e, word, stage):
             calls[0] += 1
-            return knowledge(self, word, stage)
+            return eval_measure(self, e, word, stage)
 
-        monkeypatch.setattr(EntryView, "knowledge", counting_knowledge)
+        monkeypatch.setattr(ProgramTable, "eval_measure", counting_eval)
         for add, balls in ((stub, 0), (wide, 2557)):
             calls[0] = 0
             f = CountingMap()
@@ -628,11 +639,11 @@ class TestLifts:
             assert f.built == balls
             assert calls[0] < f.built or calls[0] == f.built == 0
 
-    def test_screened_unknowns_are_dropped_once_the_screen_narrows(self):
-        # every ball is past level 3, so the search reads the measure only through its screen, and
-        # "0" is pinned to 1/3 at stage 11; the stage-10 search stops at the frontier cap after
-        # meeting 513 UNKNOWNs at depth 10; its stop would hold at stage 11 if they replayed, and
-        # they do not
+    def test_unknowns_are_dropped_once_the_first_words_narrow(self):
+        # every ball is past level 3, so the search reads the measure only on the words of levels 1
+        # to 3, and "0" is pinned to 1/3 at stage 11; the stage-10 search stops at the frontier cap
+        # after meeting 513 UNKNOWNs at depth 10; its stop would hold at stage 11 if they replayed,
+        # and they do not
         class DeepMap(FbMap):
             def star(self, word):
                 return BernoulliCylinderBall(super().star(word).param, 4)

@@ -743,6 +743,15 @@ class TestRandomVerdict:
         t = table_with(bernoulli(F(1, 3)))
         assert random_verdict(t, EST, 0, "0" * 64, INFINITE_DEFICIENCY)
 
+    @pytest.mark.parametrize("c", [INFINITE_DEFICIENCY, math.nan])
+    @pytest.mark.parametrize("e, error", [(99, IndexError), (1, programs.WrongKindError)])
+    def test_unbounded_threshold_reads_the_index_first(self, e, error, c):
+        # an infinite or NaN c answers with no walk, yet only for an index that names a measure
+        t = table_with(bernoulli(F(1, 3)))
+        t.add(RealEntry(BitSource.rational(F(1, 3))))
+        with pytest.raises(error):
+            random_verdict(t, EST, e, "0110", c)
+
     def test_constant_stream_fails_uniform(self):
         t = table_with(uniform())
         assert not random_verdict(t, EST, 0, "0" * 2048, 32)
