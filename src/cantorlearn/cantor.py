@@ -9,6 +9,7 @@ length -> prefix function with a JSON-able spec that carries its kind.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -170,17 +171,17 @@ class BitSource:
 class ClosedClass:
     """An effectively closed subset of Cantor space as a co-enumerated forbidden-prefix set.
 
-    ``forbid_time(prefix)`` returns the stage at which the prefix is revealed to
-    be forbidden, or None if it never is.  A word is alive at stage s iff no
-    prefix of it has been revealed by stage s; liveness is antitone in s by
-    construction.  Classes compare and hash by name.
+    ``forbid_time(prefix)`` defines the class: the stage at which the prefix is
+    revealed to be forbidden, or None if it never is.  A word is alive at stage s
+    iff no prefix of it has been revealed by stage s; liveness is antitone in s by
+    construction.  ``extend`` reads one search level.  Classes compare and hash by name.
     """
 
     def __init__(self, name: str, forbid_time: Callable[[Bits], Optional[int]]):
         self.name, self.forbid_time = name, forbid_time
 
     def __eq__(self, other):
-        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+        return self.name == other.name if isinstance(other, ClosedClass) else NotImplemented
 
     def __hash__(self):
         return hash(self.name)
@@ -193,6 +194,20 @@ class ClosedClass:
     def alive(self, word: Bits, stage: int) -> bool:
         check_bits(word)
         return not any(self.forbidden(word[:k], stage) for k in range(len(word) + 1))
+
+    def extend(self, frontier: list[Bits], stage: int, limit: float = math.inf) -> tuple[list[Bits], float]:
+        """The one-bit extensions of the frontier's words (w + "0" before w + "1") that the
+        stage does not reveal forbidden, stopping after limit + 1 of them, and the least
+        forbid time above the stage among the extensions met (inf if there is none)."""
+        out, soonest = [], math.inf
+        for cand in (w + ch for w in frontier for ch in "01"):
+            t = self.forbid_time(cand)
+            if t is None or t > stage:
+                out.append(cand)
+                soonest = soonest if t is None else min(soonest, t)
+                if len(out) > limit:
+                    break
+        return out, soonest
 
     @classmethod
     def full(cls) -> "ClosedClass":
@@ -210,7 +225,7 @@ class ClosedClass:
                 return 0
             return None
 
-        return cls(name="hat-image", forbid_time=forbid_time)
+        return _HatImage(name="hat-image", forbid_time=forbid_time)
 
     @classmethod
     def from_stage_sets(cls, stage_sets: dict[int, set[Bits]]) -> "ClosedClass":
@@ -225,3 +240,19 @@ class ClosedClass:
                 first.setdefault(w, s)
         name = "explicit" + json.dumps(dict(sorted(first.items())), separators=(",", ":"))
         return cls(name=name, forbid_time=lambda w: first.get(w))
+
+
+class _HatImage(ClosedClass):
+    """The hat image, whose levels follow its block rule with no ``forbid_time`` read: a level's
+    words share one length, one of odd length closes a block, so it keeps only the bit other than
+    its last, and one of even length keeps both.  Every forbid time is 0, so below stage 0 the
+    generic read runs, and from 0 on none lies above the stage."""
+
+    def extend(self, frontier, stage, limit=math.inf):
+        if stage < 0:
+            return super().extend(frontier, stage, limit)
+        if frontier and len(frontier[0]) % 2:
+            out = [w + "01"[w[-1] == "0"] for w in frontier]
+        else:
+            out = [w + ch for w in frontier for ch in "01"]
+        return (out if len(out) <= limit else out[: int(limit) + 1]), math.inf

@@ -313,15 +313,16 @@ class InverseLiftEntry(Entry):
     candidates not yet pruned against a measure entry's knowledge.
 
     The search walks candidates level by level from "", to depth min(stage,
-    INVERSE_DEPTH_CAP).  A candidate survives while the domain does not forbid
-    it at the stage and its star ball is not provably disjoint from the
-    measure's stage knowledge (verdict NO), read through one view, so that the
-    balls read each word's knowledge once per stage.  The search stops at that
-    depth, at more than INVERSE_FRONTIER_CAP survivors on one level, when no
-    candidate survives, or at once when "" is forbidden; it emits the common
-    prefix of the last full level's survivors, and ``stop_reason`` names the
-    stop.  Both are kept for the latest stage asked only.  A domain that
-    reveals a forbidden prefix late can empty a level and so retract bits.
+    INVERSE_DEPTH_CAP), each level one domain read (``ClosedClass.extend``).
+    A candidate survives while the domain does not forbid it at the stage and
+    its star ball is not provably disjoint from the measure's stage knowledge
+    (verdict NO), read through one view, so that the balls read each word's
+    knowledge once per stage.  The search stops at that depth, at more than
+    INVERSE_FRONTIER_CAP survivors on one level, when no candidate survives,
+    or at once when "" is forbidden; it emits the common prefix of the last
+    full level's survivors, and ``stop_reason`` names the stop.  Both are kept
+    for the latest stage asked only.  A domain that reveals a forbidden prefix
+    late can empty a level and so retract bits.
 
     A walk keeps, for each completed level and for its stop, the survivors
     (for the stop, its answer) and two running values over every candidate met
@@ -338,8 +339,8 @@ class InverseLiftEntry(Entry):
     as a fresh search would, taking YES and NO from the last walk's verdicts;
     a search below that stage walks from "".
 
-    Over a view that reveals nothing at its stage (``EntryView.reveals_nothing``) a search
-    builds no ball and judges each candidate by the domain and the caps alone, as UNKNOWN.
+    Over a view that reveals nothing at its stage (``EntryView.reveals_nothing``) a search builds
+    no ball and takes each level whole from the domain's read, up to the frontier cap, as UNKNOWNs.
     It is exact: the search prunes only on NO, which needs revealed knowledge excluding the
     ball (``MeasureBall.contains``); YES and UNKNOWN keep a candidate alike, and recording
     each as UNKNOWN, with no YES or NO in the memo, is the conservative record; blankness
@@ -385,30 +386,28 @@ class InverseLiftEntry(Entry):
             if answer[1] != "depth" or cap < n - 1:
                 return answer
             n -= 1
-        star, forbid_time = self.param_map.star, self.domain.forbid_time
         NO, UNKNOWN, blank = Verdict.NO, Verdict.UNKNOWN, view.reveals_nothing(stage)
+        star, extend, limit = self.param_map.star, self.domain.extend, INVERSE_FRONTIER_CAP if blank else math.inf
         memo = self._memo if later else {}
         self._stage, self._log, self._memo, self._records = stage, view, (verdicts := {}), records
         del records[n:]
         if records:
             frontier, forbid_next, unknowns = records[-1]
         else:
-            t = forbid_time("")
+            t = self.domain.forbid_time("")
             if t is not None and t <= stage:
                 return self._keep("", "dead-domain", False, math.inf)
             frontier, forbid_next, unknowns = [""], math.inf if t is None else t, False
             records.append((frontier, forbid_next, unknowns))
         for _ in range(len(records), cap + 1):
-            nxt: list[Bits] = []
-            for w in frontier:
-                for ch in "01":
-                    cand = w + ch
-                    t = forbid_time(cand)
-                    if t is not None:
-                        if t <= stage:
-                            continue
-                        forbid_next = min(forbid_next, t)
-                    verdict = UNKNOWN if blank else memo.get(cand) or star(cand).contains(view, stage)
+            cands, t = extend(frontier, stage, limit)
+            forbid_next = t if t < forbid_next else forbid_next
+            if blank:  # every candidate the domain leaves is UNKNOWN
+                nxt, unknowns = cands, unknowns or bool(cands)
+            else:
+                nxt = []
+                for cand in cands:
+                    verdict = memo.get(cand) or star(cand).contains(view, stage)
                     if verdict is UNKNOWN:
                         unknowns = True
                     else:
@@ -417,9 +416,10 @@ class InverseLiftEntry(Entry):
                             continue
                     nxt.append(cand)
                     if len(nxt) > INVERSE_FRONTIER_CAP:
-                        return self._keep(os.path.commonprefix(frontier), "frontier-cap", unknowns, forbid_next)
-            if not nxt:
-                return self._keep(os.path.commonprefix(frontier), "no-survivors", unknowns, forbid_next)
+                        break
+            if not nxt or len(nxt) > INVERSE_FRONTIER_CAP:
+                reason = "frontier-cap" if nxt else "no-survivors"
+                return self._keep(os.path.commonprefix(frontier), reason, unknowns, forbid_next)
             frontier = nxt
             records.append((frontier, forbid_next, unknowns))
         # character-wise, so exact on words
@@ -478,6 +478,8 @@ class ProgramTable:
 
     def pad(self, i: int, j: int) -> int:
         """Alias index for (i, j): same object as i, strictly increasing in j."""
+        if type(i) is not int or type(j) is not int:
+            raise TypeError(f"pad arguments must be ints, got {i!r}, {j!r}")
         if i < 0 or j < 0:
             raise IndexError("pad arguments must be nonnegative")
         z = (i + j) * (i + j + 1) // 2 + i
@@ -491,7 +493,7 @@ class ProgramTable:
         """
         seen = None
         while True:
-            if e >= PAD_BASE:
+            if type(e) is int and e >= PAD_BASE:
                 z = e - PAD_BASE
                 # largest w with w(w+1)/2 <= z, exactly: (2w+1)^2 <= 8z+1
                 w = (math.isqrt(8 * z + 1) - 1) // 2
@@ -508,6 +510,8 @@ class ProgramTable:
             e = entry.base
 
     def entry_raw(self, e: int) -> Entry:
+        if type(e) is not int:  # a bool would pass as 0 or 1
+            raise TypeError(f"entry index must be an int, got {e!r}")
         if not 0 <= e < len(self.entries):
             raise IndexError(f"index {e} not in table")
         return self.entries[e]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -236,6 +237,33 @@ class TestBitSource:
         assert len(s._held) <= 2 * max(3, i + 1)
 
 
+def extend_ref(domain, frontier, stage, limit):
+    """A level read one candidate at a time: each one-bit extension in order until more than limit
+    are kept, kept unless the stage reveals it forbidden; and the least forbid time above the stage
+    among those read (inf if none)."""
+    kept, soonest = [], math.inf
+    for cand in (w + ch for w in frontier for ch in "01"):
+        if len(kept) > limit:
+            break
+        t = domain.forbid_time(cand)
+        if t is None or t > stage:
+            kept.append(cand)
+        if t is not None and t > stage:
+            soonest = min(soonest, t)
+    return kept, soonest
+
+
+@st.composite
+def stage_set_levels(draw):
+    """An explicit class forbidding words of up to 4 bits at stages 0 to 6, a frontier of distinct
+    words of up to 3 bits, a stage from -1 to 7 and a limit up to 10 (up to 3 more often) or inf."""
+    words = st.text("01", max_size=4)
+    sets = draw(st.dictionaries(st.integers(0, 6), st.sets(words, max_size=5), max_size=4))
+    frontier = draw(st.lists(st.text("01", max_size=3), unique=True, max_size=6))
+    limit = draw(st.one_of(st.integers(0, 10), st.just(math.inf), st.integers(0, 3)))
+    return ClosedClass.from_stage_sets(sets), frontier, draw(st.integers(-1, 7)), limit
+
+
 class TestClosedClass:
     def test_full_space(self):
         d = ClosedClass.full()
@@ -247,6 +275,28 @@ class TestClosedClass:
         assert not d.alive("11", 0)
         assert d.alive("011", 5)
         assert not d.alive("0100", 5)
+
+    def test_hat_image_levels_follow_its_forbid_rule(self):
+        # every level of alive hat words up to length 12, built as a search builds it: the block
+        # rule reads what the generic read of the same forbid_time reads, list and least forbid time
+        hat = ClosedClass.hat_image()
+        generic = ClosedClass("hat-image", hat.forbid_time)
+        assert type(generic) is ClosedClass and type(hat) is not ClosedClass
+        level, sizes = [""], []
+        for _ in range(12):
+            for stage in (-1, 0, 1, 5):
+                for limit in (0, 1, 2, 7, math.inf):
+                    assert hat.extend(level, stage, limit) == generic.extend(level, stage, limit)
+            level = generic.extend(level, 0)[0]
+            sizes.append(len(level))
+        assert sizes == [2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 64, 64]
+        assert hat.extend(level, 5) == ([w + ch for w in level for ch in "01"], math.inf)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(stage_set_levels())
+    def test_the_level_read_is_the_per_candidate_read(self, case):
+        domain, frontier, stage, limit = case
+        assert domain.extend(frontier, stage, limit) == extend_ref(domain, frontier, stage, limit)
 
     def test_stage_semantics(self):
         d = ClosedClass.from_stage_sets({3: {"0"}})

@@ -173,6 +173,10 @@ class TestValueEquality:
         stages = {0: {"00"}, 2: {"1"}}
         assert ClosedClass.from_stage_sets(stages) == ClosedClass.from_stage_sets(dict(stages))
         assert len({ClosedClass.full(), full, ClosedClass.hat_image()}) == 2
+        # the hat image reads its levels by its own rule, yet it is the class its name says
+        hat = ClosedClass("hat-image", ClosedClass.hat_image().forbid_time)
+        assert hat == ClosedClass.hat_image() and ClosedClass.hat_image() == hat
+        assert hash(hat) == hash(ClosedClass.hat_image()) and len({hat, ClosedClass.hat_image()}) == 1
 
     def test_balls_compare_and_hash_by_their_field(self):
         a, b = ball([("0", HALF)]), ExplicitBall((("0", HALF),))

@@ -352,6 +352,39 @@ def late_measures():
     ]
 
 
+class TestIndexTypes:
+    """A table's reads take an entry index only as an int: a bool would read as entry 0 or 1, and a
+    float would reach the list lookup. An int out of range still raises IndexError."""
+
+    READS = {
+        "eval_measure": lambda t, e: t.eval_measure(e, "0", 1),
+        "real_prefix": lambda t, e: t.real_prefix(e, 4, 4),
+        "resolve": lambda t, e: t.resolve(e),
+        "view": lambda t, e: t.view(e),
+        "pad-first": lambda t, e: t.pad(e, 0),
+        "pad-second": lambda t, e: t.pad(0, e),
+    }
+
+    @staticmethod
+    def table():
+        entries = [ExactMeasureEntry(uniform()), ExactMeasureEntry(bernoulli(F(1, 3)))]
+        return ProgramTable(entries + [RealEntry(BitSource.rational(F(1, 3)))])
+
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("read", list(READS.values()), ids=list(READS))
+    def test_a_non_int_index_raises_type_error(self, read, bad):
+        with pytest.raises(TypeError, match=f"must be (an int|ints), got .*{bad!r}") as caught:
+            read(self.table(), bad)
+        assert caught.type is TypeError
+
+    def test_an_int_out_of_range_keeps_its_index_error(self):
+        t = self.table()
+        for read in (lambda: t.resolve(3), lambda: t.eval_measure(-1, "0", 1), lambda: t.pad(0, -1)):
+            with pytest.raises(IndexError):
+                read()
+        assert t.eval_measure(1, "0", 1) == Interval.exact(F(1, 3)) and t.resolve(t.pad(2, 1)) == 2
+
+
 class TestLifts:
     def test_bernoulli_lift_converges(self):
         t = basic_table()
@@ -532,8 +565,10 @@ class TestLifts:
         # past depth 2 the candidates stay UNKNOWN, the knowledge never changes, and the hat image
         # forbids each word from stage 0 or never, so the stage-64 walk's frontier-cap stop holds and
         # the later stalls take its answer: they build no ball and read no forbid_time. The stub
-        # reveals nothing, so its walk builds no ball at all; its twin keeps the ball path pinned
-        for add, balls in ((stub, 0), (wide, 2557)):
+        # reveals nothing, so its walk builds no ball at all; its twin keeps the ball path pinned.
+        # The counting domain takes the generic level read: the stub's walk reads each capped level
+        # up to its cap, the twin's reads that level whole before its balls are judged (3580 before)
+        for add, balls, read in ((stub, 0, 3580), (wide, 2557, 4091)):
             f = CountingMap()
             counting, reads = counting_domain(ClosedClass.hat_image())
             t = ProgramTable()
@@ -544,7 +579,7 @@ class TestLifts:
                 assert t.entry(stalled).stop_reason(t, s) == "frontier-cap"
                 assert len(t.entry(stalled)._memo) <= self.RECORD_BOUND
                 counts.append((f.built, len(reads)))
-            assert counts == [(balls, 3580)] * 3
+            assert counts == [(balls, read)] * 3
 
     def test_rising_sweep_walks_on_from_the_deepest_holding_level(self):
         # the param lift narrows at every stage, so only the levels with no UNKNOWN hold; below the
@@ -565,11 +600,12 @@ class TestLifts:
         # the UNKNOWNs replay, so each "depth" stop's last level holds and the next walk goes on from
         # it, asking replays once (re-walking from level 2 with recorded UNKNOWNs built the same balls
         # but read 379/1525/3574/0 words). The stage-20 walk stops at the frontier cap, so the
-        # stage-64 search takes its answer. The stub reveals nothing, so its walks build no ball
+        # stage-64 search takes its answer. The stub reveals nothing, so its walks build no ball; its
+        # stage-20 walk reads its capped level up to the cap, the twin's reads it whole (2049 before)
         replays = []
         replay = EntryView.replays
         monkeypatch.setattr(EntryView, "replays", lambda self, log, s: replays.append(s) or replay(self, log, s))
-        for add, balls in ((stub, (0, 0, 0)), (wide, (252, 768, 1537))):
+        for add, balls, capped in ((stub, (0, 0, 0), 2049), (wide, (252, 768, 1537), 2560)):
             f = CountingMap()
             counting, reads = counting_domain(ClosedClass.hat_image())
             t = ProgramTable()
@@ -579,7 +615,7 @@ class TestLifts:
                 built, read, asked = f.built, len(reads), len(replays)
                 assert t.eval_real(stalled, 0, s) is None
                 counts.append((f.built - built, len(reads) - read, len(replays) - asked))
-            assert counts == [(balls[0], 379, 0), (balls[1], 1152, 1), (balls[2], 2049, 1), (0, 0, 1)]
+            assert counts == [(balls[0], 379, 0), (balls[1], 1152, 1), (balls[2], capped, 1), (0, 0, 1)]
             assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
 
     # each condition under which a search walks again instead of taking the last walk's answer
@@ -1239,6 +1275,19 @@ class TestBlankSearches:
         for s in stages:
             got = (t.real_prefix(e, INVERSE_DEPTH_CAP, s), t.entry(e).stop_reason(t, s))
             assert got == reference_walk(FbMap(), domain, t.view(m), s)
+
+    def test_the_hat_image_level_rule_gives_the_generic_search(self):
+        # a stub's stall over the hat image, which reads its levels by its block rule, and over the
+        # same forbid_time read per candidate: each lift sits in a table of its own, since a table
+        # keeps one lift per spec and both domains are named "hat-image"
+        hat = ClosedClass.hat_image()
+        lifts = []
+        for domain in (hat, ClosedClass("hat-image", hat.forbid_time)):
+            t = ProgramTable()
+            lifts.append((t, t.inverse_lift(FbMap(), domain, stub(t))))
+        for s in (20, 64, 511):
+            a, b = [(t.real_prefix(e, 64, s), t.entry(e).stop_reason(t, s), t.entry(e)._records) for t, e in lifts]
+            assert a == b and a[1] == "frontier-cap"
 
     def test_a_lapsed_blank_search_walks_with_balls(self):
         # the interleave measure is hidden below stage 10: the stage-8 and stage-9 searches build no
