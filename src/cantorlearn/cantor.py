@@ -38,6 +38,13 @@ def check_bits(word: str) -> Bits:
     return word
 
 
+def _nonneg_int(name: str, value) -> int:
+    """A delay, stage, seed, length or entry index, checked by type too: a bool or float would enter a spec."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be {'>= 0' if type(value) is int else 'an int >= 0'}, got {value!r}")
+    return value
+
+
 def interleave(z: Bits, y: Bits) -> Bits:
     """Join two words, z on even (0-indexed) positions and y on odd ones.
 

@@ -18,7 +18,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cantor import BitSource, Bits, EndOfWordError, check_bits
+from .cantor import BitSource, Bits, EndOfWordError, _nonneg_int, check_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -316,7 +316,7 @@ def enumerated(tuples: Iterable[tuple[Bits, Interval, int]]) -> Measure:
     Its spec stores one row per tuple: ``[w, lo, hi, s]`` for a closed
     interval, with ``lo_open, hi_open`` appended when an end is open.
     """
-    tups = [(check_bits(w), iv, int(s)) for (w, iv, s) in tuples]
+    tups = [(check_bits(w), iv, _nonneg_int("stage", s)) for (w, iv, s) in tuples]
     rows = [
         [w, str(iv.lo), str(iv.hi), s] + ([iv.lo_open, iv.hi_open] if iv.lo_open or iv.hi_open else [])
         for (w, iv, s) in tups
@@ -658,9 +658,8 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
     """
     if (rule := mu.p0) is None:
         raise MalformedMeasureError("sampling needs an exact measure")
-    if n < 0:
-        raise ValueError(f"stream length must be >= 0, got {n}")
-    draw = random.Random(seed).random
+    _nonneg_int("stream length", n)
+    draw = random.Random(_nonneg_int("seed", seed)).random
     cuts: dict[int, tuple] = {}  # id(p0) -> (p0, cut); p0 is held, so its id is not reused
     last = cut = None  # the last value read and its cut
     out: list[str] = []
@@ -677,5 +676,5 @@ def sample_stream(mu: Measure, seed: int, n: int) -> Bits:
 
 def sampled_source(mu: Measure, seed: int) -> BitSource:
     """A BitSource replaying sample_stream(mu, seed), whose one read is a ``sample_stream`` call."""
-    spec = {"kind": "sampled", "measure": mu.spec, "seed": seed, "prng": PRNG_NAME}
+    spec = {"kind": "sampled", "measure": mu.spec, "seed": _nonneg_int("seed", seed), "prng": PRNG_NAME}
     return BitSource(spec, partial(sample_stream, mu, seed))

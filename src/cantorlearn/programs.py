@@ -8,11 +8,12 @@ a limit-computable totality oracle (ground-truth flags with configurable flip
 schedules).  Every evaluation is stage-bounded and monotone: knowledge
 intervals only shrink as the stage grows, defined real bits never change
 (except an inverse lift's, when its domain reveals a forbidden prefix late),
-and disjointness verdicts never retract.  Lifts reuse an earlier stage's work
-only where a fresh evaluation would answer the same, and build no ball where it cannot answer NO.
-Every source, measure and entry has a JSON spec that :func:`from_spec` rebuilds,
-so a manifest reloads to the same ``manifest_hash()``, except for inverse lifts and
-param lifts other than Bernoulli lifts: their specs name a map and a domain only by name.
+and disjointness verdicts never retract.  Lifts reuse work only for the table
+that asked and where a fresh evaluation would answer the same, and build no
+ball where it cannot answer NO.  Every source, measure and entry has a JSON
+spec that :func:`from_spec` rebuilds, so a manifest reloads to the same
+``manifest_hash()``, except for inverse lifts and param lifts other than
+Bernoulli lifts: their specs name a map and a domain only by name.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
 
-from .cantor import BitSource, Bits, ClosedClass, check_bits
+from .cantor import BitSource, Bits, ClosedClass, _nonneg_int, check_bits
 from .measures import (
     ONE,
     PRNG_NAME,
@@ -60,21 +61,6 @@ INVERSE_FRONTIER_CAP = 512
 
 class WrongKindError(TypeError):
     """A real operation was applied to a measure entry or vice versa."""
-
-
-class _StageSlot:
-    """Memo of ``compute(table, stage)`` for the latest stage asked only: bounded,
-    yet queries at one stage, or at rising stages, compute each stage once."""
-
-    def __init__(self, compute: Callable[["ProgramTable", int], object]):
-        self.compute = compute
-        self.stage: Optional[int] = None
-        self.value = None
-
-    def __call__(self, table: "ProgramTable", stage: int):
-        if stage != self.stage:
-            self.value, self.stage = self.compute(table, stage), stage
-        return self.value
 
 
 class Entry:
@@ -123,13 +109,6 @@ class Entry:
         raise WrongKindError(f"{type(self).__name__} is not a real entry")
 
 
-def _nonneg_int(name: str, value) -> int:
-    """A delay, bit position or entry index, checked by type too: a bool or float would enter the spec."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be {'>= 0' if type(value) is int else 'an int >= 0'}, got {value!r}")
-    return value
-
-
 class ExactMeasureEntry(Entry):
     """Total measure generator: reveals exact values on strings of length <= stage - delay."""
 
@@ -164,6 +143,8 @@ class EnumeratedMeasureEntry(Entry):
     """Partial measure given by an explicit stage-tagged tuple enumeration."""
 
     def __init__(self, measure: Measure, total: Optional[bool] = None):
+        if total is not None and type(total) is not bool:
+            raise ValueError(f"total must be None or a bool, got {total!r}")
         self.measure, self.total = measure, total  # an enumerated-kind Measure
 
     def spec(self) -> dict:
@@ -231,7 +212,7 @@ class ParamLiftEntry(Entry):
     """Measure entry whose stage knowledge is the param map's ball at the
     longest defined prefix of a real entry.
 
-    The ball is built once per stage and kept for the latest stage asked only;
+    The ball is kept for the last (table, stage) asked only, stamped with both;
     each stage reads the real's prefix in one ``real_prefix`` call, which an
     inverse lift, or a real entry (one read of its source), answers without
     a per-bit loop.  A ``BernoulliCylinderBall`` gives its images, its
@@ -239,7 +220,12 @@ class ParamLiftEntry(Entry):
 
     def __init__(self, param_map: "ParamMapLike", real_index: int):
         self.param_map, self.real_index = param_map, _nonneg_int("real_index", real_index)
-        self._ball = _StageSlot(self._read_ball)
+        self._at, self._held = None, None  # the (table, stage) whose ball is held, and that ball
+
+    def _ball(self, table: "ProgramTable", stage: int) -> MeasureBall:
+        if self._at != (table, stage):
+            self._held, self._at = self._read_ball(table, stage), (table, stage)
+        return self._held
 
     def spec(self) -> dict:
         return {"entry": "param-lift", "map": self.param_map.name, "real": self.real_index}
@@ -320,24 +306,27 @@ class InverseLiftEntry(Entry):
     knowledge once per stage.  The search stops at that depth, at more than
     INVERSE_FRONTIER_CAP survivors on one level, when no candidate survives,
     or at once when "" is forbidden; it emits the common prefix of the last
-    full level's survivors, and ``stop_reason`` names the stop.  Both are kept
-    for the latest stage asked only.  A domain that reveals a forbidden prefix
-    late can empty a level and so retract bits.
+    full level's survivors, and ``stop_reason`` names the stop.  A domain that
+    reveals a forbidden prefix late can empty a level and so retract bits.
 
     A walk keeps, for each completed level and for its stop, the survivors
     (for the stop, its answer) and two running values over every candidate met
     so far: the least ``forbid_time`` above its stage and whether an UNKNOWN
-    was met.  A record holds at a later stage when that time is above the stage
-    and, after an UNKNOWN, the measure gives every answer the walk's view gave
-    (``EntryView.replays``, asked at most once per search; a walk that goes on
-    takes the replayed reads into its view).  Each candidate met up to a record
-    that holds then has the same outcome: ``forbid_time`` is a function of the
-    word, YES and NO are never retracted, and a verdict is a function of the
-    answers it read.  So a search at the latest walk's stage or later returns
-    the stored answer when the stop's record holds, unless a "depth" stop can
-    now go deeper, and else walks on from the deepest level whose record holds,
-    as a fresh search would, taking YES and NO from the last walk's verdicts;
-    a search below that stage walks from "".
+    was met.  Once a walk returns, the records are stamped with the (table,
+    stage) they last answered, and a read there takes the stop's answer with
+    no view; a walk that raises leaves them unstamped.  A record holds at a
+    later stage when that time is above the stage and, after an UNKNOWN, the
+    measure gives every answer the walk's view gave (``EntryView.replays``,
+    asked at most once per search; a walk that goes on takes the replayed
+    reads into its view).  Each candidate met up to a record that holds then
+    has the same outcome: ``forbid_time`` is a function of the word, YES and
+    NO are never retracted, and a verdict is a function of the answers it
+    read.  So a search of the stamped table (tables compare by identity) at
+    the latest walk's stage or later returns the stored answer when the stop's
+    record holds, unless a "depth" or "ambiguous" stop can now go deeper, and
+    else walks on from the deepest level whose record holds, as a fresh search
+    would, taking YES and NO from the last walk's verdicts; any other search
+    walks from "".
 
     Over a view that reveals nothing at its stage (``EntryView.reveals_nothing``) a search builds
     no ball and takes each level whole from the domain's read, up to the frontier cap, as UNKNOWNs.
@@ -352,10 +341,10 @@ class InverseLiftEntry(Entry):
 
     def __init__(self, param_map: ParamMapLike, domain: ClosedClass, measure_index: int):
         self.param_map, self.domain, self.measure_index = param_map, domain, _nonneg_int("measure_index", measure_index)
-        self._lcp = _StageSlot(self._search)
-        # the latest walk's stage (none yet: above every stage), view, YES/NO verdicts and records:
-        # (survivors, forbid_next, unknowns) per completed level, then ((prefix, reason), forbid_next,
-        # unknowns) for its stop
+        # the stamp, the (table, stage) last answered ((None, None) until a walk returns), and the latest
+        # walk's stage, view, YES/NO verdicts and records: (survivors, forbid_next, unknowns) per completed
+        # level, then ((prefix, reason), forbid_next, unknowns) for its stop
+        self._at: tuple = (None, None)
         self._stage: float = math.inf
         self._log: Optional[EntryView] = None
         self._memo: dict[Bits, Verdict] = {}
@@ -370,9 +359,15 @@ class InverseLiftEntry(Entry):
         }
 
     def _search(self, table: "ProgramTable", stage: int) -> tuple[Bits, str]:
+        if self._at != (table, stage):
+            self._walk(table, stage)
+            self._at = (table, stage)
+        return self._records[-1][0]
+
+    def _walk(self, table: "ProgramTable", stage: int) -> None:
         view = table.view(self.measure_index)
         cap = min(stage, INVERSE_DEPTH_CAP)
-        later = stage >= self._stage
+        later = self._at[0] is table and stage >= self._stage
         records = self._records if later else []
         # the records that hold, a prefix of them: forbid_next only falls and unknowns only rises along them
         n = len(records)
@@ -382,14 +377,14 @@ class InverseLiftEntry(Entry):
             while n and records[n - 1][2]:
                 n -= 1
         if n and n == len(records):
-            answer = records[-1][0]
-            if answer[1] != "depth" or cap < n - 1:
-                return answer
+            if records[-1][0][1] not in ("depth", "ambiguous") or cap < n - 1:
+                return
             n -= 1
         NO, UNKNOWN, blank = Verdict.NO, Verdict.UNKNOWN, view.reveals_nothing(stage)
         star, extend, limit = self.param_map.star, self.domain.extend, INVERSE_FRONTIER_CAP if blank else math.inf
         memo = self._memo if later else {}
-        self._stage, self._log, self._memo, self._records = stage, view, (verdicts := {}), records
+        self._at, self._stage, self._log, self._memo = (None, None), stage, view, (verdicts := {})
+        self._records = records
         del records[n:]
         if records:
             frontier, forbid_next, unknowns = records[-1]
@@ -423,19 +418,20 @@ class InverseLiftEntry(Entry):
             frontier = nxt
             records.append((frontier, forbid_next, unknowns))
         # character-wise, so exact on words
-        return self._keep(os.path.commonprefix(frontier), "depth", unknowns, forbid_next)
+        prefix = os.path.commonprefix(frontier)
+        self._keep(prefix, "depth" if len(prefix) == cap else "ambiguous", unknowns, forbid_next)
 
-    def _keep(self, prefix: Bits, reason: str, unknowns: bool, forbid_next: float) -> tuple[Bits, str]:
+    def _keep(self, prefix: Bits, reason: str, unknowns: bool, forbid_next: float) -> None:
         self._records.append(((prefix, reason), forbid_next, unknowns))
-        return prefix, reason
 
     def stop_reason(self, table: "ProgramTable", stage: int) -> str:
-        """Why the search at this stage stopped: "depth", "frontier-cap",
+        """Why the search at this stage stopped: "depth" (one survivor at the depth),
+        "ambiguous" (survivors at the depth that differ before it), "frontier-cap",
         "no-survivors" or "dead-domain"."""
-        return self._lcp(table, stage)[1]
+        return self._search(table, stage)[1]
 
     def real_prefix(self, table, n, stage):
-        return self._lcp(table, stage)[0][: max(n, 0)]
+        return self._search(table, stage)[0][: max(n, 0)]
 
 
 class AliasEntry(Entry):
@@ -614,10 +610,12 @@ class ProgramTable:
     # -- manifest ----------------------------------------------------------------
 
     def manifest(self) -> dict:
-        return {
-            "entries": [ent.spec() for ent in self.entries],
-            "flip_schedules": {str(k): v for k, v in sorted(self.flip_schedules.items())},
-        }
+        """The entries' specs and the flip schedules, each index and horizon checked: a str, bool or
+        float one would write a key or horizon that reloads as another."""
+        flips = sorted(
+            (_nonneg_int("flip index", k), _nonneg_int("flip horizon", v)) for k, v in self.flip_schedules.items()
+        )
+        return {"entries": [ent.spec() for ent in self.entries], "flip_schedules": {str(k): v for k, v in flips}}
 
     def manifest_hash(self) -> str:
         blob = json.dumps(self.manifest(), sort_keys=True, separators=(",", ":"))
@@ -708,5 +706,5 @@ def table_from_manifest(manifest: dict) -> ProgramTable:
     table = ProgramTable()
     for spec in manifest.get("entries", []):
         table.add(from_spec(spec))
-    table.flip_schedules = {int(k): int(v) for k, v in manifest.get("flip_schedules", {}).items()}
+    table.flip_schedules = {int(k): v for k, v in manifest.get("flip_schedules", {}).items()}
     return table

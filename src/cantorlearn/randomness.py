@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import zlib
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
 from .measures import MeasureBall, SupWalk, _ceil_log2_ratio, ceil_neg_log2
@@ -533,20 +533,6 @@ def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, sta
     return _deficiency(ball.sup_mass(check_bits(word)), est, word, stage)
 
 
-def prefix_deficiencies(table, est: ComplexityEstimator, e: int, x: Bits) -> Iterator:
-    """The deficiency of each prefix of x at stage |x|, empty prefix first;
-    the estimate is read at every prefix of positive sup."""
-    stage = max(1, len(x))
-    tracker, handed = est.tracker(), 0
-    for i, k in enumerate(table.prefix_sup_bits(e, x, stage)):
-        if k == INFINITE_DEFICIENCY:
-            yield k
-        else:
-            tracker.push(x[handed:i])
-            handed = i
-            yield k - tracker.upper(stage)
-
-
 def _largest_read(est, x: Bits, sups, stage: int, best, stop):
     """max(best, the deficiencies read along x), returned as soon as it
     exceeds stop.  The estimate is read only where k = ceil(-log2 sup) minus
@@ -587,9 +573,10 @@ def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     """Finite-horizon randomness surrogate: every prefix deficiency stays <= c.
 
     The walk reads the estimate only where its floor leaves that open, and
-    stops at the first deficiency above c; the answer is
-    ``all(d <= c for d in prefix_deficiencies(...))`` exactly, False for a
-    NaN c too, which no comparison passes, once e is known to be a measure."""
+    stops at the first deficiency above c; the answer is ``all(d <= c for d
+    in prefix_deficiencies(...))`` exactly, with the test reference of
+    ``tests/reference.py``, False for a NaN c too, which no comparison
+    passes, once e is known to be a measure."""
     check_bits(x)
     stage = max(1, len(x))
     sups = table.prefix_sup_bits(e, x, stage)
@@ -603,7 +590,8 @@ def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
 
     The whole word's deficiency comes first, from one whole-word estimate,
     then the walk reads the estimate only where its floor leaves a larger
-    deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly."""
+    deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly,
+    with the test reference of ``tests/reference.py``."""
     stage = max(1, len(x))
     sups = table.prefix_sup_bits(e, x, stage)
     sups = sups if isinstance(sups, SupWalk) else list(sups)  # a SupWalk reads only the items asked

@@ -15,6 +15,7 @@ from cantorlearn.measures import (
     BernoulliCylinderBall,
     InterleaveCylinderBall,
     Interval,
+    MalformedMeasureError,
     MeasureView,
     SupWalk,
     Verdict,
@@ -32,6 +33,7 @@ from cantorlearn.programs import (
     INVERSE_FRONTIER_CAP,
     PAD_BASE,
     AliasEntry,
+    BernoulliLiftEntry,
     Entry,
     EntryView,
     EnumeratedMeasureEntry,
@@ -42,7 +44,6 @@ from cantorlearn.programs import (
     RealEntry,
     StubEntry,
     WrongKindError,
-    _StageSlot,
     table_from_manifest,
 )
 
@@ -464,6 +465,8 @@ class TestLifts:
         t.add(EnumeratedMeasureEntry(enumerated([("0", Interval.closed(F(0), F(1)), 0)])))
         e = t.inverse_lift(FbMap(), ClosedClass.hat_image(), len(t) - 1)
         assert t.eval_real(e, 0, 200) is None  # both 01... and 10... survive
+        # survivors that differ at the first bit: ambiguity at stage 8, the frontier cap by stage 200
+        assert [t.entry(e).stop_reason(t, s) for s in (8, 200)] == ["ambiguous", "frontier-cap"]
 
     def test_round_trip_24_bits(self):
         t = basic_table()
@@ -515,10 +518,77 @@ class TestLifts:
         for s in range(1, 301):
             self.lift_answers(t, lifts, s)
         for e in lifts.values():
-            memos = [m for m in vars(t.entry(e)).values() if isinstance(m, _StageSlot)]
-            assert [m.stage for m in memos] == [300]
+            assert t.entry(e)._at == (t, 300)
         for s in (300, 1, 57, 192):
             assert self.lift_answers(t, lifts, s) == self.lift_answers(*self.lift_table(), s)
+
+    @staticmethod
+    def value_table(v, lifts=None):
+        """Hat and plain expansions of v, then a Bernoulli lift of the plain one, an FbMap lift of the
+        hat one and an inverse lift of that: ``lifts``, the same three entry objects, when given."""
+        t = ProgramTable([RealEntry(BitSource.hat_rational(v)), RealEntry(BitSource.rational(v))])
+        hat = ClosedClass.hat_image()
+        t.entries += lifts or [BernoulliLiftEntry(1), ParamLiftEntry(FbMap(), 0), InverseLiftEntry(FbMap(), hat, 3)]
+        return t
+
+    @staticmethod
+    def value_answers(t, s):
+        measures = t.eval_measure(2, "0110", s), t.eval_measure(3, "10", s)
+        return measures, t.real_prefix(4, 32, s), t.entry(4).stop_reason(t, s)
+
+    SHARED_STAGES = st.sampled_from((0, 3, 8, 16, 24, 40, 64, 96, 150))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.sampled_from((F(1, 3), F(2, 5), F(5, 7), F(1, 2), F(0))), min_size=2, max_size=2, unique=True),
+        st.lists(st.tuples(st.integers(0, 1), SHARED_STAGES), min_size=2, max_size=8),
+    )
+    def test_lifts_shared_by_two_tables_answer_each_as_a_fresh_table(self, values, reads):
+        # one entry of each lift kind in two tables over different reals, read in any interleaving of
+        # tables and stages: each memo is stamped with the table it answers, so neither table gets
+        # the other's ball or walk
+        first = self.value_table(values[0])
+        tables = [first, self.value_table(values[1], first.entries[2:])]
+        for i, s in reads:
+            assert self.value_answers(tables[i], s) == self.value_answers(self.value_table(values[i]), s)
+
+    def test_a_walk_that_raises_raises_again(self):
+        # a walk that raises leaves its records unstamped, so each later search at that stage walks
+        # and raises again: from "", or from the records of the stage-4 walk in between
+        def read(e, s):
+            try:
+                return t.real_prefix(e, 8, s)
+            except (WrongKindError, MalformedMeasureError) as error:
+                return type(error)
+
+        t = ProgramTable()
+        real = t.inverse_lift(FbMap(), ClosedClass.full(), t.add(RealEntry(BitSource.rational(F(1, 3)))))
+        torn = enumerated([("0", Interval.closed(F(0), F(1, 4)), 0), ("0", Interval.closed(F(1, 2), F(1)), 5)])
+        m = t.add(EnumeratedMeasureEntry(torn))
+        late = t.inverse_lift(FbMap(), ClosedClass.full(), m)
+        want = t.real_prefix(t.add(InverseLiftEntry(FbMap(), ClosedClass.full(), m)), 8, 4)
+        assert [read(real, 8) for _ in range(3)] == [WrongKindError] * 3
+        torn_reads = [MalformedMeasureError] * 2
+        assert [read(late, s) for s in (5, 5, 4, 5, 5)] == torn_reads + [want] + torn_reads
+
+    def test_a_repeat_read_builds_no_view(self, monkeypatch):
+        # at the stamped (table, stage) an inverse lift answers from its records with no view. The
+        # stub's stage-300 and stage-100 searches take its stage-64 walk's answer, each building one
+        # view for its replay: a stamp moved on to 300 still lets the stage-100 search take it
+        views = []
+        view = ProgramTable.view
+        monkeypatch.setattr(ProgramTable, "view", lambda self, e: views.append(e) or view(self, e))
+        t, lifts = self.lift_table()
+        counting, reads = counting_domain(ClosedClass.hat_image())
+        stalled = t.inverse_lift(FbMap(), counting, stub(t))
+        for e, s in ((lifts["inverse"], 96), (stalled, 64), (stalled, 300), (stalled, 100)):
+            views.clear()
+            answer = (t.real_prefix(e, 32, s), t.entry(e).stop_reason(t, s))
+            assert len(views) == 1
+            for _ in range(3):
+                assert (t.real_prefix(e, 32, s), t.entry(e).stop_reason(t, s)) == answer
+            assert len(views) == 1
+        assert len(reads) == 3580  # the stage-64 walk's reads only
 
     @staticmethod
     def domain_table(sets):
@@ -709,7 +779,8 @@ class TestLifts:
         stalled = t.inverse_lift(FbMap(), ClosedClass.hat_image(), t.add(StubEntry("measure")))
         assert t.entry(stalled).stop_reason(t, 64) == "frontier-cap"
         t, lifts = self.lift_table()
-        assert t.entry(lifts["inverse"]).stop_reason(t, 192) == "depth"
+        # the hat real's lift keeps two survivors that part before the depth until stage 72
+        assert [t.entry(lifts["inverse"]).stop_reason(t, s) for s in (64, 72, 192)] == ["ambiguous", "depth", "depth"]
         t, e = self.domain_table({0: {""}})
         assert t.entry(e).stop_reason(t, 16) == "dead-domain"
         t, e = self.domain_table({10: {"011001"}})
@@ -1177,7 +1248,8 @@ def reference_walk(param_map, domain, view, stage):
         if not nxt:
             return os.path.commonprefix(frontier), "no-survivors"
         frontier = nxt
-    return os.path.commonprefix(frontier), "depth"
+    prefix = os.path.commonprefix(frontier)
+    return prefix, "depth" if len(prefix) == min(stage, INVERSE_DEPTH_CAP) else "ambiguous"
 
 
 def unit_interval_in(draw):
@@ -1307,7 +1379,7 @@ class TestBlankSearches:
             assert answer == (t.real_prefix(fresh, INVERSE_DEPTH_CAP, s), t.entry(fresh).stop_reason(t, s))
             got.append((answer, f.built - built, len(reads)))
             reads.clear()
-        assert got == [(("", "depth"), 0, 511), (("", "depth"), 0, 512), (("11111", "no-survivors"), 20, 20)]
+        assert got == [(("", "ambiguous"), 0, 511), (("", "ambiguous"), 0, 512), (("11111", "no-survivors"), 20, 20)]
 
     def test_a_delayed_bernoulli_entry_still_builds_balls(self):
         # ExactMeasureEntry.param_interval ignores the delay: below it every word is [0, 1] yet the

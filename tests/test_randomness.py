@@ -49,9 +49,9 @@ from cantorlearn.randomness import (
     deficiency_ball,
     max_prefix_deficiency,
     pack_bits,
-    prefix_deficiencies,
     random_verdict,
 )
+from reference import prefix_deficiencies
 from test_programs import FbMap
 
 

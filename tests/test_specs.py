@@ -254,6 +254,10 @@ ENUMERATED = enumerated([("0", Interval.exact(F(1, 2)), 1)])
 TWOS = BitSource({"kind": "twos"}, lambda n: "2" * n)  # its every read holds a non-bit character
 
 
+def sampled_spec(seed):
+    return {"kind": "sampled", "measure": {"kind": "uniform"}, "seed": seed, "prng": PRNG_NAME}
+
+
 class TestBadInputs:
     """Each input check raises its own error type, not a subclass or a parent of it."""
 
@@ -297,6 +301,26 @@ class TestBadInputs:
             pytest.param(lambda: one_entry_table().pad(-1, 0), IndexError, id="negative-pad"),
             pytest.param(lambda: one_entry_table().entry(5), IndexError, id="missing-entry"),
             pytest.param(lambda: ComplexityEstimator().upper("0", 0), ValueError, id="stage-0-estimate"),
+            pytest.param(lambda: from_spec(sampled_spec(True)), ValueError, id="sampled-seed-true-spec"),
+            pytest.param(lambda: from_spec(sampled_spec(-1)), ValueError, id="sampled-seed-negative-spec"),
+            pytest.param(lambda: from_spec(sampled_spec(1.5)), ValueError, id="sampled-seed-float-spec"),
+            pytest.param(lambda: from_spec(sampled_spec("x")), ValueError, id="sampled-seed-str-spec"),
+            pytest.param(lambda: enumerated([("0", Interval.unit(), 2.7)]), ValueError, id="enum-stage-float"),
+            pytest.param(lambda: enumerated([("0", Interval.unit(), True)]), ValueError, id="enum-stage-true"),
+            pytest.param(lambda: enumerated([("0", Interval.unit(), "3")]), ValueError, id="enum-stage-str"),
+            pytest.param(lambda: enumerated([("0", Interval.unit(), -1)]), ValueError, id="enum-stage-negative"),
+            pytest.param(lambda: EnumeratedMeasureEntry(ENUMERATED, total=1), ValueError, id="enum-total-1"),
+            pytest.param(lambda: EnumeratedMeasureEntry(ENUMERATED, total="no"), ValueError, id="enum-total-str"),
+            pytest.param(lambda: sample_stream(uniform(), 0, True), ValueError, id="sample-length-true"),
+            pytest.param(lambda: sample_stream(uniform(), -1, 4), ValueError, id="sample-seed-negative"),
+            pytest.param(lambda: ProgramTable([], {0: 1.5}).manifest(), ValueError, id="flip-float-horizon"),
+            pytest.param(lambda: ProgramTable([], {True: 3}).manifest(), ValueError, id="flip-bool-index"),
+            pytest.param(lambda: ProgramTable([], {"0": 3}).manifest(), ValueError, id="flip-str-index"),
+            pytest.param(
+                lambda: table_from_manifest({"entries": [], "flip_schedules": {"0": 1.5}}).manifest(),
+                ValueError,
+                id="flip-float-horizon-reload",
+            ),
         ],
     )
     def test_raises(self, call, error):

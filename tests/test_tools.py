@@ -1,7 +1,8 @@
-"""The scripts in tools/, each run on a small tree of its own: the code-line counter, and the
-unused-import and dead-name scanners that CI runs."""
+"""The scripts in tools/, each run on a small tree of its own: the code-line counter, the
+unused-import and dead-name scanners that CI runs, and the fresh-import timer."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -116,3 +117,20 @@ def test_dead_names_and_unread_attributes_are_reported(tmp_path):
 def test_a_clean_tree_passes_both_scanners(tmp_path):
     assert scan("unused_imports.py", tmp_path, CLEAN) == (0, set())
     assert scan("dead_names.py", tmp_path, CLEAN) == (0, set())
+
+
+def test_the_import_timer_imports_the_root_afresh_each_round(tmp_path):
+    # each of the tree's four modules logs its import: 20 rounds run each one 20 times, from source
+    log = tmp_path / "imports.log"
+    package = tmp_path / "src" / "cantorlearn"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    layers = ["cantor", "measures", "programs", "randomness"]
+    for layer in layers:
+        (package / f"{layer}.py").write_text(f"with open({str(log)!r}, 'a') as f:\n    f.write({layer!r} + ' ')\n")
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "import_time.py"), str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    assert re.fullmatch(r"fresh import of the four modules from source: \d+\.\d ms, median of 20\n", out.stdout)
+    assert log.read_text().split() == layers * 20
+    assert not list(tmp_path.rglob("*.pyc"))  # no bytecode written
