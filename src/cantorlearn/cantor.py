@@ -239,8 +239,11 @@ class ClosedClass:
         """Explicit stage-indexed forbidden sets; forbid[s] accumulates over stages.
 
         The name spells out each word's first stage, so two such classes share
-        a name exactly when they forbid the same words at the same stages."""
+        a name exactly when they forbid the same words at the same stages: each stage must be
+        an int, as a bool or float one would name the class apart from the same int's."""
         first: dict[Bits, int] = {}
+        if bad := [s for s in stage_sets if type(s) is not int]:
+            raise ValueError(f"stages must be ints, got {bad[0]!r}")
         for s in sorted(stage_sets):
             for w in stage_sets[s]:
                 check_bits(w)

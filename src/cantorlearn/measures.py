@@ -1,9 +1,9 @@
 """Exact measures on Cantor space, their stage-bounded knowledge, and basic open balls.
 
 All masses are ``fractions.Fraction`` values, so additivity and every ball
-computation are exact.  Mass walks take ceil(-log2) of masses from integers,
-sup walks of Bernoulli balls from floats where an error bound, assuming
-``math.log2`` within 2 ulps, certifies it, and from integers otherwise.
+computation are exact.  Sup walks of Bernoulli balls take ceil(-log2) of a
+sup from floats where an error bound, assuming ``math.log2`` within 2 ulps,
+certifies it, and from integers otherwise.
 Sampling needs no bound: a draw meets one double cut per rule value, exact for every double.
 """
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cantor import BitSource, Bits, EndOfWordError, _nonneg_int, check_bits
@@ -177,8 +176,7 @@ class Measure(MeasureView):
 
     An exact measure is one rule, ``p0(j)``: the probability that bit j is 0
     after any prefix of positive mass.  ``mass`` is the product of its
-    factors along a word, one ``Fraction``; ``mass_bits`` walks ceil(-log2)
-    of the mass of every prefix of a word, one integer step per bit.
+    factors along a word, one ``Fraction``, with no rule read once it is 0.
     An enumerated measure (``p0`` None) only reveals interval knowledge per stage.
     Both answer ``knowledge(word, stage)``, a Bernoulli measure also its
     exact ``param_interval``, and a measure is its own view for ball
@@ -209,29 +207,6 @@ class Measure(MeasureView):
             den *= p.denominator
         return Fraction(num, den)
 
-    def mass_bits(self, word: Bits) -> Iterator:
-        """ceil(-log2) of the mass of "" and of each prefix of word, ``math.inf``
-        from a zero mass on, with no more rule reads.  The mass so far is
-        2^-k num/den: a factor p or 1 - p, p = p0(j), whose numerator and
-        denominator are powers of two adds its exponent to k, and any other
-        multiplies num/den, whose ceiling is taken once it is not 1/1."""
-        if (rule := self.p0) is None:
-            raise MalformedMeasureError("enumerated measure has no exact evaluator")
-        k, num, den = 0, 1, 1
-        yield 0
-        for j, ch in enumerate(word):
-            p = rule(j)
-            d = p.denominator
-            n = p.numerator if ch == "0" else d - p.numerator
-            if not n:
-                yield from repeat(math.inf, len(word) - j)
-                return
-            if n & (n - 1) or d & (d - 1):
-                num, den = num * n, den * d
-            else:
-                k += d.bit_length() - n.bit_length()
-            yield k if den == 1 else k + _ceil_log2_ratio(num, den)
-
     def knowledge(self, word: Bits, stage: int) -> Interval:
         """Stage-bounded knowledge interval for mu(word): the exact mass, or the
         unit interval cut by the enumeration's intervals revealed by the stage."""
@@ -259,29 +234,35 @@ class Measure(MeasureView):
         return BernoulliSups(q) if (q := self.constant) else None
 
     def sup_walk(self, word: Bits, known: int) -> Optional[SupWalk]:
-        """``mass_bits(word[:known])`` then 0s (a sup of 1) as a ``SupWalk``, from zero counts
-        under a uniform or Bernoulli rule; None under other rules, which ``mass_bits`` walks."""
+        """ceil(-log2) of the mass of each prefix of ``word[:known]``, then 0s (a sup of 1), as a
+        ``SupWalk`` from zero counts under a uniform or Bernoulli rule; None under other rules."""
         return self._sups and SupWalk(self._sups.bits, self._sups.step, word, known)
 
 
-class _Interleave(Measure):
-    """``interleave_measure``'s measure.  x[:n] has mass 2^-floor(n/2) up to ``leave``, the first
-    even position where x leaves z (found by one comparison of x's even bits with z's prefix), and
-    0 past it, so k is n // 2 and then inf: its step is 1 where x never leaves z, else inf, so no
-    jump passes the first inf.  Where z's prefix ends first (a literal's word), ``mass_bits`` walks."""
+class _Forced(Measure):
+    """``interleave_measure``'s (stride 2) and ``dirac``'s (stride 1) measure: with s the stride,
+    position s i is forced to z(i), and every other position splits.  x[:n] has mass 2^-(n - ceil(n/s))
+    up to ``leave``, the first forced position where x leaves z (found by one comparison of x's
+    forced bits with z's prefix), and 0 past it, so k is n - ceil(n/s) and then inf: its step is 1
+    where x never leaves z, else inf, so no jump passes the first inf.  Where z's prefix ends first
+    (a literal's word), ``sup_walk`` is None."""
 
-    def __init__(self, spec: dict, p0: Callable[[int], Fraction], z: BitSource):
-        super().__init__(spec, p0=p0)
-        self._z = z
+    def __init__(self, kind: str, z: BitSource, stride: int):
+        def rule(j: int) -> Fraction:
+            return HALF if j % stride else _FORCED[z.bit(j // stride)]
+
+        super().__init__({"kind": kind, "z": z.spec}, p0=rule)
+        self._z, self._stride = z, stride
 
     def sup_walk(self, word: Bits, known: int) -> Optional[SupWalk]:
-        forced = word[: max(known, 0)][0::2]
+        s = self._stride
+        forced = word[: max(known, 0)][0::s]
         try:
             diff = int(forced, 2) ^ int(self._z.prefix(len(forced)), 2) if forced else 0
         except EndOfWordError:
             return None
-        leave = 2 * (len(forced) - diff.bit_length()) if diff else math.inf
-        return SupWalk(lambda a, n: n >> 1 if n <= leave else math.inf, math.inf if diff else 1, word, known)
+        leave = s * (len(forced) - diff.bit_length()) if diff else math.inf
+        return SupWalk(lambda a, n: n - -(-n // s) if n <= leave else math.inf, math.inf if diff else 1, word, known)
 
 
 def uniform() -> Measure:
@@ -298,25 +279,24 @@ def bernoulli(q) -> Measure:
 def interleave_measure(z: BitSource) -> Measure:
     """The measure that forces bit z(n) at even-length prefixes and splits at odd ones.  Its rule
     reads z's bits from the source's held prefix; its walks read z's prefix once."""
-
-    def rule(j: int) -> Fraction:
-        return HALF if j % 2 else _FORCED[z.bit(j // 2)]
-
-    return _Interleave({"kind": "interleave", "z": z.spec}, rule, z)
+    return _Forced("interleave", z, 2)
 
 
 def dirac(z: BitSource) -> Measure:
-    """Point mass on the single real produced by the source."""
-    return Measure({"kind": "dirac", "z": z.spec}, p0=lambda j: _FORCED[z.bit(j)])
+    """Point mass on the single real produced by the source: every position forced."""
+    return _Forced("dirac", z, 1)
 
 
 def enumerated(tuples: Iterable[tuple[Bits, Interval, int]]) -> Measure:
     """A measure revealing interval knowledge (w, I) at stage s.
 
     Its spec stores one row per tuple: ``[w, lo, hi, s]`` for a closed
-    interval, with ``lo_open, hi_open`` appended when an end is open.
+    interval, with ``lo_open, hi_open`` appended when an end is open; the
+    flags must be bools, since an int or other value would write another row.
     """
     tups = [(check_bits(w), iv, _nonneg_int("stage", s)) for (w, iv, s) in tuples]
+    if bad := [iv for _, iv, _ in tups if type(iv.lo_open) is not bool or type(iv.hi_open) is not bool]:
+        raise ValueError(f"open flags must be bools, got {bad[0]!r}")
     rows = [
         [w, str(iv.lo), str(iv.hi), s] + ([iv.lo_open, iv.hi_open] if iv.lo_open or iv.hi_open else [])
         for (w, iv, s) in tups
@@ -485,8 +465,9 @@ class BernoulliSups:
 
 class SupWalk:
     """k = ceil(-log2 sup) along a word, read lazily: item n in 0..len(word) is ``bits(a, n)`` (from
-    ``BernoulliSups``, or an interleave's length rule) for the n-bit prefix with a zeros, counted on
-    from the last read, held from ``level`` on, 0 past ``known``; it rises at most ``step`` per bit."""
+    ``BernoulliSups``, a forced-bit measure's length rule, or an entry's knowledge of the prefix)
+    for the n-bit prefix with a zeros, counted on from the last read, held from ``level`` on, 0 past
+    ``known``; it rises at most ``step`` per bit."""
 
     def __init__(self, bits: Callable, step: float, word: Bits, known: int, level: float = math.inf):
         self.bits, self.step, self.word, self.known, self.level = bits, step, word, known, level

@@ -24,8 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .cantor import BitSource, Bits, ClosedClass, _nonneg_int, check_bits
 from .measures import (
@@ -64,10 +63,12 @@ class WrongKindError(TypeError):
 
 
 class Entry:
-    """Base class for table entries; subclasses document their definedness
-    schedule.  Exact entries whose measure gives a ``sup_walk`` (uniform, Bernoulli, and interleave
-    unless a literal z ends within the known bits) and param lifts over Bernoulli balls
-    (Bernoulli lifts among them) walk ``prefix_sup_bits`` as a ``SupWalk``, others per bit."""
+    """Base class for table entries; subclasses document their definedness schedule.
+
+    Every measure entry's ``prefix_sup_bits`` is a ``SupWalk``.  Exact entries whose measure gives
+    a ``sup_walk`` (uniform, Bernoulli, interleave and dirac, unless a literal z ends within the
+    known bits) and param lifts over Bernoulli balls (Bernoulli lifts among them) read it from
+    counts and lengths and bound its rise; the others read each prefix's knowledge, unbounded."""
 
     kind = "measure"  # or "real"
     total: Optional[bool] = None
@@ -82,12 +83,17 @@ class Entry:
     def knowledge(self, table: "ProgramTable", word: Bits, stage: int) -> Interval:
         raise WrongKindError(f"{type(self).__name__} is not a measure entry")
 
-    def prefix_sup_bits(self, table: "ProgramTable", x: Bits, stage: int) -> Iterator:
+    def prefix_sup_bits(self, table: "ProgramTable", x: Bits, stage: int) -> SupWalk:
         """ceil(-log2) of the sup of the stage knowledge on "" and on every
-        prefix of x, ``math.inf`` where the sup is 0."""
-        for n in range(len(x) + 1):
+        prefix of x, ``math.inf`` where the sup is 0: a ``SupWalk`` whose item n
+        reads the knowledge of x[:n] when asked, in any order.  Its step is inf,
+        so a walk never jumps: it visits every prefix."""
+
+        def bits(a: int, n: int) -> float:
             sup = self.knowledge(table, x[:n], stage).hi
-            yield ceil_neg_log2(sup) if sup else math.inf
+            return ceil_neg_log2(sup) if sup else math.inf
+
+        return SupWalk(bits, math.inf, x, len(x))
 
     def param_interval(self, table: "ProgramTable", stage: int) -> Optional[Interval]:
         """Bernoulli parameter knowledge when the entry is product-structured."""
@@ -110,7 +116,8 @@ class Entry:
 
 
 class ExactMeasureEntry(Entry):
-    """Total measure generator: reveals exact values on strings of length <= stage - delay."""
+    """Total measure generator: reveals exact values on strings of length <= stage - delay.
+    Its walk is the measure's ``sup_walk`` cut at stage - delay, or else ``Entry``'s."""
 
     total = True
 
@@ -126,11 +133,7 @@ class ExactMeasureEntry(Entry):
         return Interval.unit()
 
     def prefix_sup_bits(self, table, x, stage):
-        known = stage - self.delay
-        if (walk := self.measure.sup_walk(x, known)) is not None:
-            return walk
-        masses = self.measure.mass_bits(x[:known]) if known >= 0 else ()
-        return chain(masses, repeat(0, len(x) - max(known, -1)))
+        return self.measure.sup_walk(x, stage - self.delay) or super().prefix_sup_bits(table, x, stage)
 
     def param_interval(self, table, stage):
         return self.measure.param_interval(stage)
@@ -452,7 +455,9 @@ class ProgramTable:
 
     Base indices are positions in the registry; indices >= PAD_BASE encode
     pad(i, j) via the Cantor pairing, so alias allocation is order-free and
-    deterministic.  A table prints as its manifest.
+    deterministic.  A table prints as its manifest.  It keeps the list and dict it
+    is given, each flip index and horizon checked: a str, bool or float one would
+    never match an index, or write a key or horizon that reloads as another.
     """
 
     def __init__(self, entries: Optional[list[Entry]] = None, flip_schedules: Optional[dict[int, int]] = None):
@@ -460,6 +465,9 @@ class ProgramTable:
         if len(self.entries) > PAD_BASE:
             raise OverflowError(f"{len(self.entries)} entries reach into the padding index space")
         self.flip_schedules = {} if flip_schedules is None else flip_schedules  # index -> horizon
+        for k, v in self.flip_schedules.items():
+            _nonneg_int("flip index", k)
+            _nonneg_int("flip horizon", v)
 
     def __repr__(self) -> str:
         return f"ProgramTable({self.manifest()!r})"
@@ -524,7 +532,7 @@ class ProgramTable:
         check_bits(word)
         return self.entry(e).knowledge(self, word, stage)
 
-    def prefix_sup_bits(self, e: int, x: Bits, stage: int) -> Iterator:
+    def prefix_sup_bits(self, e: int, x: Bits, stage: int) -> SupWalk:
         """ceil(-log2) of the sup of measure entry e's stage knowledge on "" and
         each prefix of x, x checked once; see ``Entry.prefix_sup_bits``."""
         check_bits(x)
@@ -610,8 +618,8 @@ class ProgramTable:
     # -- manifest ----------------------------------------------------------------
 
     def manifest(self) -> dict:
-        """The entries' specs and the flip schedules, each index and horizon checked: a str, bool or
-        float one would write a key or horizon that reloads as another."""
+        """The entries' specs and the flip schedules, each index and horizon checked again, since
+        the table's dict may have changed since it was built."""
         flips = sorted(
             (_nonneg_int("flip index", k), _nonneg_int("flip horizon", v)) for k, v in self.flip_schedules.items()
         )
@@ -703,8 +711,5 @@ def from_spec(spec: dict):
 
 
 def table_from_manifest(manifest: dict) -> ProgramTable:
-    table = ProgramTable()
-    for spec in manifest.get("entries", []):
-        table.add(from_spec(spec))
-    table.flip_schedules = {int(k): v for k, v in manifest.get("flip_schedules", {}).items()}
-    return table
+    entries = [from_spec(spec) for spec in manifest.get("entries", [])]
+    return ProgramTable(entries, {int(k): v for k, v in manifest.get("flip_schedules", {}).items()})

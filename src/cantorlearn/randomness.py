@@ -19,12 +19,14 @@ id penalties, taken when asked, bounds every later estimate.
 So ``random_verdict`` and ``max_prefix_deficiency`` (which starts from the
 whole word's deficiency) read the estimate only at the prefixes where k =
 ceil(-log2 sup) minus that bound leaves their answer open, and still give
-exactly the answer a read at every prefix would.  On a ``SupWalk`` (an exact
-uniform, Bernoulli or interleave entry, unless a literal z ends within the
-known bits, or a param lift over Bernoulli balls, as every Bernoulli lift is), k of any
-prefix comes from its zero count or length and rises at most a fixed step per
-bit (inf where k can reach inf), so the walk visits only the prefixes where a
-read could happen and jumps over the rest; other entries yield k per prefix.
+exactly the answer a read at every prefix would.  Every entry's k comes as a
+``SupWalk``, which rises at most ``step`` per bit.  On an exact uniform,
+Bernoulli, interleave or dirac entry (unless a literal z ends within the known
+bits) and on a param lift over Bernoulli balls, as every Bernoulli lift is, k
+of any prefix comes from its zero count or length, and the step is finite
+unless k can reach inf, so the walk visits only the prefixes where a read
+could happen and jumps over the rest; any other entry reads each prefix's
+knowledge with a step of inf, so the walk visits every prefix.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cantor import _DROP_BITS, BadWordError, Bits, check_bits
-from .measures import MeasureBall, SupWalk, _ceil_log2_ratio, ceil_neg_log2
+from .measures import MeasureBall, _ceil_log2_ratio, ceil_neg_log2
 
 INFINITE_DEFICIENCY = math.inf
 
@@ -539,23 +541,16 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
     the tracker's floor, a bound on the deficiency, exceeds the running maximum.
     The tracker is handed the bits walked since its last hand-over only where
     the floor is refreshed: at a read, and where the last read's floors lapse
-    (``_horizon``).  A ``SupWalk``'s k, held past a ball's level, rises at most
-    ``step`` per bit, so from prefix i no prefix up to i + (best + floor - k_i)
-    // step can read: the walk jumps past them, never past the horizon, and so
-    reads and refreshes exactly where a visit to every prefix would, with the same tracker state."""
+    (``_horizon``).  The ``SupWalk``'s k rises at most ``step`` per bit, so
+    from prefix i no prefix up to i + (best + floor - k_i) // step can read:
+    the walk jumps past them, never past the horizon, and so reads and
+    refreshes exactly where a visit to every prefix would, with the same
+    tracker state; at a step of inf it visits every prefix."""
     tracker, handed = est.tracker(), 0
     floor, horizon = tracker.floor(stage), tracker._horizon
-
-    def jumps(step):
-        i = 0
-        while i <= len(x):
-            yield i, (k := sups[i])
-            i += 1  # best, floor and horizon are as the visit to the last i left them
-            gap = best + floor - k
-            if gap >= step and i < horizon:
-                i = min(horizon, i + int(gap // step))
-
-    for i, k in jumps(sups.step) if isinstance(sups, SupWalk) else enumerate(sups):
+    i, step = 0, sups.step
+    while i <= len(x):
+        k = sups[i]
         if i >= horizon:
             tracker.push(x[handed:i])
             handed, floor, horizon = i, tracker.floor(stage), math.inf
@@ -566,6 +561,10 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
             if best > stop or best == INFINITE_DEFICIENCY:  # nothing exceeds an infinite maximum
                 return best
             floor, horizon = tracker.floor(stage), tracker._horizon
+        i += 1
+        gap = best + floor - k
+        if gap >= step and i < horizon:
+            i = min(horizon, i + int(gap // step))
     return best
 
 
@@ -593,8 +592,7 @@ def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
     deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly,
     with the test reference of ``tests/reference.py``."""
     stage = max(1, len(x))
-    sups = table.prefix_sup_bits(e, x, stage)
-    sups = sups if isinstance(sups, SupWalk) else list(sups)  # a SupWalk reads only the items asked
+    sups = table.prefix_sup_bits(e, x, stage)  # reads only the items asked
     if (whole := sups[len(x)]) == INFINITE_DEFICIENCY:
         return INFINITE_DEFICIENCY
     return _largest_read(est, x, sups, stage, whole - est._upper(x, stage), INFINITE_DEFICIENCY)

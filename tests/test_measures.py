@@ -25,7 +25,6 @@ from cantorlearn.measures import (
     ball,
     bernoulli,
     bernoulli_image,
-    ceil_neg_log2,
     enumerated,
     interleave_measure,
     sample_stream,
@@ -33,7 +32,8 @@ from cantorlearn.measures import (
     uniform,
     _cut,
 )
-from cantorlearn.programs import from_spec
+from cantorlearn.programs import ExactMeasureEntry, ProgramTable, from_spec
+from reference import mass_bits
 
 
 def words(n):
@@ -332,11 +332,10 @@ class TestMeasureEval:
         rules(), st.builds(lambda n, v: format(v, "0200b")[:n], st.integers(0, 200), st.integers(0, 2**200 - 1))
     )
     def test_mass_bits_equal_exact_masses(self, rule, x):
-        # dyadic, forced and non-dyadic factors, mixed along words of up to 200 bits, against each
-        # prefix's exact mass
+        # dyadic, forced and non-dyadic factors, mixed along words of up to 200 bits: an exact
+        # entry over a rule with no sup walk reads each prefix's knowledge, against its exact mass
         mu = Measure({"kind": "rule"}, p0=rule)
-        want = [ceil_neg_log2(m) if (m := mu.mass(x[:n])) else math.inf for n in range(len(x) + 1)]
-        assert list(mu.mass_bits(x)) == want
+        assert list(ExactMeasureEntry(mu).prefix_sup_bits(ProgramTable(), x, len(x))) == mass_bits(mu, x)
 
 
 class TestBalls:
@@ -462,6 +461,22 @@ class TestBalls:
             for word in (w for n in range(11) for w in words(n)):
                 want = value_range_ref(pattern, word)
                 assert (c._value_range(word), c.sup_mass(word)) == (want, want.hi)
+
+    def test_interleave_cylinder_stops_at_its_node_cap(self):
+        # contains reads UNKNOWN once it has met 4096 nodes, whatever it saw.  The ball of a k-bit
+        # pattern holds 2^floor(n/2) words of length n, so its walk meets 4 (2^k - 1) nodes: through
+        # z = 1/3's interleave measure, z's own prefix reads YES up to k = 10 (4092 nodes).  With
+        # the last bit flipped, NO comes early on the last level, after 4 (2^(k-1) - 1) nodes, so
+        # up to k = 11.  Replacing the cap moves this pin.
+        z = BitSource.rational(F(1, 3))
+        mu = interleave_measure(z)
+        own, flipped = [], []
+        for k in range(1, 15):
+            pattern = z.prefix(k)
+            own.append(InterleaveCylinderBall(pattern).contains(mu, 64))
+            flipped.append(InterleaveCylinderBall(pattern[:-1] + "10"[int(pattern[-1])]).contains(mu, 64))
+        assert own == [Verdict.YES] * 10 + [Verdict.UNKNOWN] * 4
+        assert flipped == [Verdict.NO] * 11 + [Verdict.UNKNOWN] * 3
 
     def test_interleave_cylinder_checks_its_pattern(self):
         for pattern in ("0x", "2", "01 "):

@@ -46,6 +46,7 @@ from cantorlearn.programs import (
     WrongKindError,
     table_from_manifest,
 )
+from reference import mass_bits
 
 
 class FbMap:
@@ -826,8 +827,8 @@ WALK_WORDS = st.one_of(
 class TestCertifiedSupBits:
     """Exact Bernoulli measures and Bernoulli lifts yield ceil(-log2 sup) from
     floats only where an error bound certifies it, and exactly otherwise.
-    Exact measures over other rules walk integers (``mass_bits``), and a
-    dyadic rule's walk never takes an integer ratio."""
+    Exact measures over interleave and dirac rules walk prefix lengths, and
+    a dyadic rule's walk never takes an integer ratio."""
 
     def test_certified_equals_exact(self, monkeypatch):
         fallbacks = []
@@ -903,8 +904,8 @@ class TestSupWalks:
         if kind == "exact":
             mu = bernoulli(q)
             e = t.add(ExactMeasureEntry(mu))
-            # the rule walk that exact entries over other rules take, cut where the stage cuts it
-            want = (list(mu.mass_bits(x[:stage])) if stage >= 0 else []) + [0] * (len(x) - max(stage, -1))
+            # each prefix's exact mass, cut where the stage cuts it
+            want = (mass_bits(mu, x[:stage]) if stage >= 0 else []) + [0] * (len(x) - max(stage, -1))
         else:
             if kind == "bernoulli-lift":
                 e = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(q))))

@@ -51,8 +51,8 @@ from cantorlearn.randomness import (
     pack_bits,
     random_verdict,
 )
-from reference import prefix_deficiencies
-from test_programs import FbMap
+from reference import mass_bits, prefix_deficiencies
+from test_programs import FbMap, sup_bits
 
 
 def table_with(*measures):
@@ -66,7 +66,8 @@ EST = ComplexityEstimator()
 
 
 class InterleaveMap:
-    """The interleaving measures whose forced stream extends w: a ball no ``SupWalk`` walks."""
+    """The interleaving measures whose forced stream extends w: a ball with no sup rule, so its
+    lift's ``SupWalk`` reads each prefix's knowledge."""
 
     name = "interleave"
 
@@ -832,6 +833,15 @@ SHORTCUT_WORDS = [
 # or after a copy's leave
 FOLLOWS = sample_stream(interleave_measure(HAT_TWO_FIFTHS), 5, 64)
 LEAVES = {j: FOLLOWS[:j] + "10"[int(FOLLOWS[j])] + FOLLOWS[j + 1 :] for j in (0, 30, 62)}
+# knowledge of four short words, revealed at stage 0 or 1: a word through "11" has sup 0
+ENUMERATED_WALK = enumerated(
+    [
+        ("0", Interval.closed(F(1, 4), F(1, 2)), 0),
+        ("1", Interval.closed(F(1, 2), F(3, 4)), 0),
+        ("01", Interval.closed(F(1, 16), F(1, 8)), 1),
+        ("11", Interval.exact(F(0)), 1),
+    ]
+)
 
 
 class TestVerdictShortcuts:
@@ -901,8 +911,8 @@ class TestVerdictShortcuts:
 
 
     def test_jumps_push_and_read_as_a_visit_to_every_prefix(self, monkeypatch):
-        # a SupWalk's walk jumps; handed to the walk as a plain iterator, its values are visited
-        # one prefix at a time, and the tracker must see the same pushes and reads in both
+        # a SupWalk's walk jumps; with its step set to inf, its values are visited one prefix at a
+        # time, and the tracker must see the same pushes and reads in both
         events = []
         real_push, real_upper = randomness.EstimatorTracker.push, randomness.EstimatorTracker.upper
 
@@ -919,10 +929,19 @@ class TestVerdictShortcuts:
         t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)), bernoulli(F(1, 1000)), uniform())
         lift = t.bernoulli_lift(t.add(RealEntry(BitSource.rational(F(2, 5)))))
         param_lift = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(1, 3)))))
+        # seed 0's stream is the dirac's real, seed 1's leaves it; the enumerated entry never jumps
+        point = t.add(ExactMeasureEntry(dirac(sampled_source(bernoulli(F(1, 3)), 0))))
+        listed = t.add(EnumeratedMeasureEntry(ENUMERATED_WALK))
         real_walk = ProgramTable.prefix_sup_bits
+
+        def unbounded(*args):
+            walk = real_walk(*args)
+            walk.step = math.inf
+            return walk
+
         for seed in range(2):
             x = sample_stream(bernoulli(F(1, 3)), seed, 2048)
-            for e in (0, 1, 2, 3, lift, param_lift):
+            for e in (0, 1, 2, 3, lift, param_lift, point, listed):
                 calls = [partial(random_verdict, t, EST, e, x, c) for c in (-5, 48, 400)]
                 for call in calls + [partial(max_prefix_deficiency, t, EST, e, x)]:
                     runs = []
@@ -930,7 +949,7 @@ class TestVerdictShortcuts:
                         events.clear()
                         with monkeypatch.context() as m:
                             if every_prefix:
-                                m.setattr(ProgramTable, "prefix_sup_bits", lambda *a: iter(list(real_walk(*a))))
+                                m.setattr(ProgramTable, "prefix_sup_bits", unbounded)
                             runs.append((call(), list(events)))
                     assert runs[0] == runs[1], (seed, e)
 
@@ -984,7 +1003,7 @@ class TestVerdictShortcuts:
         known = stage - delay
         # the reference reads z one bit at a time, through a literal holding z's prefix
         ref = interleave_measure(BitSource.literal(z.prefix(len(x) // 2 + 1)))
-        want = list(ref.mass_bits(x[:known])) if known >= 0 else []
+        want = mass_bits(ref, x[:known]) if known >= 0 else []
         want += [0] * (len(x) + 1 - len(want))
         t = ProgramTable()
         e = t.add(ExactMeasureEntry(mu, delay=delay))
@@ -1020,15 +1039,16 @@ class TestVerdictShortcuts:
         assert counts == {"bit": 0, "prefix": 1}
 
     def test_interleave_over_a_literal_ends_where_it_did(self):
-        # where a literal's word ends before the word's forced bits do, the walk reads z one bit at
-        # a time through mass_bits, so a read past its end raises at the call it always did: bit 4
-        # reads z(2) of "01"; a word that leaves z before z ends is inf from there and raises nothing
+        # where a literal's word ends before the word's forced bits do, the walk reads each
+        # prefix's mass, which reads z one bit at a time, so a read past its end raises at the
+        # prefix it always did: bit 4 reads z(2) of "01"; a word that leaves z before z ends is inf
+        # from there (a zero mass reads no more of the rule) and raises nothing
         mu = interleave_measure(BitSource.literal("01"))
         assert sample_stream(mu, 0, 4) == "0111"
         with pytest.raises(EndOfWordError):
             sample_stream(mu, 0, 5)
         t = table_with(mu)
-        walk = t.prefix_sup_bits(0, "0110011", 7)
+        walk = iter(t.prefix_sup_bits(0, "0110011", 7))
         assert list(itertools.islice(walk, 5)) == [0, 0, 1, 1, 2]
         with pytest.raises(EndOfWordError):
             next(walk)
@@ -1038,6 +1058,83 @@ class TestVerdictShortcuts:
         assert list(t.prefix_sup_bits(0, "1110011", 7)) == [0] + [math.inf] * 7
         assert not random_verdict(t, EST, 0, "1110011", -5) and not random_verdict(t, EST, 0, "1110011", 8)
         assert max_prefix_deficiency(t, EST, 0, "1110011") == math.inf
+
+
+SOURCES = (BitSource.rational, BitSource.hat_rational)
+
+
+def flip_some(data, x):
+    """x with up to two bits at drawn positions flipped."""
+    for j in data.draw(st.lists(st.integers(0, len(x) - 1), max_size=2)) if x else ():
+        x = x[:j] + "10"[int(x[j])] + x[j + 1 :]
+    return x
+
+
+class TestOneWalkShape:
+    """Every measure entry's ``prefix_sup_bits`` is a ``SupWalk``: item n, read in any order, is
+    ceil(-log2) of the sup of x[:n]'s stage knowledge, and rises at most ``step`` per bit."""
+
+    KINDS = "uniform bernoulli interleave dirac enumerated stub bernoulli-lift fb-lift interleave-lift".split()
+
+    @settings(PROPERTY, max_examples=200)
+    @given(st.sampled_from(KINDS), st.data())
+    def test_every_kind_walks_its_knowledge(self, kind, data):
+        t = ProgramTable()
+        value = F(data.draw(st.integers(0, 12)), 12)
+        source = data.draw(st.sampled_from(SOURCES))(value)
+        delay = data.draw(st.integers(0, 8))
+        x = data.draw(st.text("01", max_size=80))
+        if kind in ("uniform", "bernoulli", "interleave", "dirac"):
+            mu = {
+                "uniform": uniform,
+                "bernoulli": lambda: bernoulli(value),
+                "interleave": lambda: interleave_measure(source),
+                "dirac": lambda: dirac(source),
+            }[kind]()
+            e = t.add(ExactMeasureEntry(mu, delay))
+            if data.draw(st.booleans()):  # a sample, which follows a forced stream until a flip
+                x = flip_some(data, sample_stream(mu, data.draw(st.integers(0, 9)), len(x)))
+        elif kind == "enumerated":
+            # each row pins a word to [m/2, m], m its Bernoulli(value) mass, so the rows agree
+            words, mu = data.draw(st.lists(st.text("01", max_size=6), max_size=8)), bernoulli(value)
+            rows = [(w, Interval.closed(mu.mass(w) / 2, mu.mass(w)), delay) for w in words]
+            e = t.add(EnumeratedMeasureEntry(enumerated(rows)))
+        elif kind == "stub":
+            e = t.add(StubEntry())
+        else:
+            real = t.add(RealEntry(source, delay))
+            if kind == "bernoulli-lift":
+                e = t.bernoulli_lift(real)
+            else:
+                e = t.param_lift(FbMap() if kind == "fb-lift" else InterleaveMap(), real)
+        stage = data.draw(st.integers(-1, len(x) + 4))
+        want = [sup_bits(t.eval_measure(e, x[:n], stage).hi) for n in range(len(x) + 1)]
+        walk = t.prefix_sup_bits(e, x, stage)
+        assert isinstance(walk, measures.SupWalk)
+        order = data.draw(st.permutations(range(len(x) + 1)))
+        assert [walk[n] for n in order] == [want[n] for n in order]
+        assert list(walk) == want
+        assert all(b <= a + walk.step for a, b in itertools.pairwise(want))
+
+    @settings(PROPERTY, max_examples=150)
+    @given(st.data())
+    def test_dirac_walk_equals_its_masses(self, data):
+        z = data.draw(st.sampled_from(SOURCES))(F(data.draw(st.integers(0, 40)), 40))
+        mu = dirac(z)
+        x = flip_some(data, z.prefix(data.draw(st.integers(0, 200))))
+        stage, delay = data.draw(st.integers(0, len(x) + 5)), data.draw(st.integers(0, 12))
+        known = max(stage - delay, -1)
+        # the reference multiplies each prefix's forced factors, one rule read per bit
+        want = (mass_bits(mu, x[:known]) if known >= 0 else []) + [0] * (len(x) - known)
+        t = ProgramTable()
+        e = t.add(ExactMeasureEntry(mu, delay=delay))
+        walk = t.prefix_sup_bits(e, x, stage)
+        # step 1 while the known bits follow z, else inf: a jump never passes the first inf
+        follows = x[: max(known, 0)] == z.prefix(min(len(x), max(known, 0)))
+        assert isinstance(walk, measures.SupWalk) and walk.step == (1 if follows else math.inf)
+        at = data.draw(st.lists(st.integers(0, len(x)), max_size=30))
+        assert [walk[n] for n in at] == [want[n] for n in at]
+        assert list(walk) == want
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word

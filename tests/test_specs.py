@@ -294,7 +294,6 @@ class TestBadInputs:
             pytest.param(lambda: ceil_neg_log2(F(0)), ValueError, id="ceil-neg-log2-0"),
             pytest.param(lambda: Measure({"kind": "none"}), ValueError, id="no-rule-no-tuples"),
             pytest.param(lambda: ENUMERATED.mass("0"), MalformedMeasureError, id="enum-mass"),
-            pytest.param(lambda: next(ENUMERATED.mass_bits("0")), MalformedMeasureError, id="enum-walk"),
             pytest.param(lambda: bernoulli(F(3, 2)), ValueError, id="bernoulli-3/2"),
             pytest.param(lambda: sample_stream(ENUMERATED, 0, 4), MalformedMeasureError, id="enum-sample"),
             pytest.param(lambda: one_entry_table().eval_measure(0, "0", 4), WrongKindError, id="real-stub"),
@@ -321,6 +320,21 @@ class TestBadInputs:
                 ValueError,
                 id="flip-float-horizon-reload",
             ),
+            # checked when the table is built, before the oracle can read an index that never matches
+            pytest.param(lambda: ProgramTable([StubEntry()], {"0": 3}), ValueError, id="flip-str-index-built"),
+            pytest.param(lambda: ProgramTable([StubEntry()], {True: 3}), ValueError, id="flip-bool-index-built"),
+            pytest.param(lambda: ProgramTable([StubEntry()], {0: 1.5}), ValueError, id="flip-float-horizon-built"),
+            pytest.param(
+                lambda: table_from_manifest({"entries": [], "flip_schedules": {"0": 1.5}}),
+                ValueError,
+                id="flip-float-horizon-reloaded",
+            ),
+            # an int flag equals a bool one, yet writes another spec row; any other flag builds an interval
+            pytest.param(lambda: enumerated([("0", Interval(0, F(1, 2), 1, 0), 0)]), ValueError, id="enum-flag-int"),
+            pytest.param(lambda: enumerated([("0", Interval(0, 1, "x", False), 0)]), ValueError, id="enum-flag-str"),
+            # a bool or float stage names the class apart from the same int's
+            pytest.param(lambda: ClosedClass.from_stage_sets({True: {"0"}}), ValueError, id="stage-set-bool"),
+            pytest.param(lambda: ClosedClass.from_stage_sets({1.0: {"0"}}), ValueError, id="stage-set-float"),
         ],
     )
     def test_raises(self, call, error):

@@ -1,10 +1,14 @@
-"""The scripts in tools/, each run on a small tree of its own: the code-line counter, the
-unused-import and dead-name scanners that CI runs, and the fresh-import timer."""
+"""The scripts in tools/, each run on a small tree or canned input of its own: the code-line
+counter, the unused-import and dead-name scanners that CI runs, the fresh-import timer and the
+benchmark-result reader."""
 
+import json
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 SCRIPT = TOOLS / "code_lines.py"
@@ -134,3 +138,58 @@ def test_the_import_timer_imports_the_root_afresh_each_round(tmp_path):
     assert re.fullmatch(r"fresh import of the four modules from source: \d+\.\d ms, median of 20\n", out.stdout)
     assert log.read_text().split() == layers * 20
     assert not list(tmp_path.rglob("*.pyc"))  # no bytecode written
+
+
+RUN = {"workload": "w", "seed": 0, "reference_checked": True}
+RESULT = {"correct": True, "attempted": 4, "failed": 0, "metrics": {}}
+
+
+def bench_results(*args, stdin=""):
+    """bench_results.py's (exit code, stdout, stderr) on canned input."""
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "bench_results.py"), *args], input=stdin, capture_output=True, text=True
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+def perfbench_output(run=None, result=None, last=None):
+    """Lines as perfbench/run.py prints them: a log line, the run object, the result object."""
+    run = {"run": {**RUN, **(run or {})}}
+    return "\n".join(["log", json.dumps(run), last or json.dumps({**RESULT, **(result or {})})]) + "\n"
+
+
+def test_bench_results_reads_the_workload_names(tmp_path):
+    names = [w["name"] for w in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["workloads"]]
+    assert bench_results("names", str(TOOLS.parent / "BENCHMARK.json")) == (0, " ".join(names) + "\n", "")
+    (tmp_path / "empty.json").write_text('{"workloads": []}')
+    code, _, err = bench_results("names", str(tmp_path / "empty.json"))
+    assert code == 1 and "lists no workloads" in err
+
+
+@pytest.mark.parametrize("mode", ["replay", "traced"])
+def test_bench_results_passes_a_correct_run(mode):
+    assert bench_results(mode, stdin=perfbench_output()) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "mode,output,reason",
+    [
+        ("replay", perfbench_output(result={"correct": False}), "the output is wrong"),
+        ("traced", perfbench_output(result={"correct": False}), "the output is wrong"),
+        ("replay", perfbench_output(result={"failed": 1}), "1 ops failed"),
+        ("traced", perfbench_output(result={"failed": 2}), "2 ops failed"),
+        ("replay", perfbench_output(run={"reference_checked": False}), "the stored outputs were not compared"),
+        ("replay", perfbench_output(last="Traceback (most recent call last):"), "not perfbench output"),
+        ("traced", perfbench_output(last='{"correct": true}'), "not perfbench output"),
+        ("replay", "", "not perfbench output"),
+    ],
+    ids=["wrong", "wrong-traced", "failed-op", "failed-op-traced", "unchecked", "malformed", "no-failed", "empty"],
+)
+def test_bench_results_fails_a_bad_run(mode, output, reason):
+    code, out, err = bench_results(mode, stdin=output)
+    assert (code, out) == (1, "") and err.startswith(f"{mode}: {reason}")
+
+
+def test_an_unchecked_reference_passes_a_traced_round():
+    # a traced round compares no stored output, so only the result line is read
+    assert bench_results("traced", stdin=perfbench_output(run={"reference_checked": False})) == (0, "", "")
