@@ -456,8 +456,9 @@ class ProgramTable:
     Base indices are positions in the registry; indices >= PAD_BASE encode
     pad(i, j) via the Cantor pairing, so alias allocation is order-free and
     deterministic.  A table prints as its manifest.  It keeps the list and dict it
-    is given, each flip index and horizon checked: a str, bool or float one would
-    never match an index, or write a key or horizon that reloads as another.
+    is given, each flip index and horizon checked when it is built and at each oracle
+    read and manifest: a str, bool or float one would never match an index, or
+    write a key or horizon that reloads as another.
     """
 
     def __init__(self, entries: Optional[list[Entry]] = None, flip_schedules: Optional[dict[int, int]] = None):
@@ -465,9 +466,12 @@ class ProgramTable:
         if len(self.entries) > PAD_BASE:
             raise OverflowError(f"{len(self.entries)} entries reach into the padding index space")
         self.flip_schedules = {} if flip_schedules is None else flip_schedules  # index -> horizon
-        for k, v in self.flip_schedules.items():
-            _nonneg_int("flip index", k)
-            _nonneg_int("flip horizon", v)
+        self._flips()  # raises on a bad index or horizon
+
+    def _flips(self) -> dict[int, int]:
+        """The flip schedules, each index and horizon checked again, since the dict may have
+        changed since the table was built."""
+        return {_nonneg_int("flip index", k): _nonneg_int("flip horizon", v) for k, v in self.flip_schedules.items()}
 
     def __repr__(self) -> str:
         return f"ProgramTable({self.manifest()!r})"
@@ -595,7 +599,7 @@ class ProgramTable:
         parity; at and beyond the horizon it equals the ground truth.
         """
         truth = 1 if self.is_total(e) else 0
-        horizon = self.flip_schedules.get(e)
+        horizon = self._flips().get(e)
         if horizon is not None and stage < horizon:
             return truth if stage % ORACLE_FLIP_PERIOD == 0 else 1 - truth
         return truth
@@ -618,11 +622,8 @@ class ProgramTable:
     # -- manifest ----------------------------------------------------------------
 
     def manifest(self) -> dict:
-        """The entries' specs and the flip schedules, each index and horizon checked again, since
-        the table's dict may have changed since it was built."""
-        flips = sorted(
-            (_nonneg_int("flip index", k), _nonneg_int("flip horizon", v)) for k, v in self.flip_schedules.items()
-        )
+        """The entries' specs and the checked flip schedules."""
+        flips = sorted(self._flips().items())
         return {"entries": [ent.spec() for ent in self.entries], "flip_schedules": {str(k): v for k, v in flips}}
 
     def manifest_hash(self) -> str:
@@ -712,4 +713,9 @@ def from_spec(spec: dict):
 
 def table_from_manifest(manifest: dict) -> ProgramTable:
     entries = [from_spec(spec) for spec in manifest.get("entries", [])]
-    return ProgramTable(entries, {int(k): v for k, v in manifest.get("flip_schedules", {}).items()})
+    flips = {}
+    for k, v in manifest.get("flip_schedules", {}).items():
+        if str(i := int(k)) != k:  # "01", " 1", "+1" or "1_0": two manifests would load as one table
+            raise ValueError(f"flip index must be written as manifest() writes it, got {k!r}")
+        flips[i] = v
+    return ProgramTable(entries, flips)

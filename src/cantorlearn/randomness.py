@@ -26,7 +26,10 @@ bits) and on a param lift over Bernoulli balls, as every Bernoulli lift is, k
 of any prefix comes from its zero count or length, and the step is finite
 unless k can reach inf, so the walk visits only the prefixes where a read
 could happen and jumps over the rest; any other entry reads each prefix's
-knowledge with a step of inf, so the walk visits every prefix.
+knowledge with a step of inf, so the walk visits every prefix.  Where k comes
+from counts or lengths, ``random_verdict`` first rejects with no tracker built
+when k of the whole word minus the literal or KT cost (each an upper bound on
+the estimate) exceeds the threshold: a certified rejection, (|x|, k, codec, cost).
 """
 
 from __future__ import annotations
@@ -535,8 +538,8 @@ def deficiency_ball(ball: MeasureBall, est: ComplexityEstimator, word: Bits, sta
     return _deficiency(ball.sup_mass(check_bits(word)), est, word, stage)
 
 
-def _largest_read(est, x: Bits, sups, stage: int, best, stop):
-    """max(best, the deficiencies read along x), returned as soon as it
+def _largest_read(est, x: Bits, sups, stage: int, best, stop, end: int):
+    """max(best, the deficiencies read along x[:end]), returned as soon as it
     exceeds stop.  The estimate is read only where k = ceil(-log2 sup) minus
     the tracker's floor, a bound on the deficiency, exceeds the running maximum.
     The tracker is handed the bits walked since its last hand-over only where
@@ -549,7 +552,7 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
     tracker, handed = est.tracker(), 0
     floor, horizon = tracker.floor(stage), tracker._horizon
     i, step = 0, sups.step
-    while i <= len(x):
+    while i <= end:
         k = sups[i]
         if i >= horizon:
             tracker.push(x[handed:i])
@@ -571,9 +574,15 @@ def _largest_read(est, x: Bits, sups, stage: int, best, stop):
 def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     """Finite-horizon randomness surrogate: every prefix deficiency stays <= c.
 
-    The walk reads the estimate only where its floor leaves that open, and
-    stops at the first deficiency above c; the answer is ``all(d <= c for d
-    in prefix_deficiencies(...))`` exactly, with the test reference of
+    Where k of the whole word comes from a rule that ``measures`` builds
+    (Bernoulli sups or forced-bit lengths; never an entry's knowledge, whose
+    read can raise past the prefix where the walk stops), k minus the default
+    literal cost |x| + 32 or, from stage 4, the KT cost from |x| and its zero
+    count, each with its id penalty, bounds the whole word's deficiency from
+    below, and a bound above c rejects before any tracker is built.  Else the
+    walk reads the estimate only where its floor leaves that open, and stops
+    at the first deficiency above c; the answer is ``all(d <= c for d in
+    prefix_deficiencies(...))`` exactly, with the test reference of
     ``tests/reference.py``, False for a NaN c too, which no comparison
     passes, once e is known to be a measure."""
     check_bits(x)
@@ -581,7 +590,13 @@ def random_verdict(table, est: ComplexityEstimator, e: int, x: Bits, c) -> bool:
     sups = table.prefix_sup_bits(e, x, stage)
     if not c < INFINITE_DEFICIENCY:  # every prefix passes an infinite c, none a NaN
         return c == INFINITE_DEFICIENCY
-    return _largest_read(est, x, sups, stage, c, c) <= c
+    # k only from a rule measures builds: a BernoulliSups method or a forced-bit length function
+    if est.codecs is DEFAULT_CODECS and getattr(sups.bits, "__self__", sups.bits).__module__ == MeasureBall.__module__:
+        k, kt = sups[len(x)], KTCodec()  # codec 3, whose cost reads the counts alone
+        kt.t, kt.zeros = len(x), sups._zeros + x.count("0", sups._n)  # the zeros the walk counted, and the rest
+        if k - min(len(x) + LITERAL_HEADER, kt._length() + 6 if stage > 3 else math.inf) > c:
+            return False
+    return _largest_read(est, x, sups, stage, c, c, len(x)) <= c
 
 
 def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
@@ -589,10 +604,10 @@ def max_prefix_deficiency(table, est: ComplexityEstimator, e: int, x: Bits):
 
     The whole word's deficiency comes first, from one whole-word estimate,
     then the walk reads the estimate only where its floor leaves a larger
-    deficiency open; the answer is ``max(prefix_deficiencies(...))`` exactly,
-    with the test reference of ``tests/reference.py``."""
+    deficiency open, up to |x| - 1; the answer is ``max(prefix_deficiencies(...))``
+    exactly, with the test reference of ``tests/reference.py``."""
     stage = max(1, len(x))
     sups = table.prefix_sup_bits(e, x, stage)  # reads only the items asked
     if (whole := sups[len(x)]) == INFINITE_DEFICIENCY:
         return INFINITE_DEFICIENCY
-    return _largest_read(est, x, sups, stage, whole - est._upper(x, stage), INFINITE_DEFICIENCY)
+    return _largest_read(est, x, sups, stage, whole - est._upper(x, stage), INFINITE_DEFICIENCY, len(x) - 1)

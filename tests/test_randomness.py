@@ -886,7 +886,8 @@ class TestVerdictShortcuts:
         assert counts["bits"] == 2048 and counts["upper"] == 32 and counts["sups"] <= 256
         counts.update(bits=0, upper=0, sups=0)
         assert max_prefix_deficiency(t, EST, 1, x) > 64
-        assert counts["bits"] == 2048 and counts["upper"] == 20 and counts["sups"] <= 128
+        # the whole word's deficiency is read first, so the walk stops one prefix short of it
+        assert counts["bits"] == 2047 and counts["upper"] == 19 and counts["sups"] <= 128
 
     def test_param_lift_walks_build_no_image(self, monkeypatch):
         # a param lift over Bernoulli balls walks by zero counts, as a Bernoulli lift does: its
@@ -907,7 +908,8 @@ class TestVerdictShortcuts:
         t = ProgramTable()
         e = t.param_lift(FbMap(), t.add(RealEntry(BitSource.rational(F(5, 17)))))
         assert random_verdict(t, EST, e, sample_stream(bernoulli(F(5, 17)), 0, 1024), 8)
-        assert counts == {"images": 0, "sups": 129}
+        # 129 walk reads and one whole-word read for the certified rejection's bound
+        assert counts == {"images": 0, "sups": 130}
 
 
     def test_jumps_push_and_read_as_a_visit_to_every_prefix(self, monkeypatch):
@@ -1135,6 +1137,99 @@ class TestOneWalkShape:
         at = data.draw(st.lists(st.integers(0, len(x)), max_size=30))
         assert [walk[n] for n in at] == [want[n] for n in at]
         assert list(walk) == want
+
+
+class TestCertifiedRejections:
+    """Where k of the whole word comes from a count or length rule, ``random_verdict`` first
+    bounds the whole word's deficiency from below by k minus the literal cost, or the KT cost
+    from stage 4 (each an upper bound on the estimate, with its id penalty), and rejects at once
+    where that exceeds c; everywhere it answers as a read at every prefix would."""
+
+    KINDS = "uniform bernoulli interleave dirac enumerated stub bernoulli-lift fb-lift interleave-lift".split()
+
+    @settings(PROPERTY, max_examples=150)
+    @given(st.sampled_from(KINDS), st.data())
+    def test_equal_to_every_prefix_deficiency(self, kind, data):
+        t = ProgramTable()
+        value = F(data.draw(st.integers(0, 12)), 12)
+        source = data.draw(st.sampled_from(SOURCES))(value)
+        delay = data.draw(st.integers(0, 8))
+        # below 4 bits the stage leaves the KT codec out
+        n = data.draw(st.one_of(st.integers(0, 3), st.integers(4, 600), st.sampled_from([256, 512, 600])))
+        if kind in ("uniform", "bernoulli", "interleave", "dirac"):
+            mu = {
+                "uniform": uniform,
+                "bernoulli": lambda: bernoulli(value),
+                "interleave": lambda: interleave_measure(source),
+                "dirac": lambda: dirac(source),
+            }[kind]()
+            e = t.add(ExactMeasureEntry(mu, delay))
+        elif kind == "enumerated":
+            words, mu = data.draw(st.lists(st.text("01", max_size=6), max_size=8)), bernoulli(value)
+            rows = [(w, Interval.closed(mu.mass(w) / 2, mu.mass(w)), delay) for w in words]
+            e = t.add(EnumeratedMeasureEntry(enumerated(rows)))
+        elif kind == "stub":
+            e, mu = t.add(StubEntry()), uniform()
+        else:
+            real = t.add(RealEntry(source, delay))
+            mu = interleave_measure(source) if kind == "interleave-lift" else bernoulli(value)
+            if kind == "bernoulli-lift":
+                e = t.bernoulli_lift(real)
+            else:
+                e = t.param_lift(FbMap() if kind == "fb-lift" else InterleaveMap(), real)
+        # the entry's own stream, a Bernoulli one, possibly of another parameter, or a constant
+        x = data.draw(
+            st.sampled_from(
+                [
+                    partial(sample_stream, mu),
+                    partial(sample_stream, bernoulli(F(data.draw(st.integers(0, 12)), 12))),
+                    lambda seed, n: str(seed % 2) * n,
+                ]
+            )
+        )(data.draw(st.integers(0, 9)), n)
+        x = flip_some(data, x)
+        defs = list(prefix_deficiencies(t, EST, e, x))
+        # the largest deficiency as c, and one below it: where the whole word's is the largest and
+        # a bound's codec wins its estimate, the bound meets c exactly
+        for c in (-INFINITE_DEFICIENCY, -5, 0, 8, 48, INFINITE_DEFICIENCY, math.nan, max(defs), max(defs) - 1):
+            assert random_verdict(t, EST, e, x, c) == all(d <= c for d in defs), c
+
+    def test_a_bound_that_proves_nothing_leaves_the_walk(self):
+        # k of the whole word is 1936 and the KT cost 1946, so the bound reads -16, not above
+        # c = 48; the walk still rejects, at the 42-bit prefix, inside the leading zeros
+        x = "0" * 60 + sample_stream(bernoulli(F(1, 3)), 3, 2000)
+        t = table_with(bernoulli(F(1, 3)))
+        k, kt = t.prefix_sup_bits(0, x, len(x))[len(x)], KTCodec().cost(x)
+        assert (k, kt, len(x) + LITERAL_HEADER) == (1936, 1946, 2092)
+        assert k - min(len(x) + LITERAL_HEADER, kt + 6) == -16
+        defs = list(prefix_deficiencies(t, EST, 0, x))
+        assert next(n for n, d in enumerate(defs) if d > 48) == 42
+        assert random_verdict(t, EST, 0, x, 48) is False
+
+    def test_a_knowledge_walk_reads_no_whole_word(self):
+        # z ends after 100 bits, so the walk reads each prefix's knowledge, and the whole word's
+        # would read z past its end; the walk rejects long before that read
+        t = table_with(interleave_measure(BitSource.literal("0" * 100)))
+        with pytest.raises(EndOfWordError):
+            t.eval_measure(0, "0" * 300, 300)
+        assert random_verdict(t, EST, 0, "0" * 300, 8) is False
+
+    def test_a_wrong_bernoulli_rejects_with_no_tracker(self, monkeypatch):
+        # the benchmark's reject shape: Bernoulli(1/3) streams judged against Bernoulli(2/3)
+        built = []
+        real_init = randomness.EstimatorTracker.__init__
+
+        def init(self, est):
+            built.append(self)
+            real_init(self, est)
+
+        monkeypatch.setattr(randomness.EstimatorTracker, "__init__", init)
+        t = table_with(bernoulli(F(1, 3)), bernoulli(F(2, 3)))
+        for seed in range(8):
+            x = sample_stream(bernoulli(F(1, 3)), seed, 2048)
+            assert random_verdict(t, EST, 1, x, 48) is False
+        assert built == []
+        assert random_verdict(t, EST, 0, x, 48) is True and len(built) == 1
 
 
 # Outputs recorded from the earlier, separately written walks (one whole-word

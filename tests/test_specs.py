@@ -258,6 +258,13 @@ def sampled_spec(seed):
     return {"kind": "sampled", "measure": {"kind": "uniform"}, "seed": seed, "prng": PRNG_NAME}
 
 
+def added_flip(key, horizon) -> ProgramTable:
+    """A one-stub table whose flip schedule gains a key after the table is built."""
+    t = ProgramTable([StubEntry()])
+    t.flip_schedules[key] = horizon
+    return t
+
+
 class TestBadInputs:
     """Each input check raises its own error type, not a subclass or a parent of it."""
 
@@ -328,6 +335,18 @@ class TestBadInputs:
                 lambda: table_from_manifest({"entries": [], "flip_schedules": {"0": 1.5}}),
                 ValueError,
                 id="flip-float-horizon-reloaded",
+            ),
+            # a flip key added after the table is built is checked when the oracle reads the dict
+            pytest.param(lambda: added_flip("0", 3).totality_oracle(0, 1), ValueError, id="flip-str-index-added"),
+            pytest.param(lambda: added_flip(0, 1.5).totality_oracle(0, 1), ValueError, id="flip-float-horizon-added"),
+            # a key int() reads but manifest() never writes would load two manifests as one table
+            *(
+                pytest.param(
+                    lambda k=k: table_from_manifest({"entries": [], "flip_schedules": {k: 3}}),
+                    ValueError,
+                    id=f"flip-key-{k!r}",
+                )
+                for k in ("01", " 1", "+1", "1_0")
             ),
             # an int flag equals a bool one, yet writes another spec row; any other flag builds an interval
             pytest.param(lambda: enumerated([("0", Interval(0, F(1, 2), 1, 0), 0)]), ValueError, id="enum-flag-int"),

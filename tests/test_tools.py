@@ -1,14 +1,20 @@
 """The scripts in tools/, each run on a small tree or canned input of its own: the code-line
 counter, the unused-import and dead-name scanners that CI runs, the fresh-import timer and the
-benchmark-result reader."""
+benchmark-result reader; and the learner-trace timer, on this checkout at 512 bits."""
 
+import itertools
 import json
 import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from cantorlearn.measures import bernoulli, sample_stream
+from cantorlearn.programs import ExactMeasureEntry, ProgramTable
+from cantorlearn.randomness import ComplexityEstimator, random_verdict
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 SCRIPT = TOOLS / "code_lines.py"
@@ -193,3 +199,28 @@ def test_bench_results_fails_a_bad_run(mode, output, reason):
 def test_an_unchecked_reference_passes_a_traced_round():
     # a traced round compares no stored output, so only the result line is read
     assert bench_results("traced", stdin=perfbench_output(run={"reference_checked": False})) == (0, "", "")
+
+
+def test_the_learner_trace_reports_each_seed():
+    # the calls and the outcome are those of the same learner run here: the least of the 16
+    # entries that accepts each 16-bit-grid prefix
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "learner_trace.py"), str(TOOLS.parent), "512"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    head = "class-A learner trace (16 bernoulli(i/17), truth 5/17, c = 8, a guess every 16 bits to 512): "
+    assert out.stdout.startswith(head)
+    seeds = re.findall(r"seed (\d): \d+\.\d\d s, (\d+) verdict calls, (EX at \d+|not converged by 512)", out.stdout)
+    table = ProgramTable([ExactMeasureEntry(bernoulli(Fraction(i, 17))) for i in range(1, 17)])
+    want = []
+    for seed in (0, 1):
+        x, calls, guesses = sample_stream(bernoulli(Fraction(5, 17)), seed, 512), 0, []
+        for n in range(16, 513, 16):
+            verdicts = (random_verdict(table, ComplexityEstimator(), e, x[:n], 8) for e in range(16))
+            guesses.append(next((e for e, ok in enumerate(verdicts) if ok), None))
+            calls += 16 if guesses[-1] is None else guesses[-1] + 1
+        last = len(list(itertools.takewhile(lambda g: g == 4, reversed(guesses))))  # true guesses at the end
+        want.append((str(seed), str(calls), f"EX at {16 * (33 - last)}" if last else "not converged by 512"))
+    assert seeds == want
